@@ -10,12 +10,6 @@
 //	parma-bench -figure 6 -profile native      # Go-native cost profile
 //	parma-bench -figure 6 -json report.json    # machine-readable results
 //
-// The `recover` subcommand benchmarks the recovery hot path (serial kernel
-// pool vs full width) and emits a machine-readable JSON report — the BENCH
-// trajectory format (see BENCH_recover.json and docs/performance.md):
-//
-//	parma-bench recover -size 16 -json BENCH_recover.json
-//
 // The observability flags -trace, -metrics, -cpuprofile, -memprofile apply
 // here too; with -json the report additionally embeds span rollups and
 // metric snapshots from the traced run.
@@ -35,9 +29,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "recover" {
-		os.Exit(runRecoverBench(os.Args[2:]))
-	}
 	figure := flag.String("figure", "all", "figure to regenerate: 6, 7, 8, 9, 10, or all")
 	sizes := flag.String("sizes", "", "comma-separated array sizes (default: paper anchors)")
 	workers := flag.String("workers", "", "comma-separated worker counts")

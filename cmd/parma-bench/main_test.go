@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"parma/internal/solver"
-)
+import "testing"
 
 func TestParseInts(t *testing.T) {
 	got, err := parseInts(" 10, 20 ,30")
@@ -23,90 +16,5 @@ func TestParseInts(t *testing.T) {
 	}
 	if _, err := parseInts("1,x,3"); err == nil {
 		t.Fatal("bad list accepted")
-	}
-}
-
-// TestRecoverBenchReport runs the recover benchmark at a tiny size and checks
-// the report: sane fields, the determinism invariants the tool enforces, and
-// that appendTrajectory round-trips through a file twice.
-func TestRecoverBenchReport(t *testing.T) {
-	rep, err := recoverBench(5, 7, 1e-8, 40, 1, solver.MethodAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != recoverSchema {
-		t.Fatalf("schema = %q, want %q", rep.Schema, recoverSchema)
-	}
-	if rep.Method != "dense" {
-		t.Fatalf("method = %q, want %q (auto resolves dense at 5x5)", rep.Method, "dense")
-	}
-	if rep.SerialMS <= 0 || rep.ParallelMS <= 0 {
-		t.Fatalf("non-positive timings: serial=%v parallel=%v", rep.SerialMS, rep.ParallelMS)
-	}
-	if rep.Iterations <= 0 || rep.Residual > 1e-8 {
-		t.Fatalf("recovery did not converge: iters=%d residual=%g", rep.Iterations, rep.Residual)
-	}
-	if rep.ResidualDelta > 1e-10 {
-		t.Fatalf("serial/parallel residual delta %g exceeds 1e-10", rep.ResidualDelta)
-	}
-
-	path := filepath.Join(t.TempDir(), "traj.json")
-	rep.Label = "first"
-	if err := appendTrajectory(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	rep.Label = "second"
-	if err := appendTrajectory(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traj []recoverReport
-	if err := json.Unmarshal(data, &traj); err != nil {
-		t.Fatalf("trajectory does not parse: %v", err)
-	}
-	if len(traj) != 2 || traj[0].Label != "first" || traj[1].Label != "second" {
-		t.Fatalf("trajectory = %d entries, labels %q/%q", len(traj), traj[0].Label, traj[len(traj)-1].Label)
-	}
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendTrajectory(path, rep); err == nil {
-		t.Fatal("appendTrajectory accepted a corrupt trajectory file")
-	}
-}
-
-// TestRecoverBenchSparse forces the sparse backend at a tiny size and checks
-// the sparse-only report fields are populated.
-func TestRecoverBenchSparse(t *testing.T) {
-	rep, err := recoverBench(5, 7, 1e-8, 40, 1, solver.MethodSparse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Method != "sparse" {
-		t.Fatalf("method = %q, want %q", rep.Method, "sparse")
-	}
-	if rep.CGIters <= 0 || rep.NNZ <= 0 {
-		t.Fatalf("sparse counters missing: cg_iters=%d nnz=%d", rep.CGIters, rep.NNZ)
-	}
-	if rep.Residual > 1e-8 {
-		t.Fatalf("sparse recovery did not converge: residual=%g", rep.Residual)
-	}
-}
-
-func TestParseSizes(t *testing.T) {
-	got, err := parseSizes("16, 32 ,64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 16 || got[2] != 64 {
-		t.Fatalf("parseSizes = %v", got)
-	}
-	for _, bad := range []string{"", "  ,  ", "16,x", "1,16"} {
-		if _, err := parseSizes(bad); err == nil {
-			t.Fatalf("parseSizes(%q) accepted", bad)
-		}
 	}
 }

@@ -32,7 +32,8 @@ type HeterogeneousConfig struct {
 	Seed int64
 }
 
-// Heterogeneous runs the comparison and returns the series table.
+// Heterogeneous measures the per-pair formation costs on this machine, runs
+// the comparison on them and returns the series table.
 func Heterogeneous(cfg HeterogeneousConfig) (*metrics.Table, error) {
 	if cfg.N == 0 {
 		cfg.N = 50
@@ -52,15 +53,21 @@ func Heterogeneous(cfg HeterogeneousConfig) (*metrics.Table, error) {
 	for task, c := range t.Cost {
 		pairCost[task/len(kirchhoff.Categories)] += c
 	}
-	model := modelFor(PythonProfile)
+	return heteroTable(pairCost, cfg.Ranks, cfg.SlowFactor)
+}
 
+// heteroTable runs the uniform/weighted comparison for each world size on
+// the given per-pair costs. Everything downstream of the costs is the
+// simulated MPI clock, so the table is a pure function of its arguments.
+func heteroTable(pairCost []time.Duration, rankCounts []int, slowFactor float64) (*metrics.Table, error) {
+	model := modelFor(PythonProfile)
 	tbl := metrics.NewTable("ranks", "uniform_s", "weighted_s", "uniform/weighted")
-	for _, ranks := range cfg.Ranks {
+	for _, ranks := range rankCounts {
 		speeds := make([]float64, ranks)
 		for r := range speeds {
 			speeds[r] = 1
 			if r%2 == 1 {
-				speeds[r] = 1 / cfg.SlowFactor
+				speeds[r] = 1 / slowFactor
 			}
 		}
 		uniform, err := heteroMakespan(pairCost, speeds, model, sched.StaticRanges(len(pairCost), ranks))

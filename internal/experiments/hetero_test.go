@@ -4,15 +4,29 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"parma/internal/kirchhoff"
+	"parma/internal/parallel"
 )
 
 // TestHeterogeneousWeightingWins: on a heterogeneous cluster the weighted
 // partition must beat the uniform one by a factor approaching the speed
-// ratio (the slow ranks pin the uniform makespan).
+// ratio (the slow ranks pin the uniform makespan). The pair costs come from
+// the analytic term-count model, not from a wall-clock measurement, so the
+// simulated makespans — and the verdict — are the same on every run.
 func TestHeterogeneousWeightingWins(t *testing.T) {
-	tbl, err := Heterogeneous(HeterogeneousConfig{
-		N: 24, Ranks: []int{8}, SlowFactor: 4, Seed: 1,
-	})
+	p, err := BuildProblem(24, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40 ns per term is the order MeasureTasks reads at this size.
+	const perTerm = 40 * time.Nanosecond
+	pairCost := make([]time.Duration, p.Array.Pairs())
+	for task := 0; task < len(pairCost)*len(kirchhoff.Categories); task++ {
+		pairCost[task/len(kirchhoff.Categories)] += time.Duration(parallel.TaskCost(p, task)) * perTerm
+	}
+	tbl, err := heteroTable(pairCost, []int{8}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ package solver
 // resistor is a difference of two floating-wire potentials, which decays
 // like 1/n² relative to the cross entries (measured in
 // TestSparsityRationale's probe and docs/performance.md). The cross pattern
-// is pure geometry: the same index structure serves the Jacobian, its
-// transpose, and the pattern-restricted normal matrix JᵀJ the IC(0)
-// preconditioner factors, so it is computed once per geometry and shared.
+// is pure geometry and structurally symmetric: the same index structure
+// serves the Jacobian and its transpose, so it is computed once per geometry
+// and shared.
 //
 // A Plan is immutable after NewPlan and safe for concurrent use: parmad's
 // factorization cache keeps one per geometry and hands it to every
@@ -22,15 +22,14 @@ import (
 )
 
 // Plan is the cached per-geometry symbolic structure of the sparse
-// Gauss-Newton step: the cross pattern over pairs×unknowns, the transpose
-// gather permutation, and the (identical, structurally symmetric) pattern
-// the preconditioner's normal matrix lives on.
+// Gauss-Newton step: the cross pattern over pairs×unknowns and the transpose
+// gather permutation.
 type Plan struct {
 	m, n int
 	// rowPtr/colIdx is the cross pattern of the (mn)×(mn) Jacobian: row
 	// p·n+q holds columns {k·n+q : k ≠ p} ∪ {p·n+l : all l}, sorted. The
-	// pattern is structurally symmetric, so the transpose and the
-	// pattern-restricted JᵀJ share the same index arrays.
+	// pattern is structurally symmetric, so the transpose shares the same
+	// index arrays.
 	rowPtr, colIdx []int
 	// perm gathers transpose values from Jacobian values in O(nnz):
 	// jt.Values()[k] = j.Values()[perm[k]].
@@ -120,13 +119,14 @@ func ParseMethod(s string) (Method, error) {
 }
 
 // sparseCGItersEst is the effective CG iteration count the auto cost model
-// charges one sparse Gauss-Newton step, calibrated against the measured
-// n-sweep (BENCH_recover.json, 2026-08 records): at n=16 the sparse path
-// measured 1.84× faster end to end, which pins the model's dense/sparse
-// flop ratio n⁴/(8·k·(2n−1)) to k ≈ 144. The constant folds in assembly,
-// preconditioner refresh, and the damping ladder's retries, and puts the
-// square-array crossover at n ≈ 13: dense through 12×12, sparse from
-// 14×14 up (13×13 is within noise of break-even).
+// charges one sparse Gauss-Newton step, calibrated against a 2026-08
+// n-sweep of the IC(0)-preconditioned sparse path this package no longer
+// has: at n=16 it measured 1.84× faster than dense end to end, which pins
+// the model's dense/sparse flop ratio n⁴/(8·k·(2n−1)) to k ≈ 144. The
+// constant folds in assembly and the damping ladder's retries, and puts the
+// square-array crossover at n ≈ 13: dense through 12×12, sparse from 14×14
+// up. The Jacobi-preconditioned path is cheaper per step, so the constant is
+// due a re-calibration (docs/performance.md).
 const sparseCGItersEst = 144
 
 // ResolveMethod maps MethodAuto to a concrete backend for an m×n geometry

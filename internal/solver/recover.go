@@ -33,26 +33,11 @@ type RecoverOptions struct {
 	// SparseCGTol is the relative residual target of each inner CG solve on
 	// the damped normal equations. Zero selects 1e-10.
 	SparseCGTol float64
-	// SparsePrecond selects the inner CG preconditioner. PrecondAuto (the
-	// zero value) means IC(0) with Jacobi fallback on breakdown.
-	SparsePrecond SparsePrecond
 	// Plan optionally supplies the cached symbolic structure for the sparse
 	// path (serve keeps one per geometry). Nil builds one; a plan for a
 	// different geometry is ignored.
 	Plan *Plan
 }
-
-// SparsePrecond selects the preconditioner of the sparse path's inner CG.
-type SparsePrecond uint8
-
-const (
-	// PrecondAuto resolves to IC(0) with Jacobi fallback on breakdown.
-	PrecondAuto SparsePrecond = iota
-	// PrecondIC0 forces incomplete Cholesky on the pattern-restricted JᵀJ.
-	PrecondIC0
-	// PrecondJacobi forces diagonal preconditioning.
-	PrecondJacobi
-)
 
 // RecoverResult reports a recovery run.
 type RecoverResult struct {

@@ -52,8 +52,6 @@ type sparseStepper struct {
 	augmented bool // pattern grew beyond the structural cross
 	j, jt     *sparse.CSR
 	perm      []int
-	normal    *sparse.CSR // pattern-restricted JᵀJ, the IC(0) base
-	ic        *sparse.IC0
 
 	// Iteration-scoped numeric state, refreshed by prepare.
 	r    *grid.Field
@@ -107,7 +105,7 @@ func (st *sparseStepper) dropTol() float64 {
 
 // prepare assembles the linearization at the current iterate: numeric
 // Jacobian refresh on the fixed pattern (built on first call), transpose
-// gather, right-hand side, normal-matrix diagonal, and the IC(0) base.
+// gather, right-hand side, and the normal-matrix diagonal.
 func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *grid.Field, res mat.Vector) {
 	st.r = r
 	if !st.built {
@@ -147,9 +145,6 @@ func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *gr
 			st.diag[d] = s + 1e-12
 		}
 	})
-	if st.ic != nil {
-		sparse.NormalInto(st.normal, st.jt)
-	}
 	if sp.Active() {
 		sp.End(obs.I("pairs", m*n), obs.I("nnz", st.j.NNZ()))
 	}
@@ -171,11 +166,12 @@ func (st *sparseStepper) buildPattern(ctx context.Context, fwd *circuit.Solver, 
 	tol := st.dropTol()
 	rv := r.Values()
 	// Scan every candidate entry once. Rows are independent: workers write
-	// disjoint survivor slots and drop-mass cells.
+	// disjoint survivor slots and drop-mass cells. The grain is what bounds
+	// the scratch: one u-float row per chunk, not per pair.
 	survivors := make([][]int32, u)
 	kept := make([]float64, u)    // per-row kept sensitivity mass (squared values)
 	dropped := make([]float64, u) // per-row pruned mass
-	mat.ParallelFor(u, 1, func(lo, hi int) {
+	mat.ParallelFor(u, 32, func(lo, hi int) {
 		row := make([]float64, u)
 		for pq := lo; pq < hi; pq++ {
 			x := fwd.Potentials(pq/n, pq%n)
@@ -251,28 +247,10 @@ func (st *sparseStepper) buildPattern(ctx context.Context, fwd *circuit.Solver, 
 		jt, perm := st.j.TransposePlan()
 		st.jt, st.perm = jt, perm
 	}
-	// The preconditioner stays on the structural pattern either way: it only
-	// steers CG, so preconditioner-grade approximation is exactly what it
-	// should be, and the symbolic IC(0) stays cacheable per geometry.
-	if st.precond() == PrecondIC0 {
-		st.normal = sparse.FromPattern(u, u, st.plan.rowPtr, st.plan.colIdx)
-		ic, err := sparse.NewIC0(st.normal)
-		if err == nil {
-			st.ic = ic
-		}
-	}
 	st.built = true
 	if sp.Active() {
 		sp.End(obs.I("nnz", st.j.NNZ()), obs.I("extra", extra))
 	}
-}
-
-// precond resolves the preconditioner choice.
-func (st *sparseStepper) precond() SparsePrecond {
-	if st.opts.SparsePrecond == PrecondAuto {
-		return PrecondIC0
-	}
-	return st.opts.SparsePrecond
 }
 
 // normalOperator is the matrix-free damped normal operator
@@ -299,23 +277,14 @@ func (o *normalOperator) Apply(dst, x mat.Vector) {
 // that merely exhausts its budget still yields a usable inexact direction —
 // the LM acceptance test judges it against the exact residual.
 func (st *sparseStepper) solve(ctx context.Context, step mat.Vector, lambda float64) (bool, error) {
+	// The damped diagonal is the whole preconditioner: one pass over values
+	// prepare already computed (docs/performance.md has the CG counts that
+	// settled on it).
 	for i, d := range st.diag {
 		st.shifted[i] = lambda * d
+		st.invDiag[i] = 1 / (d + st.shifted[i])
 	}
-	var pre sparse.Preconditioner
-	if st.ic != nil {
-		if err := st.ic.Refresh(st.normal, st.shifted); err == nil {
-			pre = st.ic
-		} else {
-			obs.Add("solver/ic0_fallbacks", 1)
-		}
-	}
-	if pre == nil {
-		for i, d := range st.diag {
-			st.invDiag[i] = 1 / (d + st.shifted[i])
-		}
-		pre = sparse.Jacobi{InvDiag: st.invDiag}
-	}
+	pre := sparse.Jacobi{InvDiag: st.invDiag}
 	cgTol := st.opts.SparseCGTol
 	if cgTol == 0 { //parmavet:allow floateq -- zero is the "unset option" sentinel, assigned not computed
 		cgTol = defaultCGTol

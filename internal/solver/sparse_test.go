@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -62,9 +63,8 @@ func TestResolveMethod(t *testing.T) {
 	if got := ResolveMethod(2, 2, MethodSparse); got != MethodSparse {
 		t.Fatalf("explicit sparse resolved to %v", got)
 	}
-	// Auto must sit on the measured crossover (~13 on squares, calibrated
-	// against BENCH_recover.json where sparse already wins at 16×16): dense
-	// for small arrays, sparse from the paper's 16×16 reference up
+	// Auto must sit on the calibrated crossover (~13 on squares): dense for
+	// small arrays, sparse from the paper's 16×16 reference up
 	// (docs/performance.md).
 	for _, n := range []int{4, 8, 12} {
 		if got := ResolveMethod(n, n, MethodAuto); got != MethodDense {
@@ -98,45 +98,68 @@ func TestParseMethod(t *testing.T) {
 // normal equations as dense Cholesky, just iteratively, so the two backends
 // must take the same Levenberg-Marquardt trajectory — same iteration count,
 // same residual, recovered fields identical to 1e-9 — at every kernel pool
-// width.
+// width, with the same CG iteration count at each. Rectangular and
+// warm-started inputs are where diagonal preconditioning works hardest.
 func TestRecoverSparseMatchesDenseExact(t *testing.T) {
-	truth, z, err := gen.Measurements(gen.Config{
-		Rows: 16, Cols: 16, Seed: 7,
-		Anomalies: []gen.Anomaly{{CenterI: 5, CenterJ: 11, RadiusI: 2, RadiusJ: 2, Factor: 4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := grid.New(16, 16)
-	dense, err := Recover(context.Background(), a, z, RecoverOptions{Method: MethodDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Method != MethodDense {
-		t.Fatalf("dense result reports method %v", dense.Method)
-	}
-	for _, workers := range []int{1, 3} {
-		prev := mat.Parallelism(workers)
-		sparse, err := Recover(context.Background(), a, z, RecoverOptions{
-			Method: MethodSparse, SparseDropTol: -1, SparseCGTol: 1e-13,
+	for _, g := range [][2]int{{16, 16}, {9, 14}, {14, 9}} {
+		m, n := g[0], g[1]
+		truth, z, err := gen.Measurements(gen.Config{
+			Rows: m, Cols: n, Seed: 7,
+			Anomalies: []gen.Anomaly{{CenterI: float64(m) / 3, CenterJ: 2 * float64(n) / 3, RadiusI: 2, RadiusJ: 2, Factor: 4}},
 		})
-		mat.Parallelism(prev)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if sparse.Method != MethodSparse || sparse.NNZ == 0 || sparse.CGIterations == 0 {
-			t.Fatalf("workers=%d: sparse result counters: %+v", workers, sparse)
+		warm := truth.Clone()
+		rng := rand.New(rand.NewSource(11))
+		wv := warm.Values()
+		for i := range wv {
+			wv[i] *= 1 + 0.05*(2*rng.Float64()-1)
 		}
-		if sparse.Iterations != dense.Iterations {
-			t.Fatalf("workers=%d: sparse took %d LM iterations, dense %d",
-				workers, sparse.Iterations, dense.Iterations)
-		}
-		if math.Abs(sparse.Residual-dense.Residual) > 1e-8 {
-			t.Fatalf("workers=%d: residuals diverge: sparse %g, dense %g",
-				workers, sparse.Residual, dense.Residual)
-		}
-		if rel := sparse.R.MaxAbsDiff(dense.R) / truth.Max(); rel > 1e-9 {
-			t.Fatalf("workers=%d: recovered fields differ by %g relative", workers, rel)
+		a := grid.New(m, n)
+		for _, start := range []struct {
+			name    string
+			initial *grid.Field
+		}{{"cold", nil}, {"warm", warm}} {
+			t.Run(fmt.Sprintf("%dx%d/%s", m, n, start.name), func(t *testing.T) {
+				dense, err := Recover(context.Background(), a, z, RecoverOptions{Method: MethodDense, Initial: start.initial})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dense.Method != MethodDense {
+					t.Fatalf("dense result reports method %v", dense.Method)
+				}
+				cgIters := 0
+				for _, workers := range []int{1, 3} {
+					prev := mat.Parallelism(workers)
+					sparse, err := Recover(context.Background(), a, z, RecoverOptions{
+						Method: MethodSparse, SparseDropTol: -1, SparseCGTol: 1e-13, Initial: start.initial,
+					})
+					mat.Parallelism(prev)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
+					}
+					if sparse.Method != MethodSparse || sparse.NNZ == 0 || sparse.CGIterations == 0 {
+						t.Fatalf("workers=%d: sparse result counters: %+v", workers, sparse)
+					}
+					if sparse.Iterations != dense.Iterations {
+						t.Fatalf("workers=%d: sparse took %d LM iterations, dense %d",
+							workers, sparse.Iterations, dense.Iterations)
+					}
+					if math.Abs(sparse.Residual-dense.Residual) > 1e-8 {
+						t.Fatalf("workers=%d: residuals diverge: sparse %g, dense %g",
+							workers, sparse.Residual, dense.Residual)
+					}
+					if rel := sparse.R.MaxAbsDiff(dense.R) / truth.Max(); rel > 1e-9 {
+						t.Fatalf("workers=%d: recovered fields differ by %g relative", workers, rel)
+					}
+					if cgIters != 0 && sparse.CGIterations != cgIters {
+						t.Fatalf("workers=%d: %d CG iterations, %d at the other width",
+							workers, sparse.CGIterations, cgIters)
+					}
+					cgIters = sparse.CGIterations
+				}
+			})
 		}
 	}
 }

@@ -2,11 +2,12 @@ package sparse
 
 // Incomplete Cholesky with zero fill — IC(0) — on a fixed symmetric
 // pattern. The factor L keeps exactly the lower triangle of the input
-// pattern: the symbolic structure is computed once (per geometry, in the
-// solver's cached plan) and only the numeric factorization reruns when the
-// matrix values or the Levenberg diagonal shift change. Used as the strong
-// preconditioner for the CG-backed sparse normal equations; Jacobi is the
-// fallback when the incomplete factorization breaks down.
+// pattern: the symbolic structure is computed once and only the numeric
+// factorization reruns when the matrix values or the diagonal shift change.
+//
+// No production caller: the solver preconditions with Jacobi alone; only the
+// sparse.ic0_* probes in benchmark/probes.go link this file, and it is to be
+// deleted together with them in the next benchmark PR.
 
 import (
 	"errors"
@@ -18,7 +19,7 @@ import (
 
 // ErrIC0Breakdown is returned when the incomplete factorization hits a
 // non-positive pivot — the pattern-restricted matrix is not positive
-// definite enough for IC(0). Callers fall back to Jacobi preconditioning.
+// definite enough for IC(0).
 var ErrIC0Breakdown = errors.New("sparse: IC(0) pivot breakdown")
 
 // IC0 is an incomplete Cholesky factor on a fixed lower-triangular pattern.

@@ -123,6 +123,10 @@ func Gather(dst, src []float64, perm []int) {
 // product. Output rows fan out across the shared kernel pool; each row is
 // owned by one worker and every dot accumulates in merge order, so values
 // are bit-identical at any parallelism.
+//
+// No production caller: kept for the sparse.normal_ms and
+// sparse.cg_probe_iters probes in benchmark/probes.go, to be deleted together
+// with them in the next benchmark PR.
 func NormalInto(dst, jt *CSR) {
 	if dst.rows != jt.rows || dst.cols != jt.rows {
 		panic(fmt.Sprintf("sparse: NormalInto dst is %dx%d, want %dx%d", dst.rows, dst.cols, jt.rows, jt.rows))
