@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -40,14 +41,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h already printed the usage and is not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "parma-router:", err)
 		os.Exit(1)
 	}
 }
 
 func run(argv []string) error {
-	fs := flag.NewFlagSet("parma-router", flag.ExitOnError)
+	fs := flag.NewFlagSet("parma-router", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8320", "listen address (host:port; port 0 picks a free port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (for scripts using port 0)")
 	var backendSpecs []string

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -112,9 +113,6 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 	newRing := oldRing.With(req.Name)
 	rt.backends = append(append([]*Backend(nil), rt.backends...), b)
 	rt.ring = newRing
-	if ra, ok := rt.policy.(ringAware); ok {
-		ra.SetRing(newRing)
-	}
 	rt.mu.Unlock()
 
 	obs.Add("fleet/membership_changes_total", 1)
@@ -126,18 +124,8 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 	// live member) and pushed to the joiner. Only then does the first
 	// probe run — so by the time traffic can arrive, the caches are
 	// already building.
-	moved := RehomedKeys(oldRing, newRing, rt.trackedKeys())
+	moved := RehomedKeys(oldRing, newRing, rt.seenKeys())
 	prewarmed := rt.handoffTo(r.Context(), oldRing, b, moved[req.Name])
-
-	// Drop the sticky assignments for every key the ring just moved:
-	// their old owners are still healthy members, so backend-level
-	// eviction would never reach these entries, and the affinity fast
-	// path would keep routing them to the old owner forever.
-	if at, ok := rt.policy.(assignTracker); ok {
-		for _, keys := range moved {
-			at.EvictKeys(keys)
-		}
-	}
 
 	rt.prober.Add(r.Context(), b)
 
@@ -150,11 +138,11 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRemoveBackend removes a member with a coordinated drain: cordon
-// (no new routes), atomic ring swap, assignment eviction, warm handoff of
-// its keys to their ring successors, then wait — bounded by DrainTimeout
-// — for the router's own in-flight requests to the victim to finish
-// before it stops being probed. The backend process itself is not
-// touched; stopping it is the operator's next step.
+// (no new routes), atomic ring swap, warm handoff of its keys to their
+// ring successors, then wait — bounded by DrainTimeout — for the router's
+// own in-flight requests to the victim to finish before it stops being
+// probed. The backend process itself is not touched; stopping it is the
+// operator's next step.
 func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 
@@ -187,9 +175,6 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.backends = keep
 	rt.ring = newRing
-	if ra, ok := rt.policy.(ringAware); ok {
-		ra.SetRing(newRing)
-	}
 	rt.mu.Unlock()
 
 	obs.Add("fleet/membership_changes_total", 1)
@@ -197,21 +182,13 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	obs.SetGauge("fleet/ring/share/"+name, 0)
 	obs.Log().InfoContext(r.Context(), "fleet: backend removing", "backend", name)
 
-	// Collect the handoff work list before evicting: eviction empties the
-	// victim's entries from the assignment map, and the union with every
-	// other tracked key lets RehomedKeys prove only the victim's keys
-	// moved.
-	tracked := rt.trackedKeys()
-	if at, ok := rt.policy.(assignTracker); ok {
-		at.EvictBackend(name)
-	}
-	moved := RehomedKeys(oldRing, newRing, tracked)
+	moved := RehomedKeys(oldRing, newRing, rt.seenKeys())
 	prewarmed := rt.handoffFrom(r.Context(), victim, moved)
 
 	drained := rt.awaitDrain(r.Context(), victim)
 	rt.prober.Remove(name)
 	obs.Log().InfoContext(r.Context(), "fleet: backend removed",
-		"backend", name, "drained", drained, "rehomed_keys", len(tracked))
+		"backend", name, "drained", drained, "prewarmed", prewarmed)
 
 	writeJSON(w, http.StatusOK, MembershipChange{
 		Member:        name,
@@ -244,22 +221,17 @@ func (rt *Router) awaitDrain(ctx context.Context, victim *Backend) bool {
 }
 
 // onEject is the prober's ejection hook: the moment a backend is declared
-// dead, its affinity assignments are evicted (so the next request for
-// each key re-homes immediately instead of riding the open breaker) and
-// its ring successors are told, in the background, which keys they just
-// inherited. Fetching warm state from the corpse is attempted best-effort
-// — a draining-but-slow backend may still answer — and degrades to
-// plan-only prewarms when it cannot.
+// dead, its ring successors are told, in the background, which keys they
+// just inherited. Routing is not involved: the dead backend is already
+// out of the routable set the policy sees. Fetching warm state from the
+// corpse is attempted best-effort — a draining-but-slow backend may still
+// answer — and degrades to plan-only prewarms when it cannot.
 func (rt *Router) onEject(dead *Backend) {
-	var evicted []string
-	if at, ok := rt.policy.(assignTracker); ok {
-		evicted = at.EvictBackend(dead.Name)
-	}
-	if len(evicted) == 0 {
+	backends, ring := rt.membership()
+	moved := rehomeToRoutable(ring, dead, routable(backends), rt.seenKeys())
+	if len(moved) == 0 {
 		return
 	}
-	_, ring := rt.membership()
-	moved := rt.rehomeToRoutable(ring, dead.Name, evicted)
 	go func() {
 		// Detached from the probe loop: handoff does bounded network I/O
 		// and must not delay liveness verdicts for the rest of the fleet.
@@ -267,43 +239,24 @@ func (rt *Router) onEject(dead *Backend) {
 		defer cancel()
 		n := rt.handoffFrom(ctx, dead, moved)
 		obs.Log().Info("fleet: ejected backend's keys handed off",
-			"backend", dead.Name, "keys", len(evicted), "prewarmed", n)
+			"backend", dead.Name, "prewarmed", n)
 	}()
 }
 
-// rehomeToRoutable groups keys by the backend that will now serve them:
-// the first routable ring successor after the excluded (dead) member.
-// This mirrors the affinity policy's filtered-successor routing, which is
-// what actually decides where an ejected backend's traffic lands — the
-// ring itself does not change on a health transition.
-func (rt *Router) rehomeToRoutable(ring *Ring, exclude string, keys []string) map[string][]string {
-	routable := map[string]bool{}
-	for _, b := range rt.routable() {
-		routable[b.Name] = true
-	}
+// rehomeToRoutable picks out the keys dead was serving — those whose
+// first successor among live ∪ {dead} is dead — and groups them by the
+// live backend next in line, which is where the policy now sends them:
+// the ring itself does not change on a health transition. keys must be
+// sorted; each group then is too.
+func rehomeToRoutable(ring *Ring, dead *Backend, live []*Backend, keys []string) map[string][]string {
+	withDead := append(slices.Clip(live), dead) // Clip: never write into the caller's array
 	moved := make(map[string][]string)
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		for _, name := range ring.Successors(k, ring.Len()) {
-			if name != exclude && routable[name] {
-				moved[name] = append(moved[name], k)
-				break
-			}
+	for _, k := range keys {
+		if order := ringOrder(ring, k, withDead); len(order) > 1 && order[0] == dead {
+			moved[order[1].Name] = append(moved[order[1].Name], k)
 		}
 	}
 	return moved
-}
-
-// trackedKeys returns every geometry key the policy has seen land
-// somewhere — the warm-handoff universe. Policies that do not track
-// assignments (round-robin, least-loaded) hand off nothing: without
-// affinity there is no per-backend warm state worth moving.
-func (rt *Router) trackedKeys() []string {
-	if at, ok := rt.policy.(assignTracker); ok {
-		return at.AssignedKeys()
-	}
-	return nil
 }
 
 // backendByName resolves a member name against the current membership.
@@ -385,11 +338,24 @@ func (rt *Router) handoffTo(ctx context.Context, oldRing *Ring, target *Backend,
 	return len(entries)
 }
 
-// fetchWarmState asks source for the warm-start fields of keys. Always
-// returns one entry per key: on any failure the entries degrade to
-// key-only, which still lets the target prebuild the geometry's sparse
-// Plan even when the warm R is unrecoverable (a crashed source).
+// fetchWarmState asks source for the warm-start fields of keys, in chunks
+// the worker's /v1/warmstate accepts. Always returns one entry per key: on
+// any failure a chunk's entries degrade to key-only, which still lets the
+// target prebuild the geometry's sparse Plan even when the warm R is
+// unrecoverable (a crashed source).
 func (rt *Router) fetchWarmState(ctx context.Context, source *Backend, keys []string) []serve.PrewarmEntry {
+	out := make([]serve.PrewarmEntry, 0, len(keys))
+	for len(keys) > 0 {
+		n := min(len(keys), serve.MaxWarmStateKeys)
+		out = append(out, rt.fetchWarmChunk(ctx, source, keys[:n])...)
+		keys = keys[n:]
+	}
+	return out
+}
+
+// fetchWarmChunk is one /v1/warmstate round trip for at most
+// serve.MaxWarmStateKeys keys.
+func (rt *Router) fetchWarmChunk(ctx context.Context, source *Backend, keys []string) []serve.PrewarmEntry {
 	planOnly := func() []serve.PrewarmEntry {
 		out := make([]serve.PrewarmEntry, len(keys))
 		for i, k := range keys {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,10 @@ import (
 
 // adminWorker stubs a parmad worker with the warm-handoff surface: it
 // exports canned warm state from /v1/warmstate and records every
-// /v1/prewarm push it receives.
+// /v1/prewarm push it receives. Like the real worker it answers 400 to a
+// geometry above stubMaxDim on every endpoint — failing a whole warmstate
+// or prewarm batch over one such key — and to a warmstate request above
+// serve.MaxWarmStateKeys.
 type adminWorker struct {
 	name string
 	srv  *httptest.Server
@@ -25,6 +29,15 @@ type adminWorker struct {
 	mu        sync.Mutex
 	warm      map[string][][]float64 // geometry key -> exported warm R
 	prewarmed []serve.PrewarmEntry
+}
+
+const stubMaxDim = 64
+
+// stubKeyOK reports whether the stub worker accepts geometry key.
+func stubKeyOK(key string) bool {
+	var rows, cols int
+	_, err := fmt.Sscanf(key, "%dx%d", &rows, &cols)
+	return err == nil && rows <= stubMaxDim && cols <= stubMaxDim
 }
 
 func newAdminWorker(t *testing.T, name string) *adminWorker {
@@ -36,15 +49,24 @@ func newAdminWorker(t *testing.T, name string) *adminWorker {
 		fmt.Fprint(rw, `{"status":"ok","workers":1}`)
 	})
 	mux.HandleFunc("POST /v1/recover", func(rw http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
+		var g geomProbe
+		if err := json.NewDecoder(r.Body).Decode(&g); err != nil || !stubKeyOK(fmt.Sprintf("%dx%d", g.Rows, g.Cols)) {
+			rw.WriteHeader(http.StatusBadRequest)
+			return
+		}
 		rw.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(rw, `{"worker":%q}`, w.name)
 	})
 	mux.HandleFunc("GET /v1/warmstate", func(rw http.ResponseWriter, r *http.Request) {
+		keys := strings.Split(r.URL.Query().Get("keys"), ",")
+		if len(keys) > serve.MaxWarmStateKeys || slices.ContainsFunc(keys, func(k string) bool { return !stubKeyOK(k) }) {
+			rw.WriteHeader(http.StatusBadRequest)
+			return
+		}
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		var resp serve.WarmStateResponse
-		for _, k := range strings.Split(r.URL.Query().Get("keys"), ",") {
+		for _, k := range keys {
 			resp.Entries = append(resp.Entries, serve.PrewarmEntry{Key: k, R: w.warm[k]})
 		}
 		rw.Header().Set("Content-Type", "application/json")
@@ -52,7 +74,8 @@ func newAdminWorker(t *testing.T, name string) *adminWorker {
 	})
 	mux.HandleFunc("POST /v1/prewarm", func(rw http.ResponseWriter, r *http.Request) {
 		var req serve.PrewarmRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil ||
+			slices.ContainsFunc(req.Entries, func(e serve.PrewarmEntry) bool { return !stubKeyOK(e.Key) }) {
 			rw.WriteHeader(http.StatusBadRequest)
 			return
 		}
@@ -328,5 +351,139 @@ func TestRemoveBackendDrainsAndRehomes(t *testing.T) {
 	// Refuse to empty the fleet.
 	if rec := adminDo(t, h, http.MethodDelete, "/admin/backends/w1", "tok", nil); rec.Code != http.StatusConflict {
 		t.Errorf("removing last member: status %d, want 409", rec.Code)
+	}
+}
+
+// TestBadRequestDoesNotPoisonHandoff: a geometry the workers answer 400
+// for must not enter the seen set — one such key would fail the whole
+// /v1/warmstate fetch and /v1/prewarm push of every later handoff it
+// rides in.
+func TestBadRequestDoesNotPoisonHandoff(t *testing.T) {
+	w0 := newAdminWorker(t, "w0")
+	w1 := newAdminWorker(t, "w1")
+	rt := adminRouter(t, "tok", w0, w1)
+	h := rt.Handler()
+
+	good := keyOwnedBy(t, rt, "w0")
+	var rows, cols int
+	fmt.Sscanf(good, "%dx%d", &rows, &cols)
+	w0.mu.Lock()
+	w0.warm[good] = warmGrid(rows, cols)
+	w0.mu.Unlock()
+	if rec := doRecover(t, h, recoverBody(rows, cols)); rec.Code != http.StatusOK {
+		t.Fatalf("priming recover: status %d", rec.Code)
+	}
+	// An oversize geometry that w0 also owns, so it would ride in the same
+	// handoff group as the good key.
+	bad := 0
+	for n := stubMaxDim + 1; n < 400 && bad == 0; n++ {
+		if rt.Ring().Owner(fmt.Sprintf("%dx%d", n, n)) == "w0" {
+			bad = n
+		}
+	}
+	if bad == 0 {
+		t.Fatal("no oversize geometry owned by w0")
+	}
+	if rec := doRecover(t, h, recoverBody(bad, bad)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversize recover: status %d, want the worker's 400 relayed", rec.Code)
+	}
+
+	if rec := adminDo(t, h, http.MethodDelete, "/admin/backends/w0", "tok", nil); rec.Code != http.StatusOK {
+		t.Fatalf("remove: status %d: %s", rec.Code, rec.Body.String())
+	}
+	w1.mu.Lock()
+	defer w1.mu.Unlock()
+	if len(w1.prewarmed) != 1 || w1.prewarmed[0].Key != good {
+		t.Fatalf("successor was prewarmed with %v, want exactly [%s]", w1.prewarmed, good)
+	}
+	if w1.prewarmed[0].R == nil {
+		t.Errorf("prewarm entry for %s lost its warm R", good)
+	}
+}
+
+// TestHandoffChunksWarmState: a successor inheriting more keys than one
+// /v1/warmstate request may carry still gets every key, the warm ones
+// with their R. Traffic runs from several goroutines, and keeps running
+// through the removal, so the seen set is written and read concurrently.
+func TestHandoffChunksWarmState(t *testing.T) {
+	w0 := newAdminWorker(t, "w0")
+	w1 := newAdminWorker(t, "w1")
+	rt := adminRouter(t, "tok", w0, w1)
+	h := rt.Handler()
+
+	const want = 300
+	warm := map[string]bool{}
+	var mine, others [][]byte // request bodies for keys w0 owns / w1 owns
+	for rows := 1; rows <= stubMaxDim && len(mine) < want; rows++ {
+		for cols := 1; cols <= 16 && len(mine) < want; cols++ {
+			key := fmt.Sprintf("%dx%d", rows, cols)
+			if rt.Ring().Owner(key) != "w0" {
+				others = append(others, recoverBody(rows, cols))
+				continue
+			}
+			if len(mine)%3 == 0 {
+				warm[key] = true
+				w0.warm[key] = warmGrid(rows, cols) // no request is in flight yet
+			}
+			mine = append(mine, recoverBody(rows, cols))
+		}
+	}
+	if len(mine) != want {
+		t.Fatalf("only %d keys owned by w0, want %d", len(mine), want)
+	}
+	prime := func(wg *sync.WaitGroup, bodies [][]byte) {
+		defer wg.Done()
+		for _, body := range bodies {
+			if rec := doRecover(t, h, body); rec.Code != http.StatusOK {
+				t.Errorf("priming %s: status %d", body, rec.Code)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go prime(&wg, mine[g*want/4:(g+1)*want/4])
+	}
+	wg.Wait()
+
+	wg.Add(1)
+	go prime(&wg, others) // w1's own keys: seen during the removal, moved by it never
+	rec := adminDo(t, h, http.MethodDelete, "/admin/backends/w0", "tok", nil)
+	wg.Wait()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("remove: status %d: %s", rec.Code, rec.Body.String())
+	}
+	w1.mu.Lock()
+	defer w1.mu.Unlock()
+	if len(w1.prewarmed) != want {
+		t.Fatalf("successor received %d prewarm entries, want %d", len(w1.prewarmed), want)
+	}
+	for _, e := range w1.prewarmed {
+		if warm[e.Key] != (e.R != nil) {
+			t.Errorf("key %s: warm on source = %v, arrived with R = %v", e.Key, warm[e.Key], e.R != nil)
+		}
+	}
+}
+
+// TestEjectHandsOffToSuccessor: when the prober ejects a backend, the keys
+// it was serving are pushed (plan-only — the source is gone) to the live
+// backend next on their ring chain, and no others.
+func TestEjectHandsOffToSuccessor(t *testing.T) {
+	w0 := newAdminWorker(t, "w0")
+	w1 := newAdminWorker(t, "w1")
+	rt := adminRouter(t, "tok", w0, w1)
+	h := rt.Handler()
+
+	for _, owner := range []string{"w0", "w1"} {
+		var rows, cols int
+		fmt.Sscanf(keyOwnedBy(t, rt, owner), "%dx%d", &rows, &cols)
+		if rec := doRecover(t, h, recoverBody(rows, cols)); rec.Code != http.StatusOK {
+			t.Fatalf("priming recover: status %d", rec.Code)
+		}
+	}
+	w0.srv.Close()
+	waitFor(t, 2*time.Second, func() bool { return len(w1.prewarmedKeys()) > 0 }, "ejection handoff to reach w1")
+	if got, want := w1.prewarmedKeys(), []string{keyOwnedBy(t, rt, "w0")}; !slices.Equal(got, want) {
+		t.Fatalf("w1 was prewarmed with %v, want %v", got, want)
 	}
 }

@@ -49,8 +49,8 @@ func (c ProberConfig) withDefaults() ProberConfig {
 // Prober drives the health loop over a backend set. Membership is
 // dynamic: Add and Remove adjust the probed set at runtime, and the
 // OnEject/OnReadmit hooks (set before Start) let the router react to
-// liveness transitions — evicting affinity assignments and warm-handing
-// the dead backend's keys to their ring successors.
+// liveness transitions — warm-handing the dead backend's keys to their
+// ring successors.
 type Prober struct {
 	cfg    ProberConfig
 	client *http.Client

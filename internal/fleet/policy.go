@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"parma/internal/obs"
@@ -17,38 +16,10 @@ import (
 type Policy interface {
 	Name() string
 	// Candidates returns the routable backends in preference order for
-	// the given geometry key. The input slice is never mutated.
-	Candidates(key string, routable []*Backend) []*Backend
-}
-
-// ringAware is implemented by policies that route off the consistent-hash
-// ring; the router pushes each membership swap through SetRing so the
-// policy and the router never disagree about membership.
-type ringAware interface {
-	SetRing(*Ring)
-}
-
-// assignTracker is implemented by policies that remember where each
-// geometry key last landed. The router consults the tracked key set for
-// warm handoff (which keys does a departing backend's successor inherit)
-// and calls EvictBackend on every membership and health transition so the
-// map never names a non-member.
-type assignTracker interface {
-	// EvictBackend drops every assignment naming the backend and returns
-	// the affected keys, sorted.
-	EvictBackend(name string) []string
-	// AssignedKeys returns every tracked geometry key, sorted.
-	AssignedKeys() []string
-	// Assignment returns the backend a key last landed on.
-	Assignment(key string) (string, bool)
-	// Record notes that key was served by backend (the router calls this
-	// with the backend that actually answered, keeping the map honest
-	// across failover).
-	Record(key, backend string)
-	// EvictKeys drops the assignments for the given keys. A join moves
-	// keys away from owners that remain members, so backend-level
-	// eviction cannot reach them.
-	EvictKeys(keys []string)
+	// the given geometry key. ring and routable come from one membership
+	// snapshot, so every routable backend is a ring member. The input
+	// slice is never mutated.
+	Candidates(key string, ring *Ring, routable []*Backend) []*Backend
 }
 
 // Policy names accepted by NewPolicy (and parma-router -policy).
@@ -58,10 +29,10 @@ const (
 	PolicyAffinity    = "affinity"
 )
 
-// NewPolicy builds the named policy. ring and spillFactor are only
-// consulted by the affinity policy; spillFactor <= 1 selects the default
-// (1.25, the classic bounded-load consistent-hashing c).
-func NewPolicy(name string, ring *Ring, spillFactor float64) (Policy, error) {
+// NewPolicy builds the named policy. spillFactor is only consulted by the
+// affinity policy; spillFactor <= 1 selects the default (1.25, the classic
+// bounded-load consistent-hashing c).
+func NewPolicy(name string, spillFactor float64) (Policy, error) {
 	switch name {
 	case PolicyRoundRobin, "":
 		return &roundRobin{}, nil
@@ -71,7 +42,7 @@ func NewPolicy(name string, ring *Ring, spillFactor float64) (Policy, error) {
 		if spillFactor <= 1 {
 			spillFactor = 1.25
 		}
-		return &affinity{ring: ring, factor: spillFactor, assigned: map[string]string{}}, nil
+		return affinity{factor: spillFactor}, nil
 	}
 	return nil, fmt.Errorf("fleet: unknown policy %q (want %s, %s, or %s)",
 		name, PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity)
@@ -87,7 +58,7 @@ type roundRobin struct {
 
 func (*roundRobin) Name() string { return PolicyRoundRobin }
 
-func (p *roundRobin) Candidates(_ string, routable []*Backend) []*Backend {
+func (p *roundRobin) Candidates(_ string, _ *Ring, routable []*Backend) []*Backend {
 	n := len(routable)
 	if n == 0 {
 		return nil
@@ -108,7 +79,7 @@ type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return PolicyLeastLoaded }
 
-func (leastLoaded) Candidates(_ string, routable []*Backend) []*Backend {
+func (leastLoaded) Candidates(_ string, _ *Ring, routable []*Backend) []*Backend {
 	out := append([]*Backend(nil), routable...)
 	loads := make(map[*Backend]int64, len(out))
 	for _, b := range out {
@@ -134,148 +105,58 @@ func (leastLoaded) Candidates(_ string, routable []*Backend) []*Backend {
 // the first ring successor under the bound, trading one cold solve for
 // tail latency. Spills are counted on fleet/spill_total.
 //
-// The assigned map remembers where each key last landed — the sticky fast
-// path that keeps a spilled key on its spill target while the spill
-// condition persists, and the ledger warm handoff reads to learn which
-// keys a departing backend's successors inherit. Entries naming a backend
-// that left the ring or lost its health check are evicted on the spot
-// (EvictBackend), so the map never holds a request hostage to a dead
-// assignment.
+// The order is a pure function of (ring, routable set, current loads),
+// recomputed on every request: nothing is remembered, so a spilled key is
+// back on its owner the moment the owner is under the bound, and a
+// membership or health transition has no policy state to repair.
 type affinity struct {
 	factor float64
-
-	mu       sync.Mutex
-	ring     *Ring
-	assigned map[string]string // geometry key -> backend that last served it
 }
 
-func (*affinity) Name() string { return PolicyAffinity }
+func (affinity) Name() string { return PolicyAffinity }
 
-// SetRing swaps the membership ring (dynamic membership). Assignments are
-// not touched here: the router evicts the affected backend's entries
-// explicitly, which also tells it which keys to hand off.
-func (p *affinity) SetRing(r *Ring) {
-	p.mu.Lock()
-	p.ring = r
-	p.mu.Unlock()
-}
-
-// EvictBackend drops every assignment naming the backend, returning the
-// affected keys sorted — the warm-handoff work list.
-func (p *affinity) EvictBackend(name string) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var keys []string
-	for k, b := range p.assigned {
-		if b == name {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		delete(p.assigned, k)
-	}
-	return keys
-}
-
-// AssignedKeys returns every tracked geometry key, sorted.
-func (p *affinity) AssignedKeys() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys := make([]string, 0, len(p.assigned))
-	for k := range p.assigned {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// EvictKeys drops the assignments for the given keys — the join-side
-// eviction: the ring moved these keys to the new member, and a sticky
-// entry would pin them to their old owner indefinitely.
-func (p *affinity) EvictKeys(keys []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, k := range keys {
-		delete(p.assigned, k)
-	}
-}
-
-// Assignment returns the backend key last landed on.
-func (p *affinity) Assignment(key string) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b, ok := p.assigned[key]
-	return b, ok
-}
-
-// Record notes that key was served by backend.
-func (p *affinity) Record(key, backend string) {
-	p.mu.Lock()
-	p.assigned[key] = backend
-	p.mu.Unlock()
-}
-
-func (p *affinity) Candidates(key string, routable []*Backend) []*Backend {
-	n := len(routable)
-	if n == 0 {
+func (p affinity) Candidates(key string, ring *Ring, routable []*Backend) []*Backend {
+	out := ringOrder(ring, key, routable)
+	if len(out) == 0 {
 		return nil
 	}
-	p.mu.Lock()
-	ring := p.ring
-	sticky := p.assigned[key]
-	p.mu.Unlock()
-	byName := make(map[string]*Backend, n)
 	var total int64
-	for _, b := range routable {
-		byName[b.Name] = b
+	for _, b := range out {
 		total += b.Load()
 	}
-	// Ring order over every member, filtered to the routable set: dead or
-	// draining backends drop out, and their keys land on the next live
-	// successor.
-	out := make([]*Backend, 0, n)
-	for _, name := range ring.Successors(key, ring.Len()) {
-		if b := byName[name]; b != nil {
-			out = append(out, b)
-		}
-	}
-	// Sticky fast path: a key that last landed off-owner (a spill) keeps
-	// going there while that backend stays routable, instead of bouncing
-	// between owner and spill target on every load wobble. Eviction on
-	// membership/health transitions is what keeps this path from pinning a
-	// key to a corpse.
-	if sticky != "" && len(out) > 1 && out[0].Name != sticky {
-		for i := 1; i < len(out); i++ {
-			if out[i].Name == sticky {
-				b := out[i]
-				copy(out[1:i+1], out[:i])
-				out[0] = b
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		// Key owner chain entirely outside the routable set (e.g. ring and
-		// backend list diverged): fall back to name order rather than
-		// dropping the request.
-		out = append(out, routable...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		return out
-	}
-	capacity := int64(math.Ceil(p.factor * float64(total+1) / float64(n)))
+	capacity := int64(math.Ceil(p.factor * float64(total+1) / float64(len(out))))
 	if out[0].Load() >= capacity {
 		for i := 1; i < len(out); i++ {
 			if out[i].Load() < capacity {
 				obs.Add("fleet/spill_total", 1)
 				spilled := out[i]
-				rest := append([]*Backend(nil), out[:i]...)
-				out = append(append([]*Backend{spilled}, rest...), out[i+1:]...)
+				copy(out[1:i+1], out[:i])
+				out[0] = spilled
 				break
 			}
 		}
 		// No backend under the bound: everyone is equally saturated, so
 		// the owner keeps the request and admission control does its job.
+	}
+	return out
+}
+
+// ringOrder returns the routable backends in key's ring-successor order:
+// the owner first when it is routable, then each next member clockwise.
+// Dead, draining and cordoned members drop out, so their keys land on the
+// next live successor. It is the one place that answers "where does this
+// key go" before load is considered — request routing and warm handoff
+// both call it, so they cannot disagree.
+func ringOrder(ring *Ring, key string, routable []*Backend) []*Backend {
+	byName := make(map[string]*Backend, len(routable))
+	for _, b := range routable {
+		byName[b.Name] = b
+	}
+	out := make([]*Backend, 0, len(routable))
+	for _, name := range ring.Successors(key, ring.Len()) {
+		if b := byName[name]; b != nil {
+			out = append(out, b)
+		}
 	}
 	return out
 }

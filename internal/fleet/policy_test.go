@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -24,13 +24,13 @@ func namesOf(bs []*Backend) []string {
 
 func TestRoundRobinRotates(t *testing.T) {
 	bs := testBackends("a", "b", "c")
-	p, err := NewPolicy(PolicyRoundRobin, nil, 0)
+	p, err := NewPolicy(PolicyRoundRobin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
 	for i := 0; i < 9; i++ {
-		cands := p.Candidates("8x8", bs)
+		cands := p.Candidates("8x8", nil, bs)
 		if len(cands) != 3 {
 			t.Fatalf("want all 3 backends as candidates, got %v", namesOf(cands))
 		}
@@ -48,11 +48,11 @@ func TestLeastLoadedOrdersByLoad(t *testing.T) {
 	bs[0].setProbe(ProbeState{Alive: true, QueueDepth: 7})
 	bs[1].setProbe(ProbeState{Alive: true, QueueDepth: 0})
 	bs[2].setProbe(ProbeState{Alive: true, QueueDepth: 3})
-	p, err := NewPolicy(PolicyLeastLoaded, nil, 0)
+	p, err := NewPolicy(PolicyLeastLoaded, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := namesOf(p.Candidates("8x8", bs))
+	got := namesOf(p.Candidates("8x8", nil, bs))
 	want := []string{"b", "c", "a"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -62,7 +62,7 @@ func TestLeastLoadedOrdersByLoad(t *testing.T) {
 	// Ties break by name for determinism.
 	bs[0].setProbe(ProbeState{Alive: true})
 	bs[2].setProbe(ProbeState{Alive: true})
-	got = namesOf(p.Candidates("8x8", bs))
+	got = namesOf(p.Candidates("8x8", nil, bs))
 	want = []string{"a", "b", "c"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -74,12 +74,12 @@ func TestLeastLoadedOrdersByLoad(t *testing.T) {
 func TestAffinityFollowsRing(t *testing.T) {
 	bs := testBackends("a", "b", "c", "d")
 	ring := NewRing(namesOf(bs), 0)
-	p, err := NewPolicy(PolicyAffinity, ring, 0)
+	p, err := NewPolicy(PolicyAffinity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"8x8", "16x16", "32x64", "12x31"} {
-		cands := p.Candidates(key, bs)
+		cands := p.Candidates(key, ring, bs)
 		if len(cands) != 4 {
 			t.Fatalf("want every routable backend as a candidate, got %v", namesOf(cands))
 		}
@@ -95,7 +95,7 @@ func TestAffinityFollowsRing(t *testing.T) {
 func TestAffinitySkipsDeadOwner(t *testing.T) {
 	bs := testBackends("a", "b", "c", "d")
 	ring := NewRing(namesOf(bs), 0)
-	p, _ := NewPolicy(PolicyAffinity, ring, 0)
+	p, _ := NewPolicy(PolicyAffinity, 0)
 	key := "8x8"
 	owner := ring.Owner(key)
 
@@ -107,7 +107,7 @@ func TestAffinitySkipsDeadOwner(t *testing.T) {
 			routable = append(routable, b)
 		}
 	}
-	cands := p.Candidates(key, routable)
+	cands := p.Candidates(key, ring, routable)
 	if len(cands) != 3 {
 		t.Fatalf("want 3 live candidates, got %v", namesOf(cands))
 	}
@@ -126,7 +126,7 @@ func TestAffinitySkipsDeadOwner(t *testing.T) {
 func TestAffinityBoundedLoadSpill(t *testing.T) {
 	bs := testBackends("a", "b", "c", "d")
 	ring := NewRing(namesOf(bs), 0)
-	p, _ := NewPolicy(PolicyAffinity, ring, 1.25)
+	p, _ := NewPolicy(PolicyAffinity, 1.25)
 	key := "8x8"
 	owner := ring.Owner(key)
 
@@ -136,7 +136,7 @@ func TestAffinityBoundedLoadSpill(t *testing.T) {
 			b.setProbe(ProbeState{Alive: true, QueueDepth: 100})
 		}
 	}
-	cands := p.Candidates(key, bs)
+	cands := p.Candidates(key, ring, bs)
 	if cands[0].Name == owner {
 		t.Fatalf("saturated owner %s kept the request; want spill to a successor", owner)
 	}
@@ -163,18 +163,27 @@ func TestAffinityBoundedLoadSpill(t *testing.T) {
 		t.Fatalf("spill lost candidates: %v", namesOf(cands))
 	}
 
+	// Return home: the moment the owner is back under the bound the key is
+	// back on it — nothing remembers the spill.
+	for _, b := range bs {
+		b.setProbe(ProbeState{Alive: true})
+	}
+	if cands = p.Candidates(key, ring, bs); cands[0].Name != owner {
+		t.Fatalf("owner %s back under the bound, but %s is still first", owner, cands[0].Name)
+	}
+
 	// Uniformly saturated fleet: no spill target exists, owner keeps it.
 	for _, b := range bs {
 		b.setProbe(ProbeState{Alive: true, QueueDepth: 100})
 	}
-	cands = p.Candidates(key, bs)
+	cands = p.Candidates(key, ring, bs)
 	if cands[0].Name != owner {
 		t.Fatalf("uniformly-loaded fleet should keep owner %s first, got %s", owner, cands[0].Name)
 	}
 }
 
 func TestNewPolicyUnknown(t *testing.T) {
-	if _, err := NewPolicy("bogus", nil, 0); err == nil {
+	if _, err := NewPolicy("bogus", 0); err == nil {
 		t.Fatal("want error for unknown policy")
 	}
 }
@@ -182,93 +191,53 @@ func TestNewPolicyUnknown(t *testing.T) {
 func TestPoliciesEmptyRoutable(t *testing.T) {
 	ring := NewRing([]string{"a"}, 0)
 	for _, name := range []string{PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity} {
-		p, err := NewPolicy(name, ring, 0)
+		p, err := NewPolicy(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.Candidates("8x8", nil); len(got) != 0 {
+		if got := p.Candidates("8x8", ring, nil); len(got) != 0 {
 			t.Fatalf("%s: want no candidates for empty routable set, got %v", name, namesOf(got))
 		}
 	}
 }
 
-// TestAffinityEvictionKeepsMapOnMembers is the membership-regression
-// contract: through any sequence of membership and health transitions,
-// the affinity assignment map never names a backend that is not a ring
-// member. A stale entry would pin a geometry to a corpse — the sticky
-// fast path would keep routing there forever.
-func TestAffinityEvictionKeepsMapOnMembers(t *testing.T) {
-	ring := NewRing([]string{"m0", "m1", "m2"}, DefaultVnodes)
-	p, err := NewPolicy(PolicyAffinity, ring, 1.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := p.(assignTracker)
-	ra := p.(ringAware)
-
-	keys := sampleKeys(60)
-	for i, k := range keys {
-		at.Record(k, fmt.Sprintf("m%d", i%3))
-	}
-
-	assertMembersOnly := func(step string, members map[string]bool) {
-		t.Helper()
-		for _, k := range at.AssignedKeys() {
-			b, ok := at.Assignment(k)
-			if !ok {
-				t.Fatalf("%s: AssignedKeys lists %s but Assignment misses it", step, k)
-			}
-			if !members[b] {
-				t.Fatalf("%s: key %s assigned to non-member %s", step, k, b)
+// TestAffinityIsPure: for a fixed (ring, routable, loads) the candidate
+// order is the same whatever Candidates calls — other keys, other loads,
+// spills included — came before it. Placement has no history.
+func TestAffinityIsPure(t *testing.T) {
+	keys := sampleKeys(40)
+	for _, n := range []int{2, 3, 5} {
+		bs := testBackends(fleetNames(n)...)
+		ring := NewRing(namesOf(bs), 0)
+		setLoads := func(seed int) {
+			for i, b := range bs {
+				b.setProbe(ProbeState{Alive: true, QueueDepth: int64((seed*7 + i*13) % 11)})
 			}
 		}
-	}
-	assertMembersOnly("initial", map[string]bool{"m0": true, "m1": true, "m2": true})
-
-	// Coordinated removal: ring swap plus eviction, as handleRemoveBackend
-	// performs it.
-	ring = ring.Without("m1")
-	ra.SetRing(ring)
-	evicted := at.EvictBackend("m1")
-	if len(evicted) == 0 {
-		t.Fatal("removing m1 evicted no keys despite recorded assignments")
-	}
-	assertMembersOnly("after remove m1", map[string]bool{"m0": true, "m2": true})
-	for _, k := range evicted {
-		if _, ok := at.Assignment(k); ok {
-			t.Fatalf("evicted key %s still has an assignment", k)
+		// The reference answers come from a policy that has seen nothing else.
+		const fixed = 3
+		setLoads(fixed)
+		want := map[string][]string{}
+		for _, k := range keys {
+			fresh, _ := NewPolicy(PolicyAffinity, 1.25)
+			want[k] = namesOf(fresh.Candidates(k, ring, bs))
 		}
-	}
 
-	// Health ejection: the member stays on the ring but its assignments
-	// must go (onEject calls EvictBackend without a ring swap).
-	at.EvictBackend("m2")
-	assertMembersOnly("after eject m2", map[string]bool{"m0": true})
-	for _, k := range at.AssignedKeys() {
-		if b, _ := at.Assignment(k); b == "m2" {
-			t.Fatalf("key %s still names health-ejected m2", k)
+		p, _ := NewPolicy(PolicyAffinity, 1.25)
+		for round, k := range keys {
+			// Churn: every other key under a different load picture, on the
+			// full set and with one backend out.
+			setLoads(round)
+			for _, other := range keys {
+				if other != k {
+					p.Candidates(other, ring, bs)
+					p.Candidates(other, ring, bs[1:])
+				}
+			}
+			setLoads(fixed)
+			if got := namesOf(p.Candidates(k, ring, bs)); !slices.Equal(got, want[k]) {
+				t.Fatalf("n=%d key %s: candidates %v after churn, %v fresh", n, k, got, want[k])
+			}
 		}
-	}
-
-	// Join: new member, fresh assignments land and stick — and the keys
-	// the ring moved to the joiner get their stale entries dropped via
-	// EvictKeys (their old owner is still a member, so EvictBackend
-	// cannot reach them).
-	ring = ring.With("m3")
-	ra.SetRing(ring)
-	stale := at.AssignedKeys()
-	at.EvictKeys(stale[:1])
-	if _, ok := at.Assignment(stale[0]); ok {
-		t.Fatalf("key %s survived EvictKeys", stale[0])
-	}
-	at.Record("77x77", "m3")
-	if b, ok := at.Assignment("77x77"); !ok || b != "m3" {
-		t.Fatalf("assignment after join = %q/%v, want m3", b, ok)
-	}
-	assertMembersOnly("after join m3", map[string]bool{"m0": true, "m3": true})
-
-	// Double eviction is a no-op, not a panic.
-	if again := at.EvictBackend("m1"); len(again) != 0 {
-		t.Fatalf("second eviction of m1 returned keys: %v", again)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -130,6 +131,12 @@ type Router struct {
 	backends []*Backend
 	ring     *Ring
 	policy   Policy
+	// seen is the set of geometry keys (string → struct{}) a worker has
+	// answered 2xx for — the warm-handoff universe. Keys only, no backend
+	// names: where a key's warm state lives is derived from the ring when
+	// a handoff needs it. Grow-only, so the steady state is a lock-free
+	// read.
+	seen     sync.Map
 	breakers *serve.BreakerSet
 	prober   *Prober
 	client   *http.Client
@@ -153,7 +160,7 @@ func New(cfg Config) (*Router, error) {
 	if ring.Len() != len(cfg.Backends) {
 		return nil, fmt.Errorf("fleet: backend names must be unique")
 	}
-	policy, err := NewPolicy(cfg.Policy, ring, cfg.SpillFactor)
+	policy, err := NewPolicy(cfg.Policy, cfg.SpillFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -171,10 +178,8 @@ func New(cfg Config) (*Router, error) {
 		client: &http.Client{Timeout: cfg.AttemptTimeout + 5*time.Second},
 		start:  time.Now(),
 	}
-	// Health transitions feed the affinity assignment map and warm
-	// handoff: an ejected backend's keys are evicted immediately (so
-	// routing re-homes on the next request, not after riding the breaker)
-	// and its ring successors are told what they inherited.
+	// Health transitions feed warm handoff: an ejected backend's ring
+	// successors are told which keys they just inherited.
 	rt.prober.OnEject = rt.onEject
 	rt.publishRingShares()
 	return rt, nil
@@ -302,9 +307,9 @@ type geomProbe struct {
 	Cols int `json:"cols"`
 }
 
-// routable snapshots the currently routable backends in member order.
-func (rt *Router) routable() []*Backend {
-	backends, _ := rt.membership()
+// routable filters a membership snapshot to the backends that may take
+// traffic now, in member order.
+func routable(backends []*Backend) []*Backend {
 	out := make([]*Backend, 0, len(backends))
 	for _, b := range backends {
 		if b.Routable() {
@@ -322,12 +327,15 @@ func (rt *Router) overCap(b *Backend) bool {
 	return rt.cfg.MaxPerBackend > 0 && b.InFlight() >= int64(rt.cfg.MaxPerBackend)
 }
 
-// recordAssignment tells an assignment-tracking policy where key actually
-// landed, keeping the affinity map honest across spill and failover.
-func (rt *Router) recordAssignment(key string, b *Backend) {
-	if at, ok := rt.policy.(assignTracker); ok {
-		at.Record(key, b.Name)
-	}
+// seenKeys returns the seen set, sorted.
+func (rt *Router) seenKeys() []string {
+	var keys []string
+	rt.seen.Range(func(k, _ any) bool {
+		keys = append(keys, k.(string))
+		return true
+	})
+	sort.Strings(keys)
+	return keys
 }
 
 // proxy forwards one compute request. Both compute endpoints are
@@ -371,7 +379,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 	}
 	key := strconv.Itoa(g.Rows) + "x" + strconv.Itoa(g.Cols)
 
-	candidates := rt.policy.Candidates(key, rt.routable())
+	backends, ring := rt.membership()
+	candidates := rt.policy.Candidates(key, ring, routable(backends))
 	if len(candidates) > rt.cfg.Attempts {
 		candidates = candidates[:rt.cfg.Attempts]
 	}
@@ -457,7 +466,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 				rt.hedger.observe(res.durationMS)
 			}
 		}
-		rt.recordAssignment(key, res.backend)
+		// Only an answered geometry is worth handing off, and only the
+		// affinity policy places by the ring that handoff follows. A 4xx
+		// must not get in: workers reject a whole /v1/warmstate or
+		// /v1/prewarm batch over one key they cannot parse.
+		if res.status/100 == 2 && rt.cfg.Policy == PolicyAffinity {
+			rt.seen.LoadOrStore(key, struct{}{})
+		}
 		rt.relay(w, res, attempts, hedged)
 		return
 	}

@@ -328,3 +328,34 @@ func TestProxyAffinityPinsGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyAffinityReturnsHome: a spill lasts exactly as long as the
+// overload that caused it. The prober is not started, so the loads are
+// the ones set here.
+func TestProxyAffinityReturnsHome(t *testing.T) {
+	w0 := newComputeWorker(t, "w0")
+	w1 := newComputeWorker(t, "w1")
+	backends := []*Backend{NewBackend("w0", w0.srv.URL), NewBackend("w1", w1.srv.URL)}
+	rt, err := New(Config{Backends: backends, Policy: PolicyAffinity, AttemptTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	owner := rt.Ring().Owner("16x16")
+	for _, step := range []struct {
+		ownerDepth int64
+		wantOwner  bool
+	}{{0, true}, {100, false}, {100, false}, {0, true}} {
+		for _, b := range backends {
+			p := ProbeState{Alive: true, LastOK: time.Now()}
+			if b.Name == owner {
+				p.QueueDepth = step.ownerDepth
+			}
+			b.setProbe(p)
+		}
+		rec := doRecover(t, h, recoverBody(16, 16))
+		if got := rec.Header().Get("X-Parma-Backend"); rec.Code != http.StatusOK || (got == owner) != step.wantOwner {
+			t.Fatalf("owner %s at queue depth %d: status %d from %q", owner, step.ownerDepth, rec.Code, got)
+		}
+	}
+}

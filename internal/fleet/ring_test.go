@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -187,58 +189,102 @@ func TestRingEmptyAndSingle(t *testing.T) {
 // exactly the keys whose consistent-hash owner changed, grouped under
 // exactly their new owner — no key missing, none invented, none
 // misrouted. The handoff protocol pushes warm state along this map, so
-// an off-by-one here is a cold cache after every membership change.
+// an off-by-one here is a cold cache after every membership change. A
+// health ejection leaves the ring alone, so its work list comes from
+// rehomeToRoutable instead: checked here, on the ring each transition
+// produced, against a brute-force walk of the successor chain.
 func TestRehomedKeysMatchOwnerDelta(t *testing.T) {
 	keys := append(sampleKeys(400), sampleKeys(50)...) // duplicates on purpose
 	transitions := []struct {
 		name   string
 		mutate func(*Ring) *Ring
+		eject  string   // member ejected after the transition ("" = none)
+		down   []string // other members unroutable at that moment
 	}{
-		{"add w9", func(r *Ring) *Ring { return r.With("w9") }},
-		{"remove w2", func(r *Ring) *Ring { return r.Without("w2") }},
-		{"remove w0", func(r *Ring) *Ring { return r.Without("w0") }},
-		{"add then settled", func(r *Ring) *Ring { return r.With("w7").Without("w3") }},
+		{name: "add w9", mutate: func(r *Ring) *Ring { return r.With("w9") }, eject: "w9"},
+		{name: "remove w2", mutate: func(r *Ring) *Ring { return r.Without("w2") }, eject: "w0"},
+		{name: "remove w0", mutate: func(r *Ring) *Ring { return r.Without("w0") }, eject: "w1", down: []string{"w3"}},
+		{name: "add then settled", mutate: func(r *Ring) *Ring { return r.With("w7").Without("w3") }, eject: "w7", down: []string{"w0", "w4"}},
+		{name: "eject only", mutate: func(r *Ring) *Ring { return r }, eject: "w1"},
+	}
+	// sameGroups compares a grouping against the brute-force expectation.
+	sameGroups := func(label string, got map[string][]string, want map[string]map[string]bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d successors named, brute force says %d", label, len(got), len(want))
+		}
+		for succ, ks := range got {
+			if len(ks) != len(want[succ]) {
+				t.Errorf("%s: successor %s got %d keys, want %d", label, succ, len(ks), len(want[succ]))
+			}
+			for _, k := range ks {
+				if !want[succ][k] {
+					t.Errorf("%s: key %s re-homed to %s, but brute force disagrees", label, k, succ)
+				}
+			}
+		}
+	}
+	add := func(want map[string]map[string]bool, succ, k string) {
+		if want[succ] == nil {
+			want[succ] = map[string]bool{}
+		}
+		want[succ][k] = true
 	}
 	for _, n := range []int{2, 3, 5, 8} {
 		oldRing := NewRing(fleetNames(n), DefaultVnodes)
 		for _, tr := range transitions {
 			newRing := tr.mutate(oldRing)
-			moved := RehomedKeys(oldRing, newRing, keys)
+			label := fmt.Sprintf("n=%d %s", n, tr.name)
 
 			// Brute force the expected delta, deduplicating like RehomedKeys.
 			want := map[string]map[string]bool{}
+			var uniq []string
 			seen := map[string]bool{}
 			for _, k := range keys {
 				if seen[k] {
 					continue
 				}
 				seen[k] = true
+				uniq = append(uniq, k)
 				oldOwner, newOwner := oldRing.Owner(k), newRing.Owner(k)
 				if newOwner == "" || newOwner == oldOwner {
 					continue
 				}
-				if want[newOwner] == nil {
-					want[newOwner] = map[string]bool{}
-				}
-				want[newOwner][k] = true
+				add(want, newOwner, k)
 			}
+			sameGroups(label, RehomedKeys(oldRing, newRing, keys), want)
 
-			if len(moved) != len(want) {
-				t.Fatalf("n=%d %s: RehomedKeys names %d successors, brute force says %d",
-					n, tr.name, len(moved), len(want))
-			}
-			for succ, got := range moved {
-				if len(got) != len(want[succ]) {
-					t.Errorf("n=%d %s: successor %s got %d keys, want %d",
-						n, tr.name, succ, len(got), len(want[succ]))
+			// Ejection on the resulting ring: a key is on the work list iff
+			// the first member of its chain that is live or the ejected one
+			// is the ejected one, and it goes to the next live member.
+			var dead *Backend
+			var live []*Backend
+			liveName := map[string]bool{}
+			for _, b := range testBackends(newRing.Backends()...) {
+				switch {
+				case b.Name == tr.eject:
+					dead = b
+				case !slices.Contains(tr.down, b.Name):
+					live = append(live, b)
+					liveName[b.Name] = true
 				}
-				for _, k := range got {
-					if !want[succ][k] {
-						t.Errorf("n=%d %s: key %s re-homed to %s, but its owner delta disagrees",
-							n, tr.name, k, succ)
-					}
+			}
+			if dead == nil {
+				continue // the transition's victim is not a member at this n
+			}
+			want = map[string]map[string]bool{}
+			for _, k := range uniq {
+				chain := newRing.Successors(k, newRing.Len())
+				first := slices.IndexFunc(chain, func(m string) bool { return m == dead.Name || liveName[m] })
+				if chain[first] != dead.Name {
+					continue
+				}
+				if next := slices.IndexFunc(chain[first+1:], func(m string) bool { return liveName[m] }); next >= 0 {
+					add(want, chain[first+1+next], k)
 				}
 			}
+			sort.Strings(uniq)
+			sameGroups(label+" eject "+tr.eject, rehomeToRoutable(newRing, dead, live, uniq), want)
 		}
 	}
 }

@@ -98,6 +98,10 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, PrewarmResponse{Accepted: len(jobs)})
 }
 
+// MaxWarmStateKeys bounds one GET /v1/warmstate; a router with more keys
+// to move asks in chunks of at most this many.
+const MaxWarmStateKeys = 256
+
 // handleWarmState exports the warm-start fields for ?keys=k1,k2,... so a
 // router can carry them to ring successors during a coordinated drain.
 // Unknown or cold keys come back key-only; reads bypass the cache's
@@ -110,8 +114,8 @@ func (s *Server) handleWarmState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	keys := strings.Split(raw, ",")
-	if len(keys) > 256 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("too many keys (%d > 256)", len(keys)))
+	if len(keys) > MaxWarmStateKeys {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("too many keys (%d > %d)", len(keys), MaxWarmStateKeys))
 		return
 	}
 	resp := WarmStateResponse{Entries: make([]PrewarmEntry, 0, len(keys))}

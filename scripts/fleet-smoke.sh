@@ -141,6 +141,7 @@ pids=""
 
 run_policy() {
 	policy=$1 tag=$2
+	inherited=$pids
 	start_worker "${tag}0"
 	start_worker "${tag}1"
 	start_worker "${tag}2"
@@ -158,6 +159,9 @@ run_policy() {
 	# dominates.
 	"$tmp/parma-load" -target "$raddr" -n 240 -qps 150 -geoms "$GEOMS" \
 		>"$tmp/$tag.out"
+	# Callers run this inside $(...): additions to $pids die with the
+	# subshell, so stop this policy's fleet here, not in cleanup.
+	for p in ${pids#"$inherited"}; do kill "$p" 2>/dev/null || true; done
 	awk '/^cache:/ {split($2, a, "/"); print a[1]}' "$tmp/$tag.out"
 }
 
