@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"parma/internal/experiments"
-	"parma/internal/metrics"
 	"parma/internal/obs"
 )
 
@@ -63,7 +62,7 @@ func main() {
 	type driver struct {
 		name string
 		desc string
-		run  func(experiments.Config) (*metrics.Table, error)
+		run  func(experiments.Config) (*experiments.Table, error)
 	}
 	drivers := map[string]driver{
 		"6":  {"Figure 6", "formation time: Parallel vs Balanced Parallel vs PyMP", experiments.Figure6},
@@ -74,7 +73,7 @@ func main() {
 	}
 	drivers["hetero"] = driver{
 		"Heterogeneous cluster", "uniform vs speed-weighted partitioning (future-work extension)",
-		func(cfg experiments.Config) (*metrics.Table, error) {
+		func(cfg experiments.Config) (*experiments.Table, error) {
 			hc := experiments.HeterogeneousConfig{Seed: cfg.Seed, Ranks: cfg.Ranks}
 			if len(cfg.Sizes) > 0 {
 				hc.N = cfg.Sizes[len(cfg.Sizes)-1]
@@ -84,7 +83,7 @@ func main() {
 	}
 	drivers["noise"] = driver{
 		"Noise robustness", "recovery error and detection F1 vs measurement noise (extension)",
-		func(cfg experiments.Config) (*metrics.Table, error) {
+		func(cfg experiments.Config) (*experiments.Table, error) {
 			nc := experiments.NoiseConfig{Seed: cfg.Seed}
 			if len(cfg.Sizes) > 0 {
 				nc.N = cfg.Sizes[len(cfg.Sizes)-1]
@@ -94,7 +93,7 @@ func main() {
 	}
 	drivers["inverse"] = driver{
 		"Inverse methods", "LM recovery vs Landweber/LBP/Tikhonov baselines (§I ill-posedness)",
-		func(cfg experiments.Config) (*metrics.Table, error) {
+		func(cfg experiments.Config) (*experiments.Table, error) {
 			ic := experiments.InverseConfig{Seed: cfg.Seed}
 			if len(cfg.Sizes) > 0 {
 				ic.N = cfg.Sizes[len(cfg.Sizes)-1]
@@ -104,7 +103,7 @@ func main() {
 	}
 	drivers["chunks"] = driver{
 		"Chunk-size ablation", "fine-grained makespan vs chunk size (handout overhead vs tail balance)",
-		func(cfg experiments.Config) (*metrics.Table, error) {
+		func(cfg experiments.Config) (*experiments.Table, error) {
 			cc := experiments.ChunkSweepConfig{Seed: cfg.Seed, Profile: cfg.Profile}
 			if len(cfg.Sizes) > 0 {
 				cc.N = cfg.Sizes[len(cfg.Sizes)-1]

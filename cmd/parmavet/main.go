@@ -7,8 +7,8 @@
 //	locksend     no blocking MPI call — direct or through any resolved call
 //	             chain — while a sync.Mutex/RWMutex is held
 //	httptimeout  http.Server literals must set ReadHeaderTimeout (or ReadTimeout)
-//	poolsize     no raw goroutine fan-out loops in the numerics packages;
-//	             kernel parallelism goes through mat.ParallelFor
+//	poolsize     no raw goroutine fan-out loops in the compute packages;
+//	             every worker loop goes through sched.Run
 //	retrybound   retry loops that sleep must also terminate
 //	ctxspan      no context-blind span starts (obs.StartSpan/StartOn) in the
 //	             request-path packages while a context.Context is in scope

@@ -1,12 +1,13 @@
 package main
 
 // poolsize: a `go` statement lexically inside a for/range loop in the
-// numerics hot path (mat, solver, sparse) is a raw fan-out — one goroutine per
-// item, width bounded only by the data. Kernel parallelism must instead go
-// through the shared worker pool (mat.ParallelFor), which sizes itself
-// from GOMAXPROCS and the Parallelism override so it composes with
-// parmad's request-level workers instead of oversubscribing the machine.
-// The pool's own spawn site is the one sanctioned exception, annotated
+// compute packages (sched, parallel, mat, manifold, experiments, solver,
+// sparse, circuit) is a raw fan-out — one goroutine per item, width bounded
+// only by the data. Every worker loop must instead go through sched.Run,
+// the tree's one fan-out; kernels reach it through mat.ParallelFor, which
+// sizes it from GOMAXPROCS and the Parallelism override so it composes
+// with parmad's request-level workers instead of oversubscribing the
+// machine. Run's own spawn site is the one sanctioned exception, annotated
 // `//parmavet:allow poolsize`. The check is lexical on purpose: a spawn
 // inside a func literal that is defined inside a loop still runs per
 // iteration when the literal is called there, so it is flagged too.
@@ -18,10 +19,12 @@ import (
 
 var poolsizeAnalyzer = &Analyzer{
 	Name: "poolsize",
-	Doc:  "no raw goroutine fan-out loops in the numerics packages; use mat.ParallelFor",
+	Doc:  "no raw goroutine fan-out loops in the compute packages; use sched.Run",
 	Applies: func(pkgPath string) bool {
 		switch pkgPath {
-		case "parma/internal/mat", "parma/internal/solver", "parma/internal/sparse":
+		case "parma/internal/sched", "parma/internal/parallel", "parma/internal/mat",
+			"parma/internal/manifold", "parma/internal/experiments", "parma/internal/solver",
+			"parma/internal/sparse", "parma/internal/circuit":
 			return true
 		}
 		// Fixture packages opt in by directory name.
@@ -41,7 +44,7 @@ func runPoolsize(pass *Pass) {
 				return true
 			}
 			if g, ok := n.(*ast.GoStmt); ok && inLoopBody(stack, g) {
-				pass.Reportf(g.Go, "go statement inside a loop: fan out through mat.ParallelFor (shared pool, bounded width) instead, or annotate //parmavet:allow poolsize with the reason")
+				pass.Reportf(g.Go, "go statement inside a loop: fan out through sched.Run (the one worker loop; mat.ParallelFor for kernels) instead, or annotate //parmavet:allow poolsize with the reason")
 			}
 			stack = append(stack, n)
 			return true

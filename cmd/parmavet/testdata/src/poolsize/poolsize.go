@@ -1,7 +1,7 @@
 // Package poolsize exercises the poolsize analyzer: goroutine fan-out
-// loops in the numerics packages must go through the shared worker pool
-// (mat.ParallelFor) so kernel parallelism stays bounded and composes with
-// the server's request-level workers.
+// loops in the compute packages must go through the one worker loop
+// (sched.Run, or mat.ParallelFor above it) so parallelism stays bounded and
+// composes with the server's request-level workers.
 package poolsize
 
 // fanOut is the core finding: one goroutine per item, width bounded only
@@ -44,10 +44,10 @@ func afterLoop(n int, out chan<- int) {
 	go send(out, sum)
 }
 
-// sanctioned is the pool.go shape: a justified, annotated spawn site.
+// sanctioned is the sched.Run shape: a justified, annotated spawn site.
 func sanctioned(workers int, out chan<- int) {
 	for w := 0; w < workers; w++ {
-		go send(out, w) //parmavet:allow poolsize -- fixture stand-in for the pool's own spawn site
+		go send(out, w) //parmavet:allow poolsize -- fixture stand-in for sched.Run's own spawn site
 	}
 }
 

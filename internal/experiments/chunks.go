@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-
-	"parma/internal/metrics"
 )
 
 // ChunkSweep quantifies the fine-grained strategy's chunk-size trade-off
@@ -25,8 +23,9 @@ type ChunkSweepConfig struct {
 	Seed int64
 }
 
-// ChunkSweep returns the simulated makespan per chunk size.
-func ChunkSweep(cfg ChunkSweepConfig) (*metrics.Table, error) {
+// ChunkSweep measures the problem's task costs and returns the simulated
+// makespan per chunk size.
+func ChunkSweep(cfg ChunkSweepConfig) (*Table, error) {
 	if cfg.N == 0 {
 		cfg.N = 30
 	}
@@ -36,22 +35,25 @@ func ChunkSweep(cfg ChunkSweepConfig) (*metrics.Table, error) {
 	if len(cfg.Chunks) == 0 {
 		cfg.Chunks = []int{1, 4, 16, 64, 256, 1024, 4096}
 	}
-	prof := cfg.Profile
-	if prof == (ExecProfile{}) {
-		prof = PythonProfile
+	if cfg.Profile == (ExecProfile{}) {
+		cfg.Profile = PythonProfile
 	}
 	p, err := BuildProblem(cfg.N, cfg.Seed+int64(cfg.N))
 	if err != nil {
 		return nil, err
 	}
-	t := MeasureTasks(p)
-	tbl := metrics.NewTable("chunk", "makespan_s", "vs_serial")
+	return chunkTable(MeasureTasks(p), cfg.Profile, cfg.Workers, cfg.Chunks), nil
+}
+
+// chunkTable is the pure part of ChunkSweep: the simulated makespans for a
+// given task timing.
+func chunkTable(t *TaskTiming, prof ExecProfile, workers int, chunks []int) *Table {
+	tbl := NewTable("chunk", "makespan_s", "vs_serial")
 	serial := t.SerialTime().Seconds()
-	for _, chunk := range cfg.Chunks {
-		pr := prof
-		pr.Chunk = chunk
-		mk := t.FineGrainedTime(pr, cfg.Workers).Seconds()
+	for _, chunk := range chunks {
+		prof.Chunk = chunk
+		mk := t.FineGrainedTime(prof, workers).Seconds()
 		tbl.AddRow(chunk, fmt.Sprintf("%.6f", mk), fmt.Sprintf("%.2fx", serial/mk))
 	}
-	return tbl, nil
+	return tbl
 }

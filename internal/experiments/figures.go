@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"parma/internal/kirchhoff"
-	"parma/internal/metrics"
 	"parma/internal/mpi"
+	"parma/internal/parallel"
 	"parma/internal/sched"
 )
 
@@ -17,10 +17,10 @@ import (
 // (fine-grained, k = max configured workers) across array sizes, with the
 // Single-thread time as reference. Expected shape: Balanced wins at n = 10
 // where PyMP's spawn overhead outweighs its speedup; PyMP wins for n ≥ 20.
-func Figure6(cfg Config) (*metrics.Table, error) {
+func Figure6(cfg Config) (*Table, error) {
 	prof := cfg.profile()
 	kMax := cfg.workers()[len(cfg.workers())-1]
-	tbl := metrics.NewTable("n", "single_thread_s", "parallel_s", "balanced_parallel_s",
+	tbl := NewTable("n", "single_thread_s", "parallel_s", "balanced_parallel_s",
 		fmt.Sprintf("pymp_%d_s", kMax))
 	for _, n := range cfg.sizes() {
 		p, err := BuildProblem(n, cfg.Seed+int64(n))
@@ -41,13 +41,13 @@ func Figure6(cfg Config) (*metrics.Table, error) {
 // Figure7 reproduces the PyMP parallelism sweep: compute time (no I/O) for
 // k ∈ Workers across array sizes. Expected shape: near-linear decrease in k
 // for n ≥ 20; inconsistent at n = 10 where overhead rivals the work.
-func Figure7(cfg Config) (*metrics.Table, error) {
+func Figure7(cfg Config) (*Table, error) {
 	prof := cfg.profile()
 	header := []string{"n", "single_thread_s"}
 	for _, k := range cfg.workers() {
 		header = append(header, fmt.Sprintf("pymp_%d_s", k))
 	}
-	tbl := metrics.NewTable(header...)
+	tbl := NewTable(header...)
 	for _, n := range cfg.sizes() {
 		p, err := BuildProblem(n, cfg.Seed+int64(n))
 		if err != nil {
@@ -78,19 +78,20 @@ func (c Config) figure8Sizes() []int {
 // peak, quartiles of the sampled distribution, and the fraction of samples
 // below half peak. Expected shape: peak memory is set by n and essentially
 // independent of k.
-func Figure8(cfg Config) (*metrics.Table, error) {
-	tbl := metrics.NewTable("n", "k", "peak_mb", "p25_mb", "p50_mb", "p75_mb", "frac_below_half_peak")
+func Figure8(cfg Config) (*Table, error) {
+	tbl := NewTable("n", "k", "peak_mb", "p25_mb", "p50_mb", "p75_mb", "frac_below_half_peak")
 	for _, n := range cfg.figure8Sizes() {
 		for _, k := range cfg.workers() {
 			p, err := BuildProblem(n, cfg.Seed+int64(n))
 			if err != nil {
 				return nil, err
 			}
-			sampler := metrics.NewMemSampler(500 * time.Microsecond)
+			sampler := NewMemSampler(500 * time.Microsecond)
 			sampler.Start()
-			runFineGrainedCollect(p, k)
+			// Form and retain the whole system, then drop it.
+			parallel.FineGrained{}.Run(p, parallel.Options{Workers: k, Policy: sched.Dynamic, Collect: true})
 			samples := sampler.Stop()
-			cdf := metrics.NewCDF(samples)
+			cdf := NewCDF(samples)
 			peak := cdf.Max()
 			const mb = 1 << 20
 			tbl.AddRow(n, k,
@@ -109,13 +110,13 @@ func Figure8(cfg Config) (*metrics.Table, error) {
 // is formed and serialized to shard files; per-task costs include the
 // write, and the k-way makespan is computed under the profile. Expected
 // shape: larger k pays off from n ≥ 20 as I/O amortizes.
-func Figure9(cfg Config) (*metrics.Table, error) {
+func Figure9(cfg Config) (*Table, error) {
 	prof := cfg.profile()
 	header := []string{"n", "single_thread_s", "bytes_written"}
 	for _, k := range cfg.workers() {
 		header = append(header, fmt.Sprintf("pymp_%d_s", k))
 	}
-	tbl := metrics.NewTable(header...)
+	tbl := NewTable(header...)
 	for _, n := range cfg.sizes() {
 		p, err := BuildProblem(n, cfg.Seed+int64(n))
 		if err != nil {
@@ -138,13 +139,13 @@ func Figure9(cfg Config) (*metrics.Table, error) {
 // distributed formation across rank counts and array sizes, under the
 // cluster cost model. Expected shape: near-linear scaling for n ≥ 50,
 // flat or inverse for n ≤ 20 where per-rank overhead dominates.
-func Figure10(cfg Config) (*metrics.Table, error) {
+func Figure10(cfg Config) (*Table, error) {
 	model := modelFor(cfg.profile())
 	header := []string{"n", "serial_s"}
 	for _, ranks := range cfg.ranks() {
 		header = append(header, fmt.Sprintf("ranks_%d_s", ranks))
 	}
-	tbl := metrics.NewTable(header...)
+	tbl := NewTable(header...)
 	for _, n := range cfg.sizes() {
 		p, err := BuildProblem(n, cfg.Seed+int64(n))
 		if err != nil {
@@ -202,19 +203,6 @@ func simulateRanks(p *kirchhoff.Problem, pairCost []time.Duration, ranks int, mo
 		return 0, err
 	}
 	return times.Makespan(), nil
-}
-
-// runFineGrainedCollect forms and retains the whole system with k workers,
-// then drops it — the Figure-8 memory workload.
-func runFineGrainedCollect(p *kirchhoff.Problem, k int) {
-	eqs := make([]kirchhoff.Equation, kirchhoff.SystemCensus(p.Array).Equations)
-	total := len(eqs)
-	sched.ParallelFor(total, k, sched.Dynamic, 64, func(_, idx int) {
-		eqs[idx] = p.EquationAt(idx)
-	})
-	if len(eqs) > 0 && eqs[0].Terms == nil {
-		panic("experiments: formation produced an empty slot")
-	}
 }
 
 // measureTasksWithIO measures per-task cost including serialization to a

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"parma/internal/kirchhoff"
-	"parma/internal/metrics"
 	"parma/internal/mpi"
 	"parma/internal/sched"
 )
@@ -34,7 +33,7 @@ type HeterogeneousConfig struct {
 
 // Heterogeneous measures the per-pair formation costs on this machine, runs
 // the comparison on them and returns the series table.
-func Heterogeneous(cfg HeterogeneousConfig) (*metrics.Table, error) {
+func Heterogeneous(cfg HeterogeneousConfig) (*Table, error) {
 	if cfg.N == 0 {
 		cfg.N = 50
 	}
@@ -59,9 +58,9 @@ func Heterogeneous(cfg HeterogeneousConfig) (*metrics.Table, error) {
 // heteroTable runs the uniform/weighted comparison for each world size on
 // the given per-pair costs. Everything downstream of the costs is the
 // simulated MPI clock, so the table is a pure function of its arguments.
-func heteroTable(pairCost []time.Duration, rankCounts []int, slowFactor float64) (*metrics.Table, error) {
+func heteroTable(pairCost []time.Duration, rankCounts []int, slowFactor float64) (*Table, error) {
 	model := modelFor(PythonProfile)
-	tbl := metrics.NewTable("ranks", "uniform_s", "weighted_s", "uniform/weighted")
+	tbl := NewTable("ranks", "uniform_s", "weighted_s", "uniform/weighted")
 	for _, ranks := range rankCounts {
 		speeds := make([]float64, ranks)
 		for r := range speeds {

@@ -7,7 +7,6 @@ import (
 	"parma/internal/circuit"
 	"parma/internal/gen"
 	"parma/internal/grid"
-	"parma/internal/metrics"
 	"parma/internal/solver"
 )
 
@@ -31,7 +30,7 @@ type InverseConfig struct {
 // shape: LM recovers near-exactly on clean data and degrades gracefully;
 // the three linearized methods plateau at the linearization error and
 // amplify noise — the paper's ill-posedness claim in numbers.
-func InverseComparison(cfg InverseConfig) (*metrics.Table, error) {
+func InverseComparison(cfg InverseConfig) (*Table, error) {
 	if cfg.N == 0 {
 		cfg.N = 8
 	}
@@ -60,7 +59,7 @@ func InverseComparison(cfg InverseConfig) (*metrics.Table, error) {
 		{"lbp", solver.LBP},
 	}
 
-	tbl := metrics.NewTable("method", "median_rel_err", "max_rel_err")
+	tbl := NewTable("method", "median_rel_err", "max_rel_err")
 	errsByMethod := make([][]float64, len(methods))
 	for trial := 0; trial < cfg.Trials; trial++ {
 		seed := cfg.Seed + int64(trial)*104729

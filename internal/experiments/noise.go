@@ -9,7 +9,6 @@ import (
 	"parma/internal/circuit"
 	"parma/internal/gen"
 	"parma/internal/grid"
-	"parma/internal/metrics"
 	"parma/internal/solver"
 )
 
@@ -35,7 +34,7 @@ type NoiseConfig struct {
 // truth. Expected shape: graceful degradation — errors scale roughly
 // linearly with noise, and detection survives noise levels well above
 // measurement-grade precision.
-func NoiseSweep(cfg NoiseConfig) (*metrics.Table, error) {
+func NoiseSweep(cfg NoiseConfig) (*Table, error) {
 	if cfg.N == 0 {
 		cfg.N = 8
 	}
@@ -46,7 +45,7 @@ func NoiseSweep(cfg NoiseConfig) (*metrics.Table, error) {
 		cfg.Trials = 3
 	}
 
-	tbl := metrics.NewTable("noise_rel", "median_field_err", "median_f1", "converged")
+	tbl := NewTable("noise_rel", "median_field_err", "median_f1", "converged")
 	for _, level := range cfg.Levels {
 		var errs, f1s []float64
 		converged := 0

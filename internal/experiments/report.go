@@ -1,8 +1,8 @@
-// Package metrics provides the measurement machinery behind the paper's
-// evaluation figures: wall-clock timers, a background memory sampler for the
-// Figure-8 CDFs, empirical distribution functions, and aligned text/CSV
-// emitters for reporting series.
-package metrics
+package experiments
+
+// The reporting machinery behind the figures: a background memory sampler
+// and exact-sample empirical distribution for the Figure-8 CDFs, and the
+// aligned text/CSV table every driver returns.
 
 import (
 	"fmt"
@@ -15,49 +15,6 @@ import (
 
 	"parma/internal/obs"
 )
-
-// Timer measures wall-clock durations of repeated phases. A named timer
-// (see NamedTimer) additionally feeds each lap into the observability
-// registry as a histogram observation, so timers show up alongside spans
-// and counters in -metrics dumps.
-type Timer struct {
-	start time.Time
-	total time.Duration
-	laps  int
-	name  string
-}
-
-// NamedTimer returns a timer whose laps are also recorded under
-// "timer/<name>" in the obs registry when observability is enabled.
-func NamedTimer(name string) *Timer { return &Timer{name: name} }
-
-// Start begins (or restarts) a lap.
-func (t *Timer) Start() { t.start = time.Now() }
-
-// Stop ends the lap and accumulates it, returning the lap duration.
-func (t *Timer) Stop() time.Duration {
-	d := time.Since(t.start)
-	t.total += d
-	t.laps++
-	if t.name != "" {
-		obs.Observe("timer/"+t.name, float64(d.Nanoseconds()))
-	}
-	return d
-}
-
-// Total returns accumulated time across laps.
-func (t *Timer) Total() time.Duration { return t.total }
-
-// Laps returns the lap count.
-func (t *Timer) Laps() int { return t.laps }
-
-// Mean returns the average lap, or 0 with no laps.
-func (t *Timer) Mean() time.Duration {
-	if t.laps == 0 {
-		return 0
-	}
-	return t.total / time.Duration(t.laps)
-}
 
 // MemSampler polls runtime heap usage on a fixed interval from a background
 // goroutine, producing the samples behind memory-usage CDFs.

@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"math"
@@ -6,31 +6,6 @@ import (
 	"testing"
 	"time"
 )
-
-func TestTimerAccumulates(t *testing.T) {
-	var tm Timer
-	for i := 0; i < 3; i++ {
-		tm.Start()
-		time.Sleep(time.Millisecond)
-		tm.Stop()
-	}
-	if tm.Laps() != 3 {
-		t.Fatalf("laps = %d", tm.Laps())
-	}
-	if tm.Total() < 3*time.Millisecond {
-		t.Fatalf("total = %v too small", tm.Total())
-	}
-	if tm.Mean() < time.Millisecond {
-		t.Fatalf("mean = %v too small", tm.Mean())
-	}
-}
-
-func TestTimerZeroLaps(t *testing.T) {
-	var tm Timer
-	if tm.Mean() != 0 {
-		t.Fatal("mean of no laps != 0")
-	}
-}
 
 func TestMemSamplerCollects(t *testing.T) {
 	s := NewMemSampler(time.Millisecond)

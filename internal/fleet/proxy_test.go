@@ -21,7 +21,7 @@ type computeWorker struct {
 	srv  *httptest.Server
 	hits atomic.Int64
 	shed atomic.Bool  // answer 503 to compute requests
-	down atomic.Bool  // close-connection failures are simulated via srv.Close instead
+	down atomic.Bool  // fail /healthz; connection failures are simulated via srv.Close instead
 	seen atomic.Value // last traceparent header
 }
 
@@ -30,6 +30,10 @@ func newComputeWorker(t *testing.T, name string) *computeWorker {
 	w := &computeWorker{name: name}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+		if w.down.Load() {
+			rw.WriteHeader(http.StatusInternalServerError)
+			return
+		}
 		rw.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(rw).Encode(serve.HealthResponse{Status: "ok", Workers: 1})
 	})
@@ -176,10 +180,12 @@ func TestProxyFailsOverOnConnectError(t *testing.T) {
 
 func TestProxyNoLiveBackends(t *testing.T) {
 	w0 := newComputeWorker(t, "w0")
+	// The only backend fails its health checks from the start, so the
+	// running prober ejects it after the suspect window and never readmits
+	// it (marking it dead by hand raced with a prober that saw it healthy).
+	w0.down.Store(true)
 	rt, backends := newTestRouter(t, PolicyRoundRobin, w0)
-	// Mark the only backend dead directly (the prober would do this after
-	// the suspect window).
-	backends[0].setProbe(ProbeState{Alive: false})
+	waitFor(t, 5*time.Second, func() bool { return !backends[0].Probe().Alive }, "backend never ejected")
 	rec := doRecover(t, rt.Handler(), recoverBody(8, 8))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", rec.Code)

@@ -2,7 +2,8 @@ package manifold
 
 import (
 	"fmt"
-	"sync"
+
+	"parma/internal/sched"
 )
 
 // OneForm is a discrete differential 1-form on the grid's edges: H[i][j] is
@@ -143,26 +144,11 @@ func (f *OneForm) SplitPatches(pi, pj int) []Patch {
 // (frame-wise) computation composes to the global integral. It returns the
 // total and the per-patch partial sums.
 func (f *OneForm) ParallelCurlIntegral(patches []Patch, workers int) (float64, []float64) {
-	if workers < 1 {
-		workers = 1
-	}
 	partial := make([]float64, len(patches))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				partial[idx] = f.CurlIntegral(patches[idx])
-			}
-		}()
-	}
-	for idx := range patches {
-		next <- idx
-	}
-	close(next)
-	wg.Wait()
+	src := sched.NewChunker(len(patches), workers, sched.Dynamic, 1)
+	sched.Run("", workers, src, sched.Each(func(_, idx int) {
+		partial[idx] = f.CurlIntegral(patches[idx])
+	}))
 	var total float64
 	for _, p := range partial {
 		total += p

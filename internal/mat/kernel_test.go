@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"parma/internal/obs"
 )
 
 // withParallelism runs the test body under a fixed pool width, restoring
@@ -53,6 +55,32 @@ func TestParallelForCovers(t *testing.T) {
 		}
 	}
 	ParallelFor(0, 1, func(lo, hi int) { t.Error("fn called for n=0") })
+}
+
+// TestParallelForStaysSilent: parmad always runs with a recorder installed
+// and a recovery calls ParallelFor once per SpMV, so the fan-out must open
+// no track and no worker span of its own.
+func TestParallelForStaysSilent(t *testing.T) {
+	rec := obs.NewRecorder()
+	obs.Enable(rec)
+	defer obs.Disable()
+	withParallelism(t, 2, func() {
+		var sum atomic.Int64
+		for call := 0; call < 200; call++ {
+			ParallelFor(64, 8, func(lo, hi int) { sum.Add(int64(hi - lo)) })
+		}
+		if sum.Load() != 200*64 {
+			t.Fatalf("covered %d indices, want %d", sum.Load(), 200*64)
+		}
+	})
+	if got := rec.NewTrack("probe"); got != 0 {
+		t.Fatalf("ParallelFor opened %d tracks", got)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Name == "sched/worker" {
+			t.Fatalf("ParallelFor recorded a %s span", ev.Name)
+		}
+	}
 }
 
 // TestATAMatchesReference pins the SYRK-style kernel to the serial

@@ -1,23 +1,25 @@
 package mat
 
-// The package's shared fan-out point. Every parallel kernel (MulPar, ATA,
+// The kernel layer's width knob. Every parallel kernel (MulPar, ATA,
 // Cholesky trailing updates) and every caller that fans work out over
 // matrix rows (solver Jacobian assembly, circuit pair sweeps) routes
 // through ParallelFor, so one knob — Parallelism — bounds the total
-// goroutine fan-out of the dense-kernel layer. That is what lets the
-// kernels compose with parmad's request-level worker pool without
+// goroutine fan-out of the kernel layer. That is what lets the kernels
+// compose with parmad's request-level worker pool without
 // oversubscription: the serving layer divides GOMAXPROCS between the two
 // levels instead of multiplying them (see internal/serve.NewServer).
 //
-// Chunks are handed out by an atomic counter rather than pre-partitioned
-// ranges, so unevenly sized work items (the triangular row lengths of ATA,
-// the shrinking columns of Cholesky) self-balance the way the sched
-// package's stealing pool balances formation work.
+// The workers themselves are sched.Run's, drawing from a dynamic Chunker:
+// chunks are handed out by a shared counter rather than pre-partitioned,
+// so unevenly sized work items (the triangular row lengths of ATA, the
+// shrinking columns of Cholesky) self-balance. Run is called unnamed — no
+// span, no track — because a recovery calls ParallelFor once per SpMV.
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"parma/internal/sched"
 )
 
 // parDegree is the configured kernel parallelism; <= 0 selects GOMAXPROCS
@@ -47,7 +49,7 @@ func degree() int {
 // ParallelFor runs fn over disjoint chunks of [0, n), each at most grain
 // wide, across the package worker pool. It returns once every index is
 // covered. fn must be safe to call concurrently on disjoint ranges; chunks
-// are claimed from an atomic counter so uneven per-index work self-balances.
+// are claimed from a shared counter so uneven per-index work self-balances.
 // With one worker (or n below one grain) it degrades to a direct call,
 // costing nothing over a plain loop.
 func ParallelFor(n, grain int, fn func(lo, hi int)) {
@@ -57,38 +59,11 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := (n + grain - 1) / grain
-	workers := degree()
-	if workers > chunks {
-		workers = chunks
-	}
+	workers := min(degree(), (n+grain-1)/grain)
 	if workers <= 1 {
 		fn(0, n)
 		return
 	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			c := int(next.Add(1) - 1)
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 0; w < workers-1; w++ {
-		go func() { //parmavet:allow poolsize -- this IS the shared pool: the one sanctioned spawn site
-			defer wg.Done()
-			run()
-		}()
-	}
-	run() // the caller is worker zero
-	wg.Wait()
+	sched.Run("", workers, sched.NewChunker(n, workers, sched.Dynamic, grain),
+		func(_ int, r sched.Range) { fn(r.Lo, r.Hi) })
 }

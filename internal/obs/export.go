@@ -111,7 +111,7 @@ func (r *Recorder) WriteSummary(w io.Writer) error {
 }
 
 // writeAligned prints a padded column layout (the obs-local analogue of
-// metrics.Table, which obs cannot import without a cycle).
+// experiments.Table, which obs cannot import without a cycle).
 func writeAligned(w io.Writer, header []string, rows [][]string) error {
 	widths := make([]int, len(header))
 	for i, h := range header {

@@ -44,7 +44,7 @@ func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, 
 	errs := make([]error, w)
 	var once sync.Once
 	var firstErr error
-	sched.ParallelFor(total, w, policy, chunk, func(worker, idx int) {
+	sched.Run("write-sharded", w, sched.NewChunker(total, w, policy, chunk), sched.Each(func(worker, idx int) {
 		if errs[worker] != nil {
 			return
 		}
@@ -52,7 +52,7 @@ func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, 
 			errs[worker] = err
 			once.Do(func() { firstErr = fmt.Errorf("parallel: shard %d write: %w", worker, err) })
 		}
-	})
+	}))
 
 	var bytes int64
 	for id := 0; id < w; id++ {

@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"parma/internal/kirchhoff"
+	"parma/internal/sched"
 )
 
 // WritePipelined streams the whole system to ONE writer while forming and
@@ -29,41 +28,28 @@ func WritePipelined(p *kirchhoff.Problem, w io.Writer, formers int) (int64, erro
 		pair int
 		data []byte
 	}
-	blocks := make(chan block, formers*2)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for f := 0; f < formers; f++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pair := int(next.Add(1)) - 1
-				if pair >= pairs {
-					return
-				}
-				var buf bytes.Buffer
-				bw := kirchhoff.NewWriter(&buf)
-				var formErr error
-				p.FormPair(pair/cols, pair%cols, func(e kirchhoff.Equation) {
-					if err := bw.WriteEquation(e); err != nil && formErr == nil {
-						formErr = err
-					}
-				})
-				if err := bw.Flush(); err != nil && formErr == nil {
+	blocks := make(chan block, formers*2) // lets every former stay one block ahead of the sequencer
+	go func() {
+		sched.Run("", formers, sched.NewChunker(pairs, formers, sched.Dynamic, 1), sched.Each(func(_, pair int) {
+			var buf bytes.Buffer
+			bw := kirchhoff.NewWriter(&buf)
+			var formErr error
+			p.FormPair(pair/cols, pair%cols, func(e kirchhoff.Equation) {
+				if err := bw.WriteEquation(e); err != nil && formErr == nil {
 					formErr = err
 				}
-				if formErr != nil {
-					// Serialization to a bytes.Buffer cannot fail in
-					// practice; surface it as an empty poisoned block.
-					blocks <- block{pair: pair, data: nil}
-					continue
-				}
-				blocks <- block{pair: pair, data: buf.Bytes()}
+			})
+			if err := bw.Flush(); err != nil && formErr == nil {
+				formErr = err
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
+			if formErr != nil {
+				// Serialization to a bytes.Buffer cannot fail in
+				// practice; surface it as an empty poisoned block.
+				blocks <- block{pair: pair, data: nil}
+				return
+			}
+			blocks <- block{pair: pair, data: buf.Bytes()}
+		}))
 		close(blocks)
 	}()
 

@@ -1,9 +1,6 @@
 package parallel
 
 import (
-	"fmt"
-	"sync"
-
 	"parma/internal/kirchhoff"
 	"parma/internal/obs"
 	"parma/internal/sched"
@@ -12,16 +9,6 @@ import (
 // strategySpan opens the span covering one whole strategy run.
 func strategySpan(name string) obs.Span {
 	return obs.StartSpan("parallel/" + name)
-}
-
-// workerSpan opens a per-worker span on its own named timeline track, so
-// Chrome traces show one row per worker. Inert when recording is disabled.
-func workerSpan(strategy string, worker int) obs.Span {
-	if !obs.Enabled() {
-		return obs.Span{}
-	}
-	track := obs.NewTrack(fmt.Sprintf("%s worker %d", strategy, worker))
-	return obs.StartOn(track, "parallel/worker")
 }
 
 // Serial is the Single-thread baseline: canonical-order formation on one
@@ -61,21 +48,15 @@ func (f FourWay) Run(p *kirchhoff.Problem, opts Options) Result {
 	sp := strategySpan(f.Name())
 	cats := kirchhoff.Categories
 	sinks, eqs := newSinks(p, len(cats), opts.Collect)
-	var wg sync.WaitGroup
-	for w, cat := range cats {
-		wg.Add(1)
-		go func(w int, cat kirchhoff.Category) {
-			defer wg.Done()
-			wsp := workerSpan(f.Name(), w)
-			for i := 0; i < p.Array.Rows(); i++ {
-				for j := 0; j < p.Array.Cols(); j++ {
-					p.FormCategory(i, j, cat, sinks[w].emit)
-				}
+	// The static schedule of four indices over four workers: one each.
+	src := sched.NewChunker(len(cats), len(cats), sched.Static, 1)
+	sched.Run(f.Name(), len(cats), src, sched.Each(func(w, c int) {
+		for i := 0; i < p.Array.Rows(); i++ {
+			for j := 0; j < p.Array.Cols(); j++ {
+				p.FormCategory(i, j, cats[c], sinks[w].emit)
 			}
-			wsp.End(obs.S("category", cat.String()), obs.I("equations", sinks[w].count))
-		}(w, cat)
-	}
-	wg.Wait()
+		}
+	}))
 	res := merge(f.Name(), sinks, eqs)
 	sp.End(obs.I("equations", res.Count))
 	return res
@@ -100,19 +81,9 @@ func (b Balanced) Run(p *kirchhoff.Problem, opts Options) Result {
 	bins := sched.BalanceLPT(taskCount(p), w, func(task int) float64 {
 		return TaskCost(p, task)
 	})
-	var wg sync.WaitGroup
-	for id := 0; id < w; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			wsp := workerSpan(b.Name(), id)
-			for _, task := range bins[id] {
-				runTask(p, &sinks[id], task)
-			}
-			wsp.End(obs.I("tasks", len(bins[id])))
-		}(id)
-	}
-	wg.Wait()
+	sched.Run(b.Name(), w, sched.Assigned(bins), sched.Each(func(worker, task int) {
+		runTask(p, &sinks[worker], task)
+	}))
 	res := merge(b.Name(), sinks, eqs)
 	sp.End(obs.I("equations", res.Count))
 	return res
@@ -132,10 +103,9 @@ func (s Stealing) Run(p *kirchhoff.Problem, opts Options) Result {
 	sp := strategySpan(s.Name())
 	w := opts.workers()
 	sinks, eqs := newSinks(p, w, opts.Collect)
-	pool := sched.NewStealingPool(taskCount(p), w)
-	pool.Run(func(worker, task int) {
+	sched.Run(s.Name(), w, sched.NewStealingPool(taskCount(p), w), sched.Each(func(worker, task int) {
 		runTask(p, &sinks[worker], task)
-	})
+	}))
 	res := merge(s.Name(), sinks, eqs)
 	sp.End(obs.I("equations", res.Count))
 	return res
@@ -167,9 +137,9 @@ func (f FineGrained) Run(p *kirchhoff.Problem, opts Options) Result {
 	}
 	total := kirchhoff.SystemCensus(p.Array).Equations
 	sinks, eqs := newSinks(p, w, opts.Collect)
-	sched.ParallelFor(total, w, opts.Policy, chunk, func(worker, idx int) {
+	sched.Run(f.Name(), w, sched.NewChunker(total, w, opts.Policy, chunk), sched.Each(func(worker, idx int) {
 		sinks[worker].emit(p.EquationAt(idx))
-	})
+	}))
 	res := merge(f.Name(), sinks, eqs)
 	sp.End(obs.I("equations", res.Count), obs.I("chunk", chunk))
 	return res

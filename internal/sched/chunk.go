@@ -185,36 +185,3 @@ func (c *Chunker) Next(worker int) (Range, bool) {
 		panic(fmt.Sprintf("sched: unknown policy %v", c.policy))
 	}
 }
-
-// ParallelFor runs body over [0, n) with w goroutines under the policy.
-// body receives (worker, index).
-func ParallelFor(n, w int, policy Policy, chunk int, body func(worker, i int)) {
-	if w < 1 {
-		w = 1
-	}
-	c := NewChunker(n, w, policy, chunk)
-	var wg sync.WaitGroup
-	for id := 0; id < w; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			var sp obs.Span
-			if obs.Enabled() {
-				sp = obs.StartOn(obs.NewTrack(fmt.Sprintf("for worker %d", id)), "sched/worker")
-			}
-			chunks := 0
-			for {
-				r, ok := c.Next(id)
-				if !ok {
-					break
-				}
-				chunks++
-				for i := r.Lo; i < r.Hi; i++ {
-					body(id, i)
-				}
-			}
-			sp.End(obs.I("worker", id), obs.I("chunks", chunks), obs.S("policy", policy.String()))
-		}(id)
-	}
-	wg.Wait()
-}

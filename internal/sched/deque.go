@@ -1,12 +1,13 @@
 // Package sched provides the scheduling primitives behind Parma's
-// parallelization strategies: a work-stealing deque, OpenMP-style chunk
-// iterators (static, dynamic, guided), and a deterministic cost-weighted
-// balancer (the paper's Balanced Parallel is deterministic by design,
-// trading runtime flexibility for lower switching overhead — §IV-C1).
+// parallelization strategies: Run, the tree's one worker fan-out, and the
+// Sources it draws from — work-stealing deques, OpenMP-style chunk
+// iterators (static, dynamic, guided), and pre-assigned bins filled by a
+// deterministic cost-weighted balancer (the paper's Balanced Parallel is
+// deterministic by design, trading runtime flexibility for lower switching
+// overhead — §IV-C1).
 package sched
 
 import (
-	"fmt"
 	"sync"
 
 	"parma/internal/obs"
@@ -59,11 +60,12 @@ func (d *Deque) Len() int {
 	return len(d.tasks)
 }
 
-// StealingPool runs tasks 0..n−1 on the given workers using per-worker
-// deques with random-victim stealing. run is invoked concurrently; tasks
-// are distributed round-robin initially.
+// StealingPool is the work-stealing Source over tasks 0..n−1: one deque per
+// worker, seeded round-robin. A worker drains its own deque, then steals
+// from the others in cyclic order; it is dry when the whole pool is.
 type StealingPool struct {
-	deques []*Deque
+	deques            []*Deque
+	steals, localPops *obs.Counter // nil when obs is disabled
 }
 
 // NewStealingPool seeds w deques with tasks 0..n−1 round-robin.
@@ -71,7 +73,8 @@ func NewStealingPool(n, w int) *StealingPool {
 	if w < 1 {
 		w = 1
 	}
-	p := &StealingPool{deques: make([]*Deque, w)}
+	p := &StealingPool{deques: make([]*Deque, w),
+		steals: obs.GetCounter("sched/steals"), localPops: obs.GetCounter("sched/local_pops")}
 	for i := range p.deques {
 		p.deques[i] = &Deque{}
 	}
@@ -81,47 +84,18 @@ func NewStealingPool(n, w int) *StealingPool {
 	return p
 }
 
-// Run executes every task exactly once across len(deques) goroutines and
-// blocks until all complete. Each worker drains its own deque, then steals
-// from others in cyclic order until the whole pool is dry.
-func (p *StealingPool) Run(run func(worker, task int)) {
-	var wg sync.WaitGroup
-	w := len(p.deques)
-	steals := obs.GetCounter("sched/steals")
-	localPops := obs.GetCounter("sched/local_pops")
-	for id := 0; id < w; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			var sp obs.Span
-			if obs.Enabled() {
-				sp = obs.StartOn(obs.NewTrack(fmt.Sprintf("steal worker %d", id)), "sched/worker")
-			}
-			own := p.deques[id]
-			ownRun, stealRun := 0, 0
-			for {
-				if t, ok := own.Pop(); ok {
-					localPops.Inc()
-					ownRun++
-					run(id, t)
-					continue
-				}
-				stolen := false
-				for off := 1; off < w; off++ {
-					if t, ok := p.deques[(id+off)%w].Steal(); ok {
-						steals.Inc()
-						stealRun++
-						run(id, t)
-						stolen = true
-						break
-					}
-				}
-				if !stolen {
-					break
-				}
-			}
-			sp.End(obs.I("worker", id), obs.I("own_tasks", ownRun), obs.I("stolen_tasks", stealRun))
-		}(id)
+// Next implements Source, one task per range.
+func (p *StealingPool) Next(worker int) (Range, bool) {
+	if t, ok := p.deques[worker].Pop(); ok {
+		p.localPops.Inc()
+		return Range{Lo: t, Hi: t + 1}, true
 	}
-	wg.Wait()
+	w := len(p.deques)
+	for off := 1; off < w; off++ {
+		if t, ok := p.deques[(worker+off)%w].Steal(); ok {
+			p.steals.Inc()
+			return Range{Lo: t, Hi: t + 1}, true
+		}
+	}
+	return Range{}, false
 }

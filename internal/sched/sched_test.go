@@ -78,29 +78,6 @@ func TestDequeConcurrentNoLossNoDup(t *testing.T) {
 	}
 }
 
-func TestStealingPoolRunsEveryTaskOnce(t *testing.T) {
-	const n = 5000
-	pool := NewStealingPool(n, 8)
-	seen := make([]atomic.Int32, n)
-	pool.Run(func(worker, task int) {
-		seen[task].Add(1)
-	})
-	for i := range seen {
-		if c := seen[i].Load(); c != 1 {
-			t.Fatalf("task %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestStealingPoolSingleWorker(t *testing.T) {
-	pool := NewStealingPool(10, 1)
-	count := 0
-	pool.Run(func(_, _ int) { count++ })
-	if count != 10 {
-		t.Fatalf("ran %d tasks, want 10", count)
-	}
-}
-
 func TestStaticRangesPartition(t *testing.T) {
 	f := func(nRaw, wRaw uint8) bool {
 		n, w := int(nRaw), int(wRaw%16)+1
@@ -132,23 +109,6 @@ func TestStaticRangesPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParallelForCoversAllPolicies(t *testing.T) {
-	for _, policy := range []Policy{Static, Dynamic, Guided} {
-		for _, w := range []int{1, 3, 8, 100} {
-			const n = 1000
-			seen := make([]atomic.Int32, n)
-			ParallelFor(n, w, policy, 7, func(_, i int) {
-				seen[i].Add(1)
-			})
-			for i := range seen {
-				if c := seen[i].Load(); c != 1 {
-					t.Fatalf("policy %v w=%d: index %d visited %d times", policy, w, i, c)
-				}
-			}
-		}
 	}
 }
 
