@@ -355,14 +355,14 @@ func BenchmarkAblationGF2(b *testing.B) {
 	})
 }
 
-// --- Ablation 5: dense LU vs sparse CG for the wire Laplacian ---
+// --- Ablation 5: dense Schur-complement inverse vs sparse CG for the wire Laplacian ---
 
 func BenchmarkAblationLaplacian(b *testing.B) {
 	const n = 48
 	a := grid.NewSquare(n)
 	r := grid.UniformField(n, n, 5000)
 	r.Set(10, 10, 20000)
-	b.Run("dense-lu", func(b *testing.B) {
+	b.Run("dense-inverse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := circuit.NewSolver(a, r)
 			if err != nil {

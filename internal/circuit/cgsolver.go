@@ -18,11 +18,7 @@ func GroundedLaplacian(a grid.Array, r *grid.Field) *sparse.CSR {
 	b := sparse.NewBuilder(n-1, n-1)
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {
-			res := r.At(i, j)
-			if res <= 0 {
-				panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
-			}
-			g := 1 / res
+			g := conductance(r, i, j)
 			u, v := i, a.Rows()+j
 			if u != 0 {
 				b.Add(u-1, u-1, g)

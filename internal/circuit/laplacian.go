@@ -28,11 +28,7 @@ func Laplacian(a grid.Array, r *grid.Field) *sparse.CSR {
 	b := sparse.NewBuilder(nNodes, nNodes)
 	for i := 0; i < a.Rows(); i++ {
 		for j := 0; j < a.Cols(); j++ {
-			res := r.At(i, j)
-			if res <= 0 {
-				panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
-			}
-			g := 1 / res
+			g := conductance(r, i, j)
 			u, v := i, a.Rows()+j
 			b.Add(u, u, g)
 			b.Add(v, v, g)
@@ -43,6 +39,15 @@ func Laplacian(a grid.Array, r *grid.Field) *sparse.CSR {
 	return b.Build()
 }
 
+// conductance returns 1/R_ij, panicking on a non-positive resistance.
+func conductance(r *grid.Field, i, j int) float64 {
+	res := r.At(i, j)
+	if res <= 0 {
+		panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
+	}
+	return 1 / res
+}
+
 func checkField(a grid.Array, r *grid.Field) {
 	if r.Rows() != a.Rows() || r.Cols() != a.Cols() {
 		panic(fmt.Sprintf("circuit: field %dx%d does not match array %dx%d",
@@ -51,66 +56,120 @@ func checkField(a grid.Array, r *grid.Field) {
 }
 
 // Solver computes effective resistances and wire potentials against one
-// resistance field. It factorizes the grounded Laplacian once (node 0, the
-// first horizontal wire, is the ground) and reuses the factorization across
-// all wire pairs, so measuring the whole array costs one O(N³) factorization
-// plus m·n O(N²) solves, N = m+n.
+// resistance field. It holds G, the inverse of the grounded Laplacian (node
+// 0, the first horizontal wire, is the ground; its row and column of G are
+// zero), computed once per field. Row u of G is the potential of every wire
+// for a unit current injected at wire u and extracted at the ground, so
+// every query is a lookup: Z_ij = G_uu + G_vv − 2·G_uv, and the potentials
+// of a pair are the difference of two rows.
 //
 // A Solver is immutable after NewSolver and safe for concurrent use: every
-// query method only reads the factorization (mat.LU.Solve writes solely to
-// vectors it allocates per call). The serving layer's factorization cache
+// query method only reads G. The serving layer's factorization cache
 // (internal/serve) hands one *Solver to many workers at once and relies on
 // this; TestSolverConcurrentReaders pins the contract under -race.
 type Solver struct {
 	arr grid.Array
-	lu  *mat.LU
-	n   int // total wire nodes
+	g   *mat.Matrix // (m+n)² grounded inverse, exactly symmetric
 }
 
 // NewSolver prepares a solver for the array with the given resistance field.
+//
+// With horizontal wires first the Laplacian is [[D_h, −C], [−Cᵀ, D_v]]: C
+// holds the m×n conductances, and D_h, D_v — its row and column sums — are
+// diagonal, because wires of one orientation never touch. Eliminating the
+// ungrounded horizontal wires therefore costs nothing and leaves the n×n
+// Schur complement S = D_v − Cᵀ·D_h⁻¹·C, which is positive definite for any
+// connected array. One Cholesky of S gives every block of G:
+//
+//	G_vv = S⁻¹,  G_hv = D_h⁻¹·C·S⁻¹,  G_hh = D_h⁻¹ + G_hv·Cᵀ·D_h⁻¹.
+//
+// Every entry is accumulated in a fixed order, so G — and with it every
+// query — is bit-identical at any mat.Parallelism.
 func NewSolver(a grid.Array, r *grid.Field) (*Solver, error) {
 	checkField(a, r)
-	lap := Laplacian(a, r)
-	n := a.Rows() + a.Cols()
-	// Ground node 0: delete its row and column. The result is positive
-	// definite for any connected resistor network.
-	reduced := mat.NewMatrix(n-1, n-1)
-	for i := 1; i < n; i++ {
-		for j := 1; j < n; j++ {
-			reduced.Set(i-1, j-1, lap.At(i, j))
+	m, n := a.Rows(), a.Cols()
+	cond := make([]float64, m*n) // C, row-major
+	invDh := make([]float64, m)  // D_h⁻¹
+	schur := mat.NewMatrix(n, n) // S, lower triangle
+	for i := 0; i < m; i++ {
+		ci := cond[i*n : (i+1)*n]
+		var sum float64
+		for j := range ci {
+			ci[j] = conductance(r, i, j)
+			sum += ci[j]
+			schur.Add(j, j, ci[j])
+		}
+		if i == 0 {
+			continue // the ground: its conductances stay on D_v, nothing to eliminate
+		}
+		invDh[i] = 1 / sum
+		for j, c := range ci {
+			f := c * invDh[i]
+			sj := schur.Row(j)[:j+1]
+			for l := range sj {
+				sj[l] -= f * ci[l]
+			}
 		}
 	}
-	lu, err := mat.Factorize(reduced)
+	chol, err := mat.CholeskyInPlace(schur)
 	if err != nil {
 		return nil, fmt.Errorf("circuit: grounded Laplacian is singular (disconnected array?): %w", err)
 	}
-	return &Solver{arr: a, lu: lu, n: n}, nil
+	sInv := mat.NewMatrix(n, n)
+	chol.InverseTo(sInv)
+
+	g := mat.NewMatrix(m+n, m+n)
+	for j := 0; j < n; j++ {
+		copy(g.Row(m + j)[m:], sInv.Row(j))
+	}
+	for i := 1; i < m; i++ {
+		gi, ci := g.Row(i), cond[i*n:(i+1)*n]
+		hv := gi[m:]
+		for j, c := range ci {
+			for l, s := range sInv.Row(j) {
+				hv[l] += c * s
+			}
+		}
+		for l := range hv {
+			hv[l] *= invDh[i]
+			g.Row(m + l)[i] = hv[l]
+		}
+		for k := 1; k <= i; k++ {
+			var dot float64
+			for l, c := range cond[k*n : (k+1)*n] {
+				dot += hv[l] * c
+			}
+			gi[k] = dot * invDh[k]
+			g.Row(k)[i] = gi[k]
+		}
+		gi[i] += invDh[i]
+	}
+	return &Solver{arr: a, g: g}, nil
 }
 
-// potentials returns node potentials x with L·x = e_u − e_v and x[ground]=0.
-func (s *Solver) potentials(u, v int) mat.Vector {
-	rhs := mat.NewVector(s.n - 1)
-	if u != 0 {
-		rhs[u-1] = 1
-	}
-	if v != 0 {
-		rhs[v-1] = -1
-	}
-	sol := s.lu.Solve(rhs)
-	x := mat.NewVector(s.n)
-	copy(x[1:], sol)
-	return x
-}
+// Green returns row u of G: the potential of every wire node (WireVertex
+// order) for a unit current injected at node u and extracted at the ground.
+// The slice is a read-only view of the solver's state — callers that need
+// many pairs (the recovery Jacobian) difference two rows in place instead
+// of allocating a Potentials vector per pair.
+func (s *Solver) Green(u int) []float64 { return s.g.Row(u) }
 
 // Potentials returns the full node-potential vector x (one entry per wire,
 // horizontal wires first) for a unit current injected at horizontal wire i
-// and extracted at vertical wire j, with the ground node at 0. It is the
-// primitive under EffectiveResistance and Sensitivity: the drop across
-// resistor (k, l) is x[WireVertex(true,k)] − x[WireVertex(false,l)], which
-// lets a sparse Jacobian assembly evaluate exactly the sensitivity entries
-// its pattern keeps instead of materializing a full field per pair.
+// and extracted at vertical wire j, with the ground node at 0: the drop
+// across resistor (k, l) is x[WireVertex(true,k)] − x[WireVertex(false,l)].
 func (s *Solver) Potentials(i, j int) mat.Vector {
-	return s.potentials(s.arr.WireVertex(true, i), s.arr.WireVertex(false, j))
+	gu, gv := s.pairRows(i, j)
+	x := mat.NewVector(len(gu))
+	for k := range x {
+		x[k] = gu[k] - gv[k]
+	}
+	return x
+}
+
+// pairRows returns the rows of G for horizontal wire i and vertical wire j.
+func (s *Solver) pairRows(i, j int) (gu, gv []float64) {
+	return s.g.Row(s.arr.WireVertex(true, i)), s.g.Row(s.arr.WireVertex(false, j))
 }
 
 // EffectiveResistance returns Z between horizontal wire i and vertical wire
@@ -118,8 +177,8 @@ func (s *Solver) Potentials(i, j int) mat.Vector {
 func (s *Solver) EffectiveResistance(i, j int) float64 {
 	u := s.arr.WireVertex(true, i)
 	v := s.arr.WireVertex(false, j)
-	x := s.potentials(u, v)
-	return x[u] - x[v]
+	gu, gv := s.g.Row(u), s.g.Row(v)
+	return gu[u] + gv[v] - 2*gu[v]
 }
 
 // PairSolution carries the complete electrical state for one wire pair under
@@ -140,36 +199,50 @@ type PairSolution struct {
 // wire i is held at potential srcU and wire j at 0; every other wire floats
 // at its Kirchhoff equilibrium, yielding the paper's Ua and Ub unknowns.
 func (s *Solver) SolvePair(i, j int, srcU float64) PairSolution {
-	u := s.arr.WireVertex(true, i)
-	v := s.arr.WireVertex(false, j)
-	x := s.potentials(u, v)
-	z := x[u] - x[v]
-	// Scale and shift so x[u] = srcU, x[v] = 0.
+	gu, gv := s.pairRows(i, j)
+	z := s.EffectiveResistance(i, j)
+	// Scale and shift the unit-current potentials gu − gv so wire i sits at
+	// srcU and wire j at 0.
 	scale := srcU / z
-	offset := x[v]
 	m, n := s.arr.Rows(), s.arr.Cols()
+	offset := gu[m+j] - gv[m+j]
 	ps := PairSolution{I: i, J: j, U: srcU, Z: z,
 		Ua: make([]float64, 0, n-1), Ub: make([]float64, 0, m-1)}
 	for k := 0; k < n; k++ {
 		if k == j {
 			continue
 		}
-		ps.Ua = append(ps.Ua, (x[s.arr.WireVertex(false, k)]-offset)*scale)
+		ps.Ua = append(ps.Ua, (gu[m+k]-gv[m+k]-offset)*scale)
 	}
 	for mm := 0; mm < m; mm++ {
 		if mm == i {
 			continue
 		}
-		ps.Ub = append(ps.Ub, (x[s.arr.WireVertex(true, mm)]-offset)*scale)
+		ps.Ub = append(ps.Ub, (gu[mm]-gv[mm]-offset)*scale)
 	}
 	return ps
 }
 
+// pairGrain is how many pair lookups one pool chunk carries. A lookup is
+// three loads of G — nanoseconds — so a chunk needs thousands of them to be
+// worth a handout; sweeps up to 64×64 run inline.
+const pairGrain = 4096
+
+// MeasureInto writes Z for every pair into z, row-major and m·n long. Each
+// pair is an independent lookup in G writing its own entry, so large sweeps
+// fan out across the shared kernel pool (mat.Parallelism bounds the width)
+// with an identical result at any parallelism.
+func (s *Solver) MeasureInto(z []float64) {
+	n := s.arr.Cols()
+	mat.ParallelFor(len(z), pairGrain, func(lo, hi int) {
+		for pq := lo; pq < hi; pq++ {
+			z[pq] = s.EffectiveResistance(pq/n, pq%n)
+		}
+	})
+}
+
 // MeasureAll returns the full Z matrix — the synthetic equivalent of the
-// wet lab's pairwise measurements. The m·n pair solves are independent
-// reads of the one factorization, so they fan out across the shared kernel
-// pool (mat.Parallelism bounds the width); each pair writes its own Z
-// entry, and the result is identical at any parallelism.
+// wet lab's pairwise measurements.
 func MeasureAll(a grid.Array, r *grid.Field) (*grid.Field, error) {
 	s, err := NewSolver(a, r)
 	if err != nil {
@@ -177,15 +250,9 @@ func MeasureAll(a grid.Array, r *grid.Field) (*grid.Field, error) {
 	}
 	sp := obs.StartSpan("circuit/measure_all")
 	z := grid.NewFieldFor(a)
-	m, n := a.Rows(), a.Cols()
-	zv := z.Values()
-	mat.ParallelFor(m*n, 4, func(lo, hi int) {
-		for pq := lo; pq < hi; pq++ {
-			zv[pq] = s.EffectiveResistance(pq/n, pq%n)
-		}
-	})
+	s.MeasureInto(z.Values())
 	if sp.Active() {
-		sp.End(obs.I("pairs", m*n))
+		sp.End(obs.I("pairs", a.Rows()*a.Cols()))
 	}
 	return z, nil
 }
@@ -195,19 +262,20 @@ func MeasureAll(a grid.Array, r *grid.Field) (*grid.Field, error) {
 //
 //	∂Z/∂g_kl = −(x_k − x_l)²  and  g = 1/R  ⇒  ∂Z/∂R_kl = ((x_k − x_l)/R_kl)².
 //
-// One linear solve yields the gradient with respect to all m·n resistors,
-// which is what makes Gauss-Newton recovery tractable.
+// x is the difference of two rows of G, so the gradient with respect to all
+// m·n resistors costs no solve — which is what makes Gauss-Newton recovery
+// tractable.
 func (s *Solver) Sensitivity(p, q int, r *grid.Field) *grid.Field {
 	checkField(s.arr, r)
-	u := s.arr.WireVertex(true, p)
-	v := s.arr.WireVertex(false, q)
-	x := s.potentials(u, v)
+	gu, gv := s.pairRows(p, q)
+	m, n := s.arr.Rows(), s.arr.Cols()
 	out := grid.NewFieldFor(s.arr)
-	for i := 0; i < s.arr.Rows(); i++ {
-		for j := 0; j < s.arr.Cols(); j++ {
-			drop := x[s.arr.WireVertex(true, i)] - x[s.arr.WireVertex(false, j)]
-			ratio := drop / r.At(i, j)
-			out.Set(i, j, ratio*ratio)
+	ov, rv := out.Values(), r.Values()
+	for i := 0; i < m; i++ {
+		xi := gu[i] - gv[i]
+		for j := 0; j < n; j++ {
+			ratio := (xi - (gu[m+j] - gv[m+j])) / rv[i*n+j]
+			ov[i*n+j] = ratio * ratio
 		}
 	}
 	return out

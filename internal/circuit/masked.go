@@ -11,15 +11,16 @@ import (
 // MaskedSolver measures a defective MEA: resistors masked out contribute
 // no conductance, and the wire graph may fall into several electrical
 // components. Pairs in different components are unmeasurable and report
-// +Inf. Each component is grounded and factorized independently.
+// +Inf. Each component is grounded and inverted independently, so a query
+// is a lookup in its component's inverse, as in Solver.
 //
 // Like Solver, a MaskedSolver is immutable after construction and safe for
-// concurrent readers: queries only read the per-component factorizations.
+// concurrent readers: queries only read the per-component inverses.
 type MaskedSolver struct {
 	arr    grid.Array
-	labels []int // component label per wire node
-	lus    []*mat.LU
-	index  []int // wire node -> row index within its component's matrix (-1 for ground)
+	labels []int         // component label per wire node
+	invs   []*mat.Matrix // grounded inverse per component; nil for an isolated wire
+	index  []int         // wire node -> row index within its component's matrix (-1 for ground)
 }
 
 // NewMaskedSolver prepares a solver for the array with the given
@@ -69,24 +70,21 @@ func NewMaskedSolver(a grid.Array, r *grid.Field, mask *grid.Mask) (*MaskedSolve
 			if !mask.Active(i, j) {
 				continue
 			}
-			res := r.At(i, j)
-			if res <= 0 {
-				panic(fmt.Sprintf("circuit: non-positive resistance %g at (%d,%d)", res, i, j))
-			}
-			stamp(a.WireVertex(true, i), a.WireVertex(false, j), 1/res)
+			stamp(a.WireVertex(true, i), a.WireVertex(false, j), conductance(r, i, j))
 		}
 	}
 
-	s := &MaskedSolver{arr: a, labels: labels, index: index, lus: make([]*mat.LU, count)}
+	s := &MaskedSolver{arr: a, labels: labels, index: index, invs: make([]*mat.Matrix, count)}
 	for comp := range mats {
 		if mats[comp].Rows() == 0 {
 			continue // singleton component: an isolated wire
 		}
-		lu, err := mat.Factorize(mats[comp])
+		chol, err := mat.CholeskyInPlace(mats[comp])
 		if err != nil {
 			return nil, fmt.Errorf("circuit: component %d Laplacian singular: %w", comp, err)
 		}
-		s.lus[comp] = lu
+		s.invs[comp] = mat.NewMatrix(mats[comp].Rows(), mats[comp].Rows())
+		chol.InverseTo(s.invs[comp])
 	}
 	return s, nil
 }
@@ -97,31 +95,18 @@ func (s *MaskedSolver) EffectiveResistance(i, j int) float64 {
 	u := s.arr.WireVertex(true, i)
 	v := s.arr.WireVertex(false, j)
 	comp := s.labels[u]
-	if s.labels[v] != comp || s.lus[comp] == nil {
+	if s.labels[v] != comp || s.invs[comp] == nil {
 		return math.Inf(1)
 	}
-	lu := s.lus[comp]
-	size := 0
-	for node, c := range s.labels {
-		if c == comp && s.index[node] >= 0 {
-			size++
-		}
-	}
-	rhs := mat.NewVector(size)
-	if s.index[u] >= 0 {
-		rhs[s.index[u]] = 1
-	}
-	if s.index[v] >= 0 {
-		rhs[s.index[v]] = -1
-	}
-	x := lu.Solve(rhs)
-	val := func(node int) float64 {
-		if s.index[node] < 0 {
+	g := s.invs[comp]
+	at := func(a, b int) float64 { // the ground's row and column of the inverse are zero
+		if a < 0 || b < 0 {
 			return 0
 		}
-		return x[s.index[node]]
+		return g.At(a, b)
 	}
-	return val(u) - val(v)
+	iu, iv := s.index[u], s.index[v]
+	return at(iu, iu) + at(iv, iv) - 2*at(iu, iv)
 }
 
 // MeasureAllMasked returns the pairwise Z field of a defective device,

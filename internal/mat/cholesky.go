@@ -116,6 +116,60 @@ func (c *Cholesky) SolveTo(x, b Vector) {
 	}
 }
 
+// InverseTo writes A⁻¹ = L⁻ᵀ·L⁻¹ into dst, which must be order × order and
+// must not alias the factorized matrix. It costs two thirds of an n³ and
+// allocates nothing: W = L⁻¹ is built row by row in dst's lower triangle,
+// WᵀW overwrites it in place, and the result is mirrored, so dst is exactly
+// symmetric. Every entry is accumulated in one fixed order — the inverse
+// does not depend on Parallelism.
+func (c *Cholesky) InverseTo(dst *Matrix) {
+	n := c.l.rows
+	if dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("mat: Cholesky.InverseTo dst is %dx%d, want %dx%d", dst.rows, dst.cols, n, n))
+	}
+	// Row i of W solves (row i of L)·W = e_iᵀ against the finished rows
+	// above it: W[i,:i] = −(Σ_{k<i} L[i,k]·W[k,:]) / L[i,i].
+	for i := 0; i < n; i++ {
+		li, wi := c.l.Row(i), dst.Row(i)[:i+1]
+		for j := range wi {
+			wi[j] = 0
+		}
+		for k := 0; k < i; k++ {
+			lik := li[k]
+			for j, w := range dst.Row(k)[:k+1] {
+				wi[j] += lik * w
+			}
+		}
+		inv := 1 / li[i]
+		for j := range wi[:i] {
+			wi[j] *= -inv
+		}
+		wi[i] = inv
+	}
+	// (WᵀW)[i,j] = Σ_{k≥i} W[k,i]·W[k,j] for j ≤ i reads rows i and below
+	// only, so ascending i may overwrite row i as it goes.
+	for i := 0; i < n; i++ {
+		bi := dst.Row(i)[:i+1]
+		wii := bi[i]
+		for j := range bi {
+			bi[j] *= wii
+		}
+		for k := i + 1; k < n; k++ {
+			wk := dst.Row(k)[:i+1]
+			wki := wk[i]
+			for j, w := range wk {
+				bi[j] += wki * w
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dst.data[i*n+j] = dst.data[j*n+i]
+		}
+	}
+	obs.Add("mat/flops", 2*int64(n)*int64(n)*int64(n)/3)
+}
+
 // SolveSPD computes x with a·x = b via Cholesky factorization, falling
 // back on nothing: callers wanting an LU fallback on breakdown compose it
 // themselves (the recovery loop does).

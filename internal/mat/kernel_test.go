@@ -2,6 +2,8 @@ package mat
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -227,6 +229,70 @@ func TestCholeskyInPlaceAliasesAndSolveTo(t *testing.T) {
 	c.SolveTo(inPlace, inPlace)
 	if !inPlace.ApproxEqual(want, 1e-10) {
 		t.Fatal("aliased SolveTo differs from LU reference")
+	}
+}
+
+// TestCholeskyInverseMatchesLU pins InverseTo to the pivoted-LU Inverse at
+// 1e-12 relative on random SPD matrices and on the matrix the forward model
+// inverts: a grounded crossbar Laplacian over the paper's 2,000–11,000 kΩ
+// range. The result must be exactly symmetric and must not depend on the
+// pool width.
+func TestCholeskyInverseMatchesLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	cases := map[string]*Matrix{}
+	for _, n := range []int{1, 2, 17, 64} {
+		cases[fmt.Sprintf("spd%d", n)] = spdMatrix(rng, n)
+	}
+	// Wires 1..m−1 horizontal, m..m+n−1 vertical, wire 0 the ground.
+	const m, n = 9, 14
+	lap := NewMatrix(m+n-1, m+n-1)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			g := 1 / (2000 + 9000*rng.Float64())
+			v := m + j - 1
+			lap.Add(v, v, g)
+			if i > 0 {
+				lap.Add(i-1, i-1, g)
+				lap.Add(i-1, v, -g)
+				lap.Add(v, i-1, -g)
+			}
+		}
+	}
+	cases["laplacian"] = lap
+	for name, a := range cases {
+		want, err := Inverse(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := 0.0
+		for _, v := range want.data {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		var first *Matrix
+		for _, workers := range []int{1, 4} {
+			withParallelism(t, workers, func() {
+				c, err := NewCholesky(a)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := NewMatrix(a.Rows(), a.Rows())
+				for i := range got.data {
+					got.data[i] = math.NaN() // dst may hold garbage
+				}
+				c.InverseTo(got)
+				if !got.ApproxEqual(want, 1e-12*scale) {
+					t.Errorf("%s workers=%d: Cholesky inverse differs from LU inverse", name, workers)
+				}
+				if !got.ApproxEqual(got.Transpose(), 0) {
+					t.Errorf("%s workers=%d: inverse is not exactly symmetric", name, workers)
+				}
+				if first == nil {
+					first = got
+				} else if !got.ApproxEqual(first, 0) {
+					t.Errorf("%s: inverse depends on the pool width", name)
+				}
+			})
+		}
 	}
 }
 

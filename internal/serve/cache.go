@@ -18,7 +18,7 @@ import (
 //
 //   - Factorizations: a *circuit.Solver keyed by (geometry, hash of R).
 //     Repeated /v1/measure calls on the same field skip the O(N³)
-//     grounded-Laplacian factorization and pay only the O(N²) solves.
+//     grounded-Laplacian inverse and pay only the per-pair lookups.
 //     This leans on circuit.Solver being immutable and safe for
 //     concurrent readers — see the concurrency tests in internal/circuit.
 //   - Warm starts: the last recovered R field keyed by geometry alone.

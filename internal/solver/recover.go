@@ -64,16 +64,17 @@ type RecoverResult struct {
 // the paper's §IV-A sensibility constraint) and equalizes scale across the
 // 2,000–11,000 kΩ dynamic range.
 //
-// Each iteration costs one grounded-Laplacian factorization plus one
-// adjoint solve per wire pair, and a damped normal-equation solve whose
-// backend opts.Method selects: dense (materialized JᵀJ, Cholesky) for small
+// Each iteration costs one grounded-Laplacian inverse per trial field
+// (circuit.NewSolver), from which residuals and Jacobian entries are
+// lookups, and a damped normal-equation solve whose backend opts.Method
+// selects: dense (materialized JᵀJ, Cholesky) for small
 // arrays, sparse (pruned CSR Jacobian, matrix-free preconditioned CG) for
 // large ones, or auto — the default — which picks per geometry from the
 // measured crossover (docs/performance.md tabulates it).
 //
 // The hot path runs on the parallel kernel layer in internal/mat: the m·n
-// sensitivity solves fan out across the shared worker pool (each pair owns
-// one Jacobian row, so no locks), J^T·J is formed by the one-pass symmetric
+// Jacobian rows fan out across the shared worker pool (each pair owns one
+// row, so no locks), J^T·J is formed by the one-pass symmetric
 // ATA kernel, and the damped normal equations are solved by Cholesky with a
 // pivoted-LU fallback on breakdown. mat.Parallelism bounds the fan-out; a
 // serving layer running many concurrent recoveries sets it so request-level
@@ -126,10 +127,8 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 		return RecoverResult{}, fmt.Errorf("solver: zero measurement matrix")
 	}
 
-	// residualInto factorizes field's Laplacian and fills dst with the
-	// per-pair residuals, fanning the m·n independent pair solves across the
-	// shared kernel pool (the factorization is read-only after NewSolver, so
-	// pair solves are free to run concurrently).
+	// residualInto inverts field's grounded Laplacian and fills dst with the
+	// per-pair residuals Z(field) − z, each a lookup in the solver's inverse.
 	var factorTime time.Duration
 	residualInto := func(field *grid.Field, dst mat.Vector) (*circuit.Solver, error) {
 		t0 := time.Now()
@@ -138,12 +137,10 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 		if err != nil {
 			return nil, err
 		}
-		mat.ParallelFor(m*n, pairGrain, func(lo, hi int) {
-			for pq := lo; pq < hi; pq++ {
-				i, j := pq/n, pq%n
-				dst[pq] = s.EffectiveResistance(i, j) - z.At(i, j)
-			}
-		})
+		s.MeasureInto(dst)
+		for pq, measured := range z.Values() {
+			dst[pq] -= measured
+		}
 		return s, nil
 	}
 
@@ -258,10 +255,10 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	return result, ErrDiverged
 }
 
-// pairGrain batches pair solves per pool chunk: each solve is two
-// triangular substitutions (tens of microseconds at paper sizes), so a few
-// per handout amortize the chunk claim without hurting balance.
-const pairGrain = 4
+// rowGrain batches Jacobian rows per pool chunk: a row is m+n−1 entries on
+// the sparse cross, m·n on the dense backend's small arrays, each a handful
+// of flops, so sixteen rows make a chunk of microseconds.
+const rowGrain = 16
 
 // gnStepper is the Gauss-Newton linear-algebra backend behind one recovery:
 // prepare linearizes at the accepted iterate (Jacobian, normal-equation
@@ -307,24 +304,42 @@ func (st *denseStepper) solve(_ context.Context, step mat.Vector, lambda float64
 
 func (st *denseStepper) stats() (int, int) { return 0, 0 }
 
+// jacEntry is the log-space Jacobian entry ∂Z_pq/∂R_kl · R_kl for the
+// potential drop pair (p, q)'s unit current puts across resistor (k, l):
+// circuit.Solver.Sensitivity's (drop/R)², scaled by R. Both backends go
+// through it, so exact-mode sparse and dense see the same bits.
+func jacEntry(drop, r float64) float64 {
+	ratio := drop / r
+	return ratio * ratio * r
+}
+
+// jacobianRow fills row with pair pq's Jacobian entries over every unknown.
+// The pair's wire potentials are the difference of two rows of fwd's
+// inverse (node k is horizontal wire k, node m+l vertical wire l —
+// grid.Array.WireVertex's layout), read in place.
+func jacobianRow(row []float64, fwd *circuit.Solver, m, n, pq int, rv []float64) {
+	gu, gv := fwd.Green(pq/n), fwd.Green(m+pq%n)
+	for k := 0; k < m; k++ {
+		xk := gu[k] - gv[k]
+		for l := 0; l < n; l++ {
+			row[k*n+l] = jacEntry(xk-(gu[m+l]-gv[m+l]), rv[k*n+l])
+		}
+	}
+}
+
 // assembleJacobian fills jac with the log-space Jacobian
-// J[pq, kl] = ∂Z_pq/∂R_kl · R_kl, fanning the m·n adjoint sensitivity
-// solves across the shared kernel pool. Each pair owns one Jacobian row, so
-// workers write disjoint memory and need no locks; fwd is immutable after
-// construction (pinned under -race in internal/circuit), which is what
-// makes the concurrent solves sound.
+// J[pq, kl] = ∂Z_pq/∂R_kl · R_kl, fanning the m·n rows across the shared
+// kernel pool. Each pair owns one Jacobian row, so workers write disjoint
+// memory and need no locks; fwd is immutable after construction (pinned
+// under -race in internal/circuit), which is what makes the concurrent
+// reads sound.
 func assembleJacobian(ctx context.Context, jac *mat.Matrix, fwd *circuit.Solver, r *grid.Field) {
 	m, n := r.Rows(), r.Cols()
 	sp := obs.StartSpanIn(ctx, "solver/jacobian")
 	rv := r.Values()
-	mat.ParallelFor(m*n, 1, func(lo, hi int) {
+	mat.ParallelFor(m*n, rowGrain, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
-			sens := fwd.Sensitivity(pq/n, pq%n, r)
-			row := jac.Row(pq)
-			sv := sens.Values()
-			for d := range row {
-				row[d] = sv[d] * rv[d]
-			}
+			jacobianRow(jac.Row(pq), fwd, m, n, pq, rv)
 		}
 	})
 	if sp.Active() {

@@ -116,17 +116,15 @@ func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *gr
 	rv := r.Values()
 	// Each pair owns one Jacobian row; workers write disjoint slots and the
 	// per-slot arithmetic is order-free, so the refresh is deterministic at
-	// any pool width. Node x[k] is horizontal wire k, x[m+l] vertical wire l
-	// (grid.Array.WireVertex's layout), so every slot is two loads, a
-	// subtract, and the log-space scaling the dense assembly applies.
-	mat.ParallelFor(m*n, 1, func(lo, hi int) {
+	// any pool width. Every slot is jacobianRow's entry for its column, read
+	// from the same two rows of the forward model's inverse.
+	mat.ParallelFor(m*n, rowGrain, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
-			x := fwd.Potentials(pq/n, pq%n)
+			gu, gv := fwd.Green(pq/n), fwd.Green(m+pq%n)
 			cols, vals := st.j.RowVals(pq)
 			for s, kl := range cols {
-				drop := x[kl/n] - x[m+kl%n]
-				ratio := drop / rv[kl]
-				vals[s] = ratio * ratio * rv[kl]
+				k, l := kl/n, m+kl%n
+				vals[s] = jacEntry((gu[k]-gv[k])-(gu[l]-gv[l]), rv[kl])
 			}
 		}
 	})
@@ -174,30 +172,29 @@ func (st *sparseStepper) buildPattern(ctx context.Context, fwd *circuit.Solver, 
 	mat.ParallelFor(u, 32, func(lo, hi int) {
 		row := make([]float64, u)
 		for pq := lo; pq < hi; pq++ {
-			x := fwd.Potentials(pq/n, pq%n)
+			jacobianRow(row, fwd, m, n, pq, rv)
 			p, q := pq/n, pq%n
 			rowMax := 0.0
-			for kl := 0; kl < u; kl++ {
-				drop := x[kl/n] - x[m+kl%n]
-				ratio := drop / rv[kl]
-				v := ratio * ratio * rv[kl]
-				row[kl] = v
+			for _, v := range row {
 				if a := math.Abs(v); a > rowMax {
 					rowMax = a
 				}
 			}
 			cut := tol * rowMax
-			for kl := 0; kl < u; kl++ {
-				v := row[kl]
-				onCross := kl/n == p || kl%n == q
-				keep := onCross || (tol < 0 && v != 0) || (tol >= 0 && math.Abs(v) >= cut) //parmavet:allow floateq -- exact zeros carry no sensitivity even in keep-all mode
-				if keep {
-					kept[pq] += v * v
-					if !onCross {
-						survivors[pq] = append(survivors[pq], int32(kl))
+			for k := 0; k < m; k++ {
+				for l := 0; l < n; l++ {
+					kl := k*n + l
+					v := row[kl]
+					onCross := k == p || l == q
+					keep := onCross || (tol < 0 && v != 0) || (tol >= 0 && math.Abs(v) >= cut) //parmavet:allow floateq -- exact zeros carry no sensitivity even in keep-all mode
+					if keep {
+						kept[pq] += v * v
+						if !onCross {
+							survivors[pq] = append(survivors[pq], int32(kl))
+						}
+					} else {
+						dropped[pq] += v * v
 					}
-				} else {
-					dropped[pq] += v * v
 				}
 			}
 		}

@@ -285,3 +285,47 @@ func TestRecoverSparseCanceledMidCG(t *testing.T) {
 		t.Fatal("no countdown limit produced a mid-CG cancellation")
 	}
 }
+
+// refreshFixture returns a sparse stepper whose pattern is already built
+// and the arguments of one more prepare — the per-LM-iteration refresh.
+func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *grid.Field, mat.Vector) {
+	tb.Helper()
+	a := grid.NewSquare(n)
+	r := testField(n, n)
+	fwd, err := circuit.NewSolver(a, r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res := mat.NewVector(n * n)
+	for i := range res {
+		res[i] = float64(i%5) - 2
+	}
+	st := newSparseStepper(a, RecoverOptions{})
+	st.prepare(context.Background(), fwd, r, res)
+	return st, fwd, r, res
+}
+
+// TestJacobianRefreshAllocationsIndependentOfSize: the refresh reads every
+// entry out of the forward model's inverse in place, so what it allocates is
+// the pool fan-out of its four kernels and nothing per pair — the bound
+// holds unchanged when the pair count grows sixteenfold.
+func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
+	prev := mat.Parallelism(2)
+	defer mat.Parallelism(prev)
+	for _, n := range []int{6, 24} {
+		st, fwd, r, res := refreshFixture(t, n)
+		allocs := testing.AllocsPerRun(5, func() { st.prepare(context.Background(), fwd, r, res) })
+		if allocs > 40 {
+			t.Errorf("%dx%d: one Jacobian refresh allocates %v times for %d pairs", n, n, allocs, n*n)
+		}
+	}
+}
+
+func BenchmarkJacobianRefresh64(b *testing.B) {
+	st, fwd, r, res := refreshFixture(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.prepare(context.Background(), fwd, r, res)
+	}
+}
