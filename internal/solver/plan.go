@@ -5,11 +5,12 @@ package solver
 // wire with the pair — the "cross" {(k,l): k==p or l==q}, 2n−1 of the n²
 // entries at the paper's square sizes — because the drop across any other
 // resistor is a difference of two floating-wire potentials, which decays
-// like 1/n² relative to the cross entries (measured in
-// TestSparsityRationale's probe and docs/performance.md). The cross pattern
-// is pure geometry and structurally symmetric: the same index structure
-// serves the Jacobian and its transpose, so it is computed once per geometry
-// and shared.
+// like 1/n² relative to the cross entries (TestSparsityRationale measures
+// the off-cross share of the Jacobian's squared mass and pins its decay).
+// The cross is pure geometry, so it is the sparse Jacobian's whole pattern:
+// nothing about it depends on the field or the iterate. It is structurally
+// symmetric — the same index structure serves the Jacobian and its
+// transpose — so it is computed once per geometry and shared.
 //
 // A Plan is immutable after NewPlan and safe for concurrent use: parmad's
 // factorization cache keeps one per geometry and hands it to every
@@ -22,8 +23,8 @@ import (
 )
 
 // Plan is the cached per-geometry symbolic structure of the sparse
-// Gauss-Newton step: the cross pattern over pairs×unknowns and the transpose
-// gather permutation.
+// Gauss-Newton step: the Jacobian's pattern over pairs×unknowns — the cross —
+// and the transpose gather permutation.
 type Plan struct {
 	m, n int
 	// rowPtr/colIdx is the cross pattern of the (mn)×(mn) Jacobian: row
@@ -66,6 +67,26 @@ func NewPlan(m, n int) *Plan {
 	return p
 }
 
+// newFullPlan is the exact-mode oracle's plan: every pair's row holds all
+// m·n unknowns, which makes the sparse step the dense step solved
+// iteratively. The full pattern is structurally symmetric like the cross, so
+// it fills the same fields; it is quadratic in the unknowns, so only the
+// golden test asks for it (RecoverOptions.exact).
+func newFullPlan(m, n int) *Plan {
+	u := m * n
+	p := &Plan{m: m, n: n,
+		rowPtr: make([]int, u+1),
+		colIdx: make([]int, u*u)}
+	for pq := 0; pq < u; pq++ {
+		for kl := 0; kl < u; kl++ {
+			p.colIdx[pq*u+kl] = kl
+		}
+		p.rowPtr[pq+1] = (pq + 1) * u
+	}
+	_, p.perm = sparse.FromPattern(u, u, p.rowPtr, p.colIdx).TransposePlan()
+	return p
+}
+
 // Rows returns the plan's array row count.
 func (p *Plan) Rows() int { return p.m }
 
@@ -87,7 +108,7 @@ const (
 	// SYRK kernel, and solves the damped normal equations by Cholesky —
 	// the right call for small arrays, but O(n⁶) per iteration on squares.
 	MethodDense
-	// MethodSparse assembles a pruned CSR Jacobian on the cross pattern and
+	// MethodSparse assembles a CSR Jacobian on the cross pattern and
 	// solves the damped normal equations matrix-free by preconditioned CG —
 	// per-iteration cost scales with nnz ≈ 2·m·n·max(m,n), not (m·n)³.
 	MethodSparse

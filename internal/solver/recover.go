@@ -25,18 +25,16 @@ type RecoverOptions struct {
 	// (the zero value) picks dense or sparse from the geometry via the
 	// measured crossover model; see resolveMethod.
 	Method Method
-	// SparseDropTol is the sparse path's Jacobian pruning threshold relative
-	// to each row's largest sensitivity. Zero selects the measured default
-	// (1e-2); negative keeps every nonzero entry — the dense-equivalent
-	// reference mode (quadratic pattern, for verification only).
-	SparseDropTol float64
-	// SparseCGTol is the relative residual target of each inner CG solve on
-	// the damped normal equations. Zero selects 1e-10.
-	SparseCGTol float64
 	// Plan optionally supplies the cached symbolic structure for the sparse
 	// path (serve keeps one per geometry). Nil builds one; a plan for a
 	// different geometry is ignored.
 	Plan *Plan
+
+	// exact runs the sparse path as the dense-equivalent oracle: the full
+	// u×u pattern in place of the cross and a 1e-13 inner CG tolerance, so it
+	// must retrace the dense backend's trajectory. Only the in-package golden
+	// test (TestRecoverSparseMatchesDenseExact) can set it.
+	exact bool
 }
 
 // RecoverResult reports a recovery run.
@@ -68,9 +66,10 @@ type RecoverResult struct {
 // (circuit.NewSolver), from which residuals and Jacobian entries are
 // lookups, and a damped normal-equation solve whose backend opts.Method
 // selects: dense (materialized JᵀJ, Cholesky) for small
-// arrays, sparse (pruned CSR Jacobian, matrix-free preconditioned CG) for
-// large ones, or auto — the default — which picks per geometry from the
-// measured crossover (docs/performance.md tabulates it).
+// arrays, sparse (CSR Jacobian on the cross pattern, matrix-free
+// preconditioned CG) for large ones, or auto — the default — which picks
+// per geometry from the measured crossover (docs/performance.md tabulates
+// it).
 //
 // The hot path runs on the parallel kernel layer in internal/mat: the m·n
 // Jacobian rows fan out across the shared worker pool (each pair owns one

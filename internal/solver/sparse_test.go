@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"parma/internal/circuit"
@@ -94,7 +96,7 @@ func TestParseMethod(t *testing.T) {
 }
 
 // TestRecoverSparseMatchesDenseExact is the golden equivalence test: in
-// keep-all mode (SparseDropTol < 0) the sparse path solves the same damped
+// exact mode (the full u×u pattern) the sparse path solves the same damped
 // normal equations as dense Cholesky, just iteratively, so the two backends
 // must take the same Levenberg-Marquardt trajectory — same iteration count,
 // same residual, recovered fields identical to 1e-9 — at every kernel pool
@@ -133,7 +135,7 @@ func TestRecoverSparseMatchesDenseExact(t *testing.T) {
 				for _, workers := range []int{1, 3} {
 					prev := mat.Parallelism(workers)
 					sparse, err := Recover(context.Background(), a, z, RecoverOptions{
-						Method: MethodSparse, SparseDropTol: -1, SparseCGTol: 1e-13, Initial: start.initial,
+						Method: MethodSparse, exact: true, Initial: start.initial,
 					})
 					mat.Parallelism(prev)
 					if err != nil {
@@ -164,11 +166,12 @@ func TestRecoverSparseMatchesDenseExact(t *testing.T) {
 	}
 }
 
-// TestRecoverSparseDefaultDropTol: with the production pruning threshold the
+// TestRecoverSparseCrossOnlyResolvesAnomaly: on the cross pattern the
 // trajectory may differ from dense, but the recovery must still converge to
-// the measurements and resolve the anomaly — pruning can cost iterations,
-// never correctness (the accept test uses exact forward residuals).
-func TestRecoverSparseDefaultDropTol(t *testing.T) {
+// the measurements and resolve the anomaly — leaving the off-cross entries
+// out can cost iterations, never correctness (the accept test uses exact
+// forward residuals).
+func TestRecoverSparseCrossOnlyResolvesAnomaly(t *testing.T) {
 	truth, z, err := gen.Measurements(gen.Config{
 		Rows: 8, Cols: 8, Seed: 3,
 		Anomalies: []gen.Anomaly{{CenterI: 4, CenterJ: 4, RadiusI: 1.2, RadiusJ: 1.2, Factor: 5}},
@@ -183,6 +186,127 @@ func TestRecoverSparseDefaultDropTol(t *testing.T) {
 	want, got := truth.At(4, 4), res.R.At(4, 4)
 	if math.Abs(got-want)/want > 0.05 {
 		t.Fatalf("anomaly cell recovered as %g, truth %g", got, want)
+	}
+}
+
+// TestRecoverSparseWarmStartStaysOnCross: the sparse Jacobian's structure is
+// the plan's whatever the starting field. A warm start from the previous time
+// point of a growing anomaly — the serving layer's series traffic — runs on
+// exactly plan.NNZ() entries, converges to Tol, and concurrent recoveries
+// sharing one plan leave its index arrays as they found them; exact mode
+// reports the full (m·n)² pattern.
+func TestRecoverSparseWarmStartStaysOnCross(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{20, 32} {
+		a := grid.NewSquare(n)
+		series := gen.TimeSeries(gen.Config{Rows: n, Cols: n, Seed: int64(n),
+			Anomalies: []gen.Anomaly{{CenterI: 0.4 * float64(n), CenterJ: 0.6 * float64(n),
+				RadiusI: 0.1 * float64(n), RadiusJ: 0.12 * float64(n)}}}, 0.03)
+		zs := make(map[int]*grid.Field, len(series))
+		for h, r := range series {
+			z, err := circuit.MeasureAll(a, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zs[h] = z
+		}
+		plan := NewPlan(n, n)
+		before := Plan{m: n, n: n, rowPtr: append([]int(nil), plan.rowPtr...),
+			colIdx: append([]int(nil), plan.colIdx...), perm: append([]int(nil), plan.perm...)}
+		first, err := Recover(ctx, a, zs[0], RecoverOptions{Method: MethodSparse, Plan: plan})
+		if err != nil {
+			t.Fatalf("%dx%d cold: %v", n, n, err)
+		}
+		for _, workers := range []int{1, 3} {
+			prev := mat.Parallelism(workers)
+			var wg sync.WaitGroup
+			for _, h := range []int{6, 12} {
+				wg.Add(1)
+				go func(h int) {
+					defer wg.Done()
+					res, err := Recover(ctx, a, zs[h], RecoverOptions{Method: MethodSparse, Plan: plan, Initial: first.R})
+					if err != nil {
+						t.Errorf("%dx%d hour %d workers=%d: %v (residual %g)", n, n, h, workers, err, res.Residual)
+						return
+					}
+					if res.NNZ != plan.NNZ() {
+						t.Errorf("%dx%d hour %d workers=%d: NNZ = %d, want the plan's %d", n, n, h, workers, res.NNZ, plan.NNZ())
+					}
+					if res.Residual > 1e-8 {
+						t.Errorf("%dx%d hour %d workers=%d: residual %g above Tol", n, n, h, workers, res.Residual)
+					}
+				}(h)
+			}
+			wg.Wait()
+			mat.Parallelism(prev)
+		}
+		if !reflect.DeepEqual(*plan, before) {
+			t.Fatalf("%dx%d: recoveries mutated the shared plan", n, n)
+		}
+		if n == 20 {
+			res, err := Recover(ctx, a, zs[6], RecoverOptions{Method: MethodSparse, exact: true, Initial: first.R})
+			if err != nil {
+				t.Fatalf("exact: %v", err)
+			}
+			if res.NNZ != n*n*n*n {
+				t.Fatalf("exact: NNZ = %d, want (m·n)² = %d", res.NNZ, n*n*n*n)
+			}
+		}
+	}
+}
+
+// TestSparsityRationale measures what the cross pattern leaves out: the share
+// of the log-space Jacobian's squared mass that lies off the cross, per pair
+// row and overall, on a uniform field and on a rough 2,000–11,000 kΩ field
+// with one 4× anomaly. The overall share is small and falls with n (the
+// off-cross drops decay like 1/n² against the cross entries), which is why
+// the pattern can be the geometry's and not the field's.
+func TestSparsityRationale(t *testing.T) {
+	sizes := []int{8, 16, 32}
+	// Measured, uniform / rough: overall 5.8e-4 / 2.1e-3, 9.2e-5 / 5.4e-4,
+	// 1.3e-5 / 8.4e-5; worst row (rough) 9.1e-3, 1.2e-3, 1.7e-4.
+	overallBound := []float64{5e-3, 1e-3, 2e-4}
+	rowBound := []float64{2e-2, 3e-3, 5e-4}
+	for _, field := range []string{"uniform", "rough"} {
+		last := math.Inf(1)
+		for i, n := range sizes {
+			r := grid.UniformField(n, n, 5000)
+			if field == "rough" {
+				r = gen.Medium(gen.Config{Rows: n, Cols: n, Seed: 2022,
+					Anomalies: []gen.Anomaly{{CenterI: 0.4 * float64(n), CenterJ: 0.6 * float64(n),
+						RadiusI: 0.12 * float64(n), RadiusJ: 0.12 * float64(n)}}})
+			}
+			fwd, err := circuit.NewSolver(grid.NewSquare(n), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := make([]float64, n*n)
+			var off, total, worstRow float64
+			for pq := 0; pq < n*n; pq++ {
+				jacobianRow(row, fwd, n, n, pq, r.Values())
+				var rowOff, rowTotal float64
+				for kl, v := range row {
+					rowTotal += v * v
+					if kl/n != pq/n && kl%n != pq%n {
+						rowOff += v * v
+					}
+				}
+				off, total = off+rowOff, total+rowTotal
+				worstRow = math.Max(worstRow, rowOff/rowTotal)
+			}
+			share := off / total
+			t.Logf("%s %dx%d: off-cross share %.3g overall, %.3g worst row", field, n, n, share, worstRow)
+			if share > overallBound[i] {
+				t.Errorf("%s %dx%d: off-cross share %g above %g", field, n, n, share, overallBound[i])
+			}
+			if worstRow > rowBound[i] {
+				t.Errorf("%s %dx%d: worst row's off-cross share %g above %g", field, n, n, worstRow, rowBound[i])
+			}
+			if share >= last {
+				t.Errorf("%s: off-cross share rose from %g to %g at n=%d", field, last, share, n)
+			}
+			last = share
+		}
 	}
 }
 
@@ -286,9 +410,9 @@ func TestRecoverSparseCanceledMidCG(t *testing.T) {
 	}
 }
 
-// refreshFixture returns a sparse stepper whose pattern is already built
-// and the arguments of one more prepare — the per-LM-iteration refresh.
-func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *grid.Field, mat.Vector) {
+// refreshFixture returns a sparse stepper on plan (nil builds one) and the
+// arguments of a prepare — the per-LM-iteration refresh.
+func refreshFixture(tb testing.TB, n int, plan *Plan) (*sparseStepper, *circuit.Solver, *grid.Field, mat.Vector) {
 	tb.Helper()
 	a := grid.NewSquare(n)
 	r := testField(n, n)
@@ -300,32 +424,96 @@ func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *gri
 	for i := range res {
 		res[i] = float64(i%5) - 2
 	}
-	st := newSparseStepper(a, RecoverOptions{})
-	st.prepare(context.Background(), fwd, r, res)
-	return st, fwd, r, res
+	return newSparseStepper(a, RecoverOptions{Plan: plan}), fwd, r, res
 }
 
 // TestJacobianRefreshAllocationsIndependentOfSize: the refresh reads every
 // entry out of the forward model's inverse in place, so what it allocates is
-// the pool fan-out of its four kernels and nothing per pair — the bound
-// holds unchanged when the pair count grows sixteenfold.
+// the pool fan-out of its four kernels and nothing per pair; and a stepper on
+// a shared plan adopts the plan's index arrays, so constructing one and
+// running its first refresh adds only its own fixed set of value buffers.
+// Both bounds hold unchanged when the pair count grows sixteenfold.
 func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
 	prev := mat.Parallelism(2)
 	defer mat.Parallelism(prev)
+	ctx := context.Background()
 	for _, n := range []int{6, 24} {
-		st, fwd, r, res := refreshFixture(t, n)
-		allocs := testing.AllocsPerRun(5, func() { st.prepare(context.Background(), fwd, r, res) })
-		if allocs > 40 {
-			t.Errorf("%dx%d: one Jacobian refresh allocates %v times for %d pairs", n, n, allocs, n*n)
+		plan := NewPlan(n, n)
+		st, fwd, r, res := refreshFixture(t, n, plan)
+		for _, tc := range []struct {
+			name  string
+			bound float64
+			run   func()
+		}{
+			{"one Jacobian refresh", 40, func() { st.prepare(ctx, fwd, r, res) }},
+			{"a stepper on a shared plan and its first refresh", 50, func() {
+				newSparseStepper(grid.NewSquare(n), RecoverOptions{Plan: plan}).prepare(ctx, fwd, r, res)
+			}},
+		} {
+			if allocs := testing.AllocsPerRun(5, tc.run); allocs > tc.bound {
+				t.Errorf("%dx%d: %s allocates %v times for %d pairs", n, n, tc.name, allocs, n*n)
+			}
 		}
 	}
 }
 
 func BenchmarkJacobianRefresh64(b *testing.B) {
-	st, fwd, r, res := refreshFixture(b, 64)
+	st, fwd, r, res := refreshFixture(b, 64, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.prepare(context.Background(), fwd, r, res)
+	}
+}
+
+// BenchmarkRecoverSeries32 times one sparse 32×32 recovery of the wet-lab
+// time series (three media × the 0/6/12/24 h points, one growing 4× anomaly
+// each) from three starting fields: cold is the closed-form uniform guess,
+// near the previous time point's field, far the same hour of another medium.
+// The hidden fields stand in for recovered ones (they agree to 1e-5). It is
+// the record behind ROADMAP's "warm start that pays" numbers; run it with
+// -benchtime 36x to visit every case equally often.
+func BenchmarkRecoverSeries32(b *testing.B) {
+	const n, media = 32, 3
+	a := grid.NewSquare(n)
+	plan := NewPlan(n, n)
+	type timePoint struct{ r, z *grid.Field }
+	series := make([]map[int]timePoint, media)
+	for k := range series {
+		series[k] = make(map[int]timePoint)
+		for h, r := range gen.TimeSeries(gen.Config{Rows: n, Cols: n, Seed: int64(2022 + k),
+			Anomalies: []gen.Anomaly{{CenterI: float64(8 + 6*k), CenterJ: float64(20 - 5*k), RadiusI: 3, RadiusJ: 4}}}, 0.03) {
+			z, err := circuit.MeasureAll(a, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			series[k][h] = timePoint{r, z}
+		}
+	}
+	type job struct{ z, initial *grid.Field }
+	jobs := map[string][]job{}
+	for k := range series {
+		for i, h := range gen.SampleHours {
+			jobs["cold"] = append(jobs["cold"], job{z: series[k][h].z})
+			if i > 0 {
+				jobs["near"] = append(jobs["near"], job{series[k][h].z, series[k][gen.SampleHours[i-1]].r})
+				jobs["far"] = append(jobs["far"], job{series[k][h].z, series[(k+1)%media][h].r})
+			}
+		}
+	}
+	for _, start := range []string{"cold", "near", "far"} {
+		b.Run(start, func(b *testing.B) {
+			var lm, cg int
+			for i := 0; i < b.N; i++ {
+				j := jobs[start][i%len(jobs[start])]
+				res, err := Recover(context.Background(), a, j.z, RecoverOptions{Method: MethodSparse, Plan: plan, Initial: j.initial})
+				if err != nil {
+					b.Fatal(err)
+				}
+				lm, cg = lm+res.Iterations, cg+res.CGIterations
+			}
+			b.ReportMetric(float64(lm)/float64(b.N), "lm_iters/op")
+			b.ReportMetric(float64(cg)/float64(b.N), "cg_iters/op")
+		})
 	}
 }
