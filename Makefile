@@ -15,9 +15,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint fails on vet findings, parmavet findings, or files gofmt would
-# rewrite.
+# lint fails on vet findings, parmavet findings, a //parmavet:allow without
+# a justification, or files gofmt would rewrite.
 lint: vet parmavet
+	$(GO) run ./cmd/parmavet -allows ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:"; echo "$$out"; exit 1; fi
 

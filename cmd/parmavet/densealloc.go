@@ -6,8 +6,8 @@ package main
 // (serve, solver, circuit) a densification silently turns the sparse
 // large-n recovery back into the dense-memory regime it was built to
 // escape, and at n=128 that is a quarter-million-entry allocation per
-// call. Those packages must stay on the CSR kernels (MulVecTo, Gather,
-// TransposePlan); a deliberate small-problem densification needs an explicit
+// call. Those packages must stay on the CSR kernels (MulVecTo, RowVals);
+// a deliberate small-problem densification needs an explicit
 // `//parmavet:allow densealloc` with the size bound that justifies it.
 
 import (
@@ -61,7 +61,7 @@ func runDensealloc(pass *Pass) {
 			if !isCSR(info.TypeOf(sel.X)) {
 				return true
 			}
-			pass.Reportf(sel.Sel.NamePos, "CSR.Dense() on the serve path materializes O(rows*cols) memory: use the sparse kernels (MulVecTo, Gather) or annotate //parmavet:allow densealloc with the size bound")
+			pass.Reportf(sel.Sel.NamePos, "CSR.Dense() on the serve path materializes O(rows*cols) memory: use the sparse kernels (MulVecTo, RowVals) or annotate //parmavet:allow densealloc with the size bound")
 			return true
 		})
 	}

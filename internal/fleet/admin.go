@@ -225,7 +225,7 @@ func (rt *Router) awaitDrain(ctx context.Context, victim *Backend) bool {
 // just inherited. Routing is not involved: the dead backend is already
 // out of the routable set the policy sees. Fetching warm state from the
 // corpse is attempted best-effort — a draining-but-slow backend may still
-// answer — and degrades to plan-only prewarms when it cannot.
+// answer — and degrades to key-only prewarms when it cannot.
 func (rt *Router) onEject(dead *Backend) {
 	backends, ring := rt.membership()
 	moved := rehomeToRoutable(ring, dead, routable(backends), rt.seenKeys())
@@ -301,17 +301,26 @@ func (rt *Router) handoffFrom(ctx context.Context, source *Backend, moved map[st
 }
 
 // handoffTo pushes the keys a joining target inherited, fetching each
-// key's warm state from its previous owner on oldRing.
+// key's warm state from the backend that has been serving it: its first
+// routable successor on oldRing — the owner, unless the owner is ejected,
+// in which case the policy has been sending the key one member further.
 func (rt *Router) handoffTo(ctx context.Context, oldRing *Ring, target *Backend, keys []string) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	// Group by previous owner so each source is asked once.
+	// Group by source so each is asked once; "" collects the keys nobody
+	// routable was serving.
+	backends, _ := rt.membership()
+	live := routable(backends)
 	bySource := make(map[string][]string)
 	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
 	for _, k := range sorted {
-		bySource[oldRing.Owner(k)] = append(bySource[oldRing.Owner(k)], k)
+		name := ""
+		if order := ringOrder(oldRing, k, live); len(order) > 0 {
+			name = order[0].Name
+		}
+		bySource[name] = append(bySource[name], k)
 	}
 	sources := make([]string, 0, len(bySource))
 	for name := range bySource {
@@ -320,14 +329,11 @@ func (rt *Router) handoffTo(ctx context.Context, oldRing *Ring, target *Backend,
 	sort.Strings(sources)
 	var entries []serve.PrewarmEntry
 	for _, src := range sources {
-		sb := rt.backendByName(src)
-		if sb == nil {
-			for _, k := range bySource[src] {
-				entries = append(entries, serve.PrewarmEntry{Key: k})
-			}
-			continue
+		if sb := rt.backendByName(src); sb != nil {
+			entries = append(entries, rt.fetchWarmState(ctx, sb, bySource[src])...)
+		} else {
+			entries = append(entries, keyOnly(bySource[src])...)
 		}
-		entries = append(entries, rt.fetchWarmState(ctx, sb, bySource[src])...)
 	}
 	if err := rt.sendPrewarm(ctx, target, entries); err != nil {
 		obs.Log().WarnContext(ctx, "fleet: prewarm push to joiner failed",
@@ -340,9 +346,8 @@ func (rt *Router) handoffTo(ctx context.Context, oldRing *Ring, target *Backend,
 
 // fetchWarmState asks source for the warm-start fields of keys, in chunks
 // the worker's /v1/warmstate accepts. Always returns one entry per key: on
-// any failure a chunk's entries degrade to key-only, which still lets the
-// target prebuild the geometry's sparse Plan even when the warm R is
-// unrecoverable (a crashed source).
+// any failure (a crashed source) a chunk's entries degrade to key-only,
+// which the target acknowledges and builds nothing from.
 func (rt *Router) fetchWarmState(ctx context.Context, source *Backend, keys []string) []serve.PrewarmEntry {
 	out := make([]serve.PrewarmEntry, 0, len(keys))
 	for len(keys) > 0 {
@@ -353,46 +358,52 @@ func (rt *Router) fetchWarmState(ctx context.Context, source *Backend, keys []st
 	return out
 }
 
+// keyOnly returns one R-less prewarm entry per key.
+func keyOnly(keys []string) []serve.PrewarmEntry {
+	out := make([]serve.PrewarmEntry, len(keys))
+	for i, k := range keys {
+		out[i] = serve.PrewarmEntry{Key: k}
+	}
+	return out
+}
+
+// maxWarmStateBody bounds one /v1/warmstate reply: serve.MaxWarmStateKeys
+// fields of 64×64 (the worker's default -max-dim) at up to 24 bytes a JSON
+// value. It is the router's guard against a misbehaving worker, and has
+// nothing to do with Config.MaxBody, the bound on client request bodies.
+const maxWarmStateBody = serve.MaxWarmStateKeys * 64 * 64 * 24
+
 // fetchWarmChunk is one /v1/warmstate round trip for at most
 // serve.MaxWarmStateKeys keys.
 func (rt *Router) fetchWarmChunk(ctx context.Context, source *Backend, keys []string) []serve.PrewarmEntry {
-	planOnly := func() []serve.PrewarmEntry {
-		out := make([]serve.PrewarmEntry, len(keys))
-		for i, k := range keys {
-			out[i] = serve.PrewarmEntry{Key: k}
-		}
-		return out
-	}
 	fetchCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	u := source.URL + "/v1/warmstate?keys=" + url.QueryEscape(strings.Join(keys, ","))
 	req, err := http.NewRequestWithContext(fetchCtx, http.MethodGet, u, nil)
 	if err != nil {
-		return planOnly()
+		return keyOnly(keys)
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return planOnly()
+		return keyOnly(keys)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxWarmStateBody))
 	if err != nil || resp.StatusCode != http.StatusOK {
-		return planOnly()
+		return keyOnly(keys)
 	}
 	var ws serve.WarmStateResponse
 	if err := json.Unmarshal(body, &ws); err != nil {
-		return planOnly()
+		return keyOnly(keys)
 	}
 	byKey := make(map[string]serve.PrewarmEntry, len(ws.Entries))
 	for _, e := range ws.Entries {
 		byKey[e.Key] = e
 	}
-	out := make([]serve.PrewarmEntry, len(keys))
+	out := keyOnly(keys)
 	for i, k := range keys {
 		if e, ok := byKey[k]; ok {
 			out[i] = e
-		} else {
-			out[i] = serve.PrewarmEntry{Key: k}
 		}
 	}
 	return out

@@ -465,6 +465,103 @@ func TestHandoffChunksWarmState(t *testing.T) {
 	}
 }
 
+// TestHandoffCarriesWarmStateAboveMaxBody: one /v1/warmstate reply is many
+// fields, so it is not bounded by Config.MaxBody (1 MiB, the bound on a
+// client's request body). A successor inheriting more than 1 MiB of warm
+// state gets every field, not a chunk of key-only entries.
+func TestHandoffCarriesWarmStateAboveMaxBody(t *testing.T) {
+	w0 := newAdminWorker(t, "w0")
+	w1 := newAdminWorker(t, "w1")
+	rt := adminRouter(t, "tok", w0, w1)
+	h := rt.Handler()
+
+	size := 0 // of w0's warm state on the wire: one chunk, twice the old bound
+	for n := stubMaxDim * stubMaxDim; n > 0 && int64(size) <= 2*rt.cfg.MaxBody; n-- {
+		rows, cols := 1+(n-1)/stubMaxDim, 1+(n-1)%stubMaxDim // largest geometries first
+		key := fmt.Sprintf("%dx%d", rows, cols)
+		if rt.Ring().Owner(key) != "w0" {
+			continue
+		}
+		field := warmGrid(rows, cols)
+		for _, row := range field {
+			for j := range row {
+				row[j] += 1 / 3.0 // seventeen digits a value, like a recovered field
+			}
+		}
+		raw, err := json.Marshal(field)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += len(raw)
+		w0.warm[key] = field // no request is in flight yet
+		if rec := doRecover(t, h, recoverBody(rows, cols)); rec.Code != http.StatusOK {
+			t.Fatalf("priming %s: status %d", key, rec.Code)
+		}
+	}
+	if int64(size) <= 2*rt.cfg.MaxBody || len(w0.warm) > serve.MaxWarmStateKeys {
+		t.Fatalf("w0's warm state is %d bytes in %d fields, want above %d in one chunk", size, len(w0.warm), 2*rt.cfg.MaxBody)
+	}
+	if rec := adminDo(t, h, http.MethodDelete, "/admin/backends/w0", "tok", nil); rec.Code != http.StatusOK {
+		t.Fatalf("remove: status %d: %s", rec.Code, rec.Body.String())
+	}
+	w1.mu.Lock()
+	defer w1.mu.Unlock()
+	if len(w1.prewarmed) != len(w0.warm) {
+		t.Fatalf("successor received %d prewarm entries, want %d", len(w1.prewarmed), len(w0.warm))
+	}
+	for _, e := range w1.prewarmed {
+		if e.R == nil {
+			t.Errorf("key %s arrived without its R", e.Key)
+		}
+	}
+}
+
+// TestJoinerFetchesFromRoutableSuccessor: when a key's ring owner is
+// ejected, the policy has been sending the key to the next routable member,
+// so that is where its warm state lives; a joiner inheriting the key is
+// handed the field from there, not a key-only entry from the dead owner.
+func TestJoinerFetchesFromRoutableSuccessor(t *testing.T) {
+	w0 := newAdminWorker(t, "w0")
+	w1 := newAdminWorker(t, "w1")
+	w2 := newAdminWorker(t, "w2")
+	rt := adminRouter(t, "tok", w0, w1)
+	h := rt.Handler()
+
+	future := NewRing([]string{"w0", "w1", "w2"}, DefaultVnodes)
+	rows := 0
+	for n := 2; n <= stubMaxDim; n++ {
+		if k := fmt.Sprintf("%dx%d", n, n); rt.Ring().Owner(k) == "w0" && future.Owner(k) == "w2" {
+			rows = n
+			break
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no square key moves from w0 to w2 on join")
+	}
+	key := fmt.Sprintf("%dx%d", rows, rows)
+	if rec := doRecover(t, h, recoverBody(rows, rows)); rec.Code != http.StatusOK {
+		t.Fatalf("priming recover: status %d", rec.Code)
+	}
+	w0.srv.Close()
+	waitFor(t, 2*time.Second, func() bool { return len(w1.prewarmedKeys()) > 0 }, "ejection handoff to reach w1")
+	w1.mu.Lock()
+	w1.warm[key] = warmGrid(rows, rows) // w1 has served the key since the ejection
+	w1.mu.Unlock()
+
+	if rec := adminDo(t, h, http.MethodPost, "/admin/backends", "tok",
+		AddBackendRequest{Name: "w2", URL: w2.srv.URL}); rec.Code != http.StatusOK {
+		t.Fatalf("add: status %d: %s", rec.Code, rec.Body.String())
+	}
+	w2.mu.Lock()
+	defer w2.mu.Unlock()
+	if len(w2.prewarmed) != 1 || w2.prewarmed[0].Key != key {
+		t.Fatalf("joiner received %+v, want one entry for %s", w2.prewarmed, key)
+	}
+	if w2.prewarmed[0].R == nil {
+		t.Errorf("joiner received %s key-only; the routable successor held its warm R", key)
+	}
+}
+
 // TestEjectHandsOffToSuccessor: when the prober ejects a backend, the keys
 // it was serving are pushed (plan-only — the source is gone) to the live
 // backend next on their ring chain, and no others.

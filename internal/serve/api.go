@@ -118,9 +118,8 @@ type MeasureResponse struct {
 
 // PrewarmEntry is one geometry's warm state in the handoff protocol: the
 // geometry key ("RxC") and, when the source still held it, the warm-start
-// R field. A key-only entry still lets the receiver prebuild the
-// geometry's sparse Plan — pure geometry, recoverable even when the
-// previous owner crashed.
+// R field. A key-only entry (the previous owner crashed) is acknowledged
+// and builds nothing on the receiver.
 type PrewarmEntry struct {
 	Key string      `json:"key"`
 	R   [][]float64 `json:"r,omitempty"`

@@ -10,11 +10,10 @@ import (
 	"parma/internal/circuit"
 	"parma/internal/grid"
 	"parma/internal/obs"
-	"parma/internal/solver"
 )
 
 // FactorCache is the serving layer's amortization store: one bounded LRU
-// holding two kinds of entries.
+// holding three kinds of entries.
 //
 //   - Factorizations: a *circuit.Solver keyed by (geometry, hash of R).
 //     Repeated /v1/measure calls on the same field skip the O(N³)
@@ -25,6 +24,8 @@ import (
 //     A /v1/recover on a geometry the server has seen before starts LM
 //     from the previous answer instead of the closed-form uniform guess,
 //     collapsing repeat traffic to a handful of iterations.
+//   - Last measurements: the most recent measured Z keyed by geometry, the
+//     stale answer the degraded path serves.
 //
 // All methods are safe for concurrent use.
 type FactorCache struct {
@@ -176,23 +177,6 @@ func (c *FactorCache) StoreWarmStart(a grid.Array, r *grid.Field) {
 		return
 	}
 	c.put("warm|"+geomKey(a), r.Clone())
-}
-
-// SparsePlan returns the symbolic sparse-recovery structure for a's
-// geometry, building and caching it on first use. A solver.Plan is
-// immutable and safe for concurrent use, so the cached instance is shared
-// directly (no clone) by every concurrent sparse recovery of that shape:
-// the cross pattern, transpose permutation, and the preconditioner's
-// normal-matrix pattern are pure geometry, the most reusable artifacts the
-// serving layer holds.
-func (c *FactorCache) SparsePlan(a grid.Array) *solver.Plan {
-	key := "plan|" + geomKey(a)
-	if v, ok := c.get(key); ok {
-		return v.(*solver.Plan)
-	}
-	p := solver.NewPlan(a.Rows(), a.Cols())
-	c.put(key, p)
-	return p
 }
 
 // LastZ returns a copy of the most recent measured Z for a's geometry, if

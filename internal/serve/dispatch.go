@@ -258,12 +258,6 @@ func (s *Server) runRecover(t *task) taskResult {
 		}
 	}
 	opts := solver.RecoverOptions{Tol: t.tol, MaxIter: t.maxIter, Method: t.method}
-	if t.method == solver.MethodSparse {
-		// The symbolic structure (pattern, transpose permutation) is pure
-		// geometry: every sparse recovery of this shape shares one cached
-		// plan instead of rebuilding it per request.
-		opts.Plan = s.cache.SparsePlan(t.arr)
-	}
 	warmUsed := false
 	if t.warm {
 		if w, ok := s.cache.WarmStart(t.arr); ok {

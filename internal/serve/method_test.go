@@ -52,7 +52,7 @@ func TestRecoverMethodSelection(t *testing.T) {
 }
 
 // TestBatchKeySeparatesMethods: tasks that will run different backends must
-// not share a batch (their warm-start and plan locality differ), while auto
+// not share a batch (their warm-start locality differs), while auto
 // groups with the explicit spelling of whatever it resolves to.
 func TestBatchKeySeparatesMethods(t *testing.T) {
 	a := grid.New(8, 8)
@@ -64,26 +64,5 @@ func TestBatchKeySeparatesMethods(t *testing.T) {
 	auto := batchKey(kindRecover, a, 1e-8, 0, solver.ResolveMethod(8, 8, solver.MethodAuto))
 	if auto != dense {
 		t.Fatalf("auto at 8x8 keyed %q, want the dense key %q", auto, dense)
-	}
-}
-
-// TestSparsePlanCached: the first sparse recovery of a geometry builds the
-// symbolic plan, later ones reuse the same instance.
-func TestSparsePlanCached(t *testing.T) {
-	c := NewFactorCache(8)
-	a := grid.New(7, 5)
-	p1 := c.SparsePlan(a)
-	if p1.Rows() != 7 || p1.Cols() != 5 {
-		t.Fatalf("plan geometry %dx%d", p1.Rows(), p1.Cols())
-	}
-	if p2 := c.SparsePlan(a); p2 != p1 {
-		t.Fatal("second SparsePlan returned a different instance")
-	}
-	if p3 := c.SparsePlan(grid.New(5, 7)); p3 == p1 {
-		t.Fatal("transposed geometry shared the plan")
-	}
-	hits, misses := c.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("hits = %d, misses = %d", hits, misses)
 	}
 }

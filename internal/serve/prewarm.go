@@ -14,12 +14,13 @@ import (
 // Warm handoff, worker side. When the fleet router re-homes geometry keys
 // — a member drained out, crashed, or a joiner inherited part of the ring
 // — it POSTs the inherited keys here. The server acknowledges immediately
-// (202) and builds the expensive artifacts into FactorCache off the
-// request path: the geometry's sparse Plan always, and when the handoff
-// carried the previous owner's warm-start R, that field plus its
-// grounded-Laplacian factorization. The first re-homed request then finds
+// (202) and, for every entry that carries the previous owner's warm-start
+// R, stores that field and its grounded-Laplacian factorization in
+// FactorCache off the request path. The first re-homed request then finds
 // a warm cache instead of paying the cold solve the consistent-hash move
-// would otherwise cost.
+// would otherwise cost. A key-only entry (the previous owner crashed, or
+// never held the geometry) is validated, acknowledged and counted, and
+// builds nothing: there is no per-geometry artifact left to prebuild.
 
 // parseGeomKey parses an "RxC" geometry key against the server's MaxDim.
 func parseGeomKey(key string, maxDim int) (rows, cols int, err error) {
@@ -83,7 +84,6 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	// build is bounded CPU work that either lands in the LRU or doesn't.
 	go func() {
 		for _, j := range jobs {
-			s.cache.SparsePlan(j.arr)
 			if j.warm != nil {
 				s.cache.StoreWarmStart(j.arr, j.warm)
 				if _, _, err := s.cache.Solver(j.arr, j.warm); err != nil {

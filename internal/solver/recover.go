@@ -25,10 +25,6 @@ type RecoverOptions struct {
 	// (the zero value) picks dense or sparse from the geometry via the
 	// measured crossover model; see resolveMethod.
 	Method Method
-	// Plan optionally supplies the cached symbolic structure for the sparse
-	// path (serve keeps one per geometry). Nil builds one; a plan for a
-	// different geometry is ignored.
-	Plan *Plan
 
 	// exact runs the sparse path as the dense-equivalent oracle: the full
 	// u×u pattern in place of the cross and a 1e-13 inner CG tolerance, so it
@@ -158,7 +154,7 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	result.Method = ResolveMethod(m, n, opts.Method)
 	var st gnStepper
 	if result.Method == MethodSparse {
-		st = newSparseStepper(a, opts)
+		st = newSparseStepper(m, n, opts.exact)
 	} else {
 		st = newDenseStepper(m, n)
 	}
@@ -305,8 +301,9 @@ func (st *denseStepper) stats() (int, int) { return 0, 0 }
 
 // jacEntry is the log-space Jacobian entry ∂Z_pq/∂R_kl · R_kl for the
 // potential drop pair (p, q)'s unit current puts across resistor (k, l):
-// circuit.Solver.Sensitivity's (drop/R)², scaled by R. Both backends go
-// through it, so exact-mode sparse and dense see the same bits.
+// circuit.Solver.Sensitivity's (drop/R)², scaled by R. The sparse backend
+// does not go through it (it stores drop² and scales by 1/R), which makes the
+// exact-mode golden test an independent check of that factorization.
 func jacEntry(drop, r float64) float64 {
 	ratio := drop / r
 	return ratio * ratio * r

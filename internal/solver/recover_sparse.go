@@ -1,14 +1,21 @@
 package solver
 
-// The sparse Gauss-Newton backend of Recover: a CSR Jacobian on the
-// per-geometry cross pattern, the damped normal equations solved matrix-free
-// by preconditioned conjugate gradient — two SpMVs and a diagonal Levenberg
-// shift per CG iteration instead of a dense SYRK and Cholesky — and
-// numeric-only per-iteration refresh of every symbolic structure. The
-// pattern is the Plan's, a function of the geometry alone; what the cross
-// leaves out (TestSparsityRationale measures it) can cost iterations but
-// never corrupt the recovered field, because the outer LM loop accepts a
-// step only when the exact forward residual decreases.
+// The sparse Gauss-Newton backend of Recover: the linearization held as one
+// symmetric CSR matrix on the per-geometry cross pattern, the damped normal
+// equations solved matrix-free by preconditioned conjugate gradient — two
+// SpMVs and a diagonal Levenberg shift per CG iteration instead of a dense
+// SYRK and Cholesky — and numeric-only per-iteration refresh. The pattern is
+// the Plan's, a function of the geometry alone; what the cross leaves out
+// (TestSparsityRationale measures it) can cost iterations but never corrupt
+// the recovered field, because the outer LM loop accepts a step only when the
+// exact forward residual decreases.
+//
+// One matrix is enough because the forward model is reciprocal: the drop
+// pair (p,q)'s unit current puts across resistor (k,l) is
+// (e_p − e_{m+q})ᵀ·G·(e_k − e_{m+l}) with G = L_g⁻¹ symmetric, which is also
+// the drop pair (k,l) puts across resistor (p,q). So the log-space Jacobian
+// J[pq,kl] = drop²/R_kl factors as J = S·D⁻¹ with S = drop² symmetric and
+// D = diag(R), and Jᵀ = D⁻¹·S needs no second copy.
 
 import (
 	"context"
@@ -33,13 +40,12 @@ const (
 	exactCGTol = 1e-13
 )
 
-// sparseStepper solves the damped Gauss-Newton normal equations on CSR
-// structures. One stepper serves one recovery and owns only values: the index
-// arrays and the gather permutation are the plan's, which may be shared
-// across recoveries (serve caches one per geometry).
+// sparseStepper solves the damped Gauss-Newton normal equations on one CSR
+// matrix. One stepper serves one recovery; it is also the sparse.Operator its
+// CG solves run on.
 type sparseStepper struct {
-	j, jt *sparse.CSR
-	perm  []int
+	s     *sparse.CSR // S[pq,kl] = drop², bit-symmetric after prepare
+	invR  mat.Vector  // D⁻¹: J = S·D⁻¹, Jᵀ = D⁻¹·S
 	cgTol float64
 
 	// Iteration-scoped numeric state, refreshed by prepare.
@@ -49,25 +55,22 @@ type sparseStepper struct {
 	// Per-solve scratch.
 	shifted mat.Vector // λ·diag, the Levenberg diagonal shift
 	invDiag mat.Vector
-	apScr   mat.Vector // pairs-length J·p scratch for the operator
+	apScr   mat.Vector // S·D⁻¹·x scratch for Apply
 	ws      sparse.Workspace
 
 	cgIters int // cumulative across the recovery, reported in the result
 }
 
-func newSparseStepper(arr grid.Array, opts RecoverOptions) *sparseStepper {
-	m, n := arr.Rows(), arr.Cols()
-	plan, cgTol := opts.Plan, defaultCGTol
-	if opts.exact {
-		plan, cgTol = newFullPlan(m, n), exactCGTol
-	} else if plan == nil || plan.Rows() != m || plan.Cols() != n {
-		plan = NewPlan(m, n)
+func newSparseStepper(m, n int, exact bool) *sparseStepper {
+	build, cgTol := NewPlan, defaultCGTol
+	if exact {
+		build, cgTol = newFullPlan, exactCGTol
 	}
 	u := m * n
+	p := build(m, n)
 	return &sparseStepper{
-		j:     sparse.FromPattern(u, u, plan.rowPtr, plan.colIdx),
-		jt:    sparse.FromPattern(u, u, plan.rowPtr, plan.colIdx),
-		perm:  plan.perm,
+		s:     sparse.FromPattern(u, u, p.rowPtr, p.colIdx),
+		invR:  mat.NewVector(u),
 		cgTol: cgTol,
 		jtr:   mat.NewVector(u), diag: mat.NewVector(u),
 		shifted: mat.NewVector(u), invDiag: mat.NewVector(u),
@@ -75,65 +78,70 @@ func newSparseStepper(arr grid.Array, opts RecoverOptions) *sparseStepper {
 	}
 }
 
-func (st *sparseStepper) stats() (int, int) { return st.cgIters, st.j.NNZ() }
+func (st *sparseStepper) stats() (int, int) { return st.cgIters, st.s.NNZ() }
 
-// prepare assembles the linearization at the current iterate: numeric
-// Jacobian refresh on the plan's pattern, transpose gather, right-hand side,
-// and the normal-matrix diagonal.
+// prepare assembles the linearization at the current iterate: numeric refresh
+// of S on the plan's pattern, 1/R, the right-hand side D⁻¹·(S·res), and the
+// normal-matrix diagonal.
 func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *grid.Field, res mat.Vector) {
 	m, n := r.Rows(), r.Cols()
 	sp := obs.StartSpanIn(ctx, "solver/jacobian_sparse")
-	rv := r.Values()
-	// Each pair owns one Jacobian row; workers write disjoint slots and the
-	// per-slot arithmetic is order-free, so the refresh is deterministic at
-	// any pool width. Every slot is jacobianRow's entry for its column, read
-	// from the same two rows of the forward model's inverse.
+	for d, v := range r.Values() {
+		st.invR[d] = 1 / v
+	}
+	// Each pair owns one row; workers write disjoint slots and the per-slot
+	// arithmetic is order-free, so the refresh is deterministic at any pool
+	// width. The drop is jacobianRow's, read from the same two rows of the
+	// forward model's inverse, but summed so that swapping the pair and the
+	// resistor only commutes the two additions: with G bitwise symmetric
+	// (TestGreenSymmetricAndGrounded), S[pq,kl] and S[kl,pq] are the same bits.
 	mat.ParallelFor(m*n, rowGrain, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
 			gu, gv := fwd.Green(pq/n), fwd.Green(m+pq%n)
-			cols, vals := st.j.RowVals(pq)
+			cols, vals := st.s.RowVals(pq)
 			for s, kl := range cols {
 				k, l := kl/n, m+kl%n
-				vals[s] = jacEntry((gu[k]-gv[k])-(gu[l]-gv[l]), rv[kl])
+				drop := (gu[k] + gv[l]) - (gv[k] + gu[l])
+				vals[s] = drop * drop
 			}
 		}
 	})
-	sparse.Gather(st.jt.Values(), st.j.Values(), st.perm)
-	st.jt.MulVecTo(st.jtr, res)
-	// diag(JᵀJ)[d] is the squared norm of Jᵀ's row d, accumulated in pair
-	// order — one worker per chunk of unknowns, deterministic. The 1e-12
-	// floor matches the dense path's buildDamped.
+	st.s.MulVecTo(st.jtr, res)
+	// diag(JᵀJ)[d] = Σ_pq (S[pq,d]/R_d)² is, by symmetry, the squared norm of
+	// S's row d over R_d² — one worker per chunk of unknowns, accumulated in
+	// index order, deterministic. The 1e-12 floor matches the dense path's
+	// buildDamped.
 	mat.ParallelFor(m*n, 64, func(lo, hi int) {
 		for d := lo; d < hi; d++ {
-			_, tv := st.jt.RowVals(d)
+			w := st.invR[d]
+			st.jtr[d] *= w
+			_, sv := st.s.RowVals(d)
 			var s float64
-			for _, v := range tv {
+			for _, v := range sv {
 				s += v * v
 			}
-			st.diag[d] = s + 1e-12
+			st.diag[d] = s*w*w + 1e-12
 		}
 	})
 	if sp.Active() {
-		sp.End(obs.I("pairs", m*n), obs.I("nnz", st.j.NNZ()))
+		sp.End(obs.I("pairs", m*n), obs.I("nnz", st.s.NNZ()))
 	}
-	obs.Add("sparse/flops", int64(4*st.j.NNZ()))
+	obs.Add("sparse/flops", int64(4*st.s.NNZ()))
 }
 
-// normalOperator is the matrix-free damped normal operator
-// (JᵀJ + λ·diag)·p, applied as two SpMVs plus a diagonal shift.
-type normalOperator struct {
-	j, jt   *sparse.CSR
-	shifted mat.Vector
-	t       mat.Vector
-}
+func (st *sparseStepper) Dim() int { return st.s.Rows() }
 
-func (o *normalOperator) Dim() int { return o.jt.Rows() }
-
-func (o *normalOperator) Apply(dst, x mat.Vector) {
-	o.j.MulVecTo(o.t, x)
-	o.jt.MulVecTo(dst, o.t)
-	for i, s := range o.shifted {
-		dst[i] += s * x[i]
+// Apply is the matrix-free damped normal operator
+// (JᵀJ + λ·diag)·x = D⁻¹·S·(S·(D⁻¹·x)) + λ·diag∘x: two SpMVs on the one
+// matrix. dst doubles as scratch: sparse.Operator promises it never aliases x.
+func (st *sparseStepper) Apply(dst, x mat.Vector) {
+	for i, w := range st.invR {
+		dst[i] = w * x[i]
+	}
+	st.s.MulVecTo(st.apScr, dst)
+	st.s.MulVecTo(dst, st.apScr)
+	for i, w := range st.invR {
+		dst[i] = w*dst[i] + st.shifted[i]*x[i]
 	}
 }
 
@@ -151,11 +159,10 @@ func (st *sparseStepper) solve(ctx context.Context, step mat.Vector, lambda floa
 		st.invDiag[i] = 1 / (d + st.shifted[i])
 	}
 	pre := sparse.Jacobi{InvDiag: st.invDiag}
-	op := &normalOperator{j: st.j, jt: st.jt, shifted: st.shifted, t: st.apScr}
 	sp := obs.StartSpanIn(ctx, "solver/sparse_step")
-	x, stats, err := sparse.CGOp(ctx, &st.ws, op, st.jtr, pre, sparse.CGOptions{Tol: st.cgTol})
+	x, stats, err := sparse.CGOp(ctx, &st.ws, st, st.jtr, pre, sparse.CGOptions{Tol: st.cgTol})
 	st.cgIters += stats.Iterations
-	obs.Add("sparse/flops", int64(stats.Iterations)*int64(8*st.j.NNZ()+6*len(st.jtr)))
+	obs.Add("sparse/flops", int64(stats.Iterations)*int64(8*st.s.NNZ()+6*len(st.jtr)))
 	if sp.Active() {
 		sp.End(obs.I("cg_iters", stats.Iterations), obs.F("cg_residual", stats.Residual),
 			obs.F("lambda", lambda))

@@ -192,9 +192,8 @@ func TestRecoverSparseCrossOnlyResolvesAnomaly(t *testing.T) {
 // TestRecoverSparseWarmStartStaysOnCross: the sparse Jacobian's structure is
 // the plan's whatever the starting field. A warm start from the previous time
 // point of a growing anomaly — the serving layer's series traffic — runs on
-// exactly plan.NNZ() entries, converges to Tol, and concurrent recoveries
-// sharing one plan leave its index arrays as they found them; exact mode
-// reports the full (m·n)² pattern.
+// exactly plan.NNZ() entries and converges to Tol, concurrently at either pool
+// width; exact mode reports the full (m·n)² pattern.
 func TestRecoverSparseWarmStartStaysOnCross(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{20, 32} {
@@ -211,9 +210,7 @@ func TestRecoverSparseWarmStartStaysOnCross(t *testing.T) {
 			zs[h] = z
 		}
 		plan := NewPlan(n, n)
-		before := Plan{m: n, n: n, rowPtr: append([]int(nil), plan.rowPtr...),
-			colIdx: append([]int(nil), plan.colIdx...), perm: append([]int(nil), plan.perm...)}
-		first, err := Recover(ctx, a, zs[0], RecoverOptions{Method: MethodSparse, Plan: plan})
+		first, err := Recover(ctx, a, zs[0], RecoverOptions{Method: MethodSparse})
 		if err != nil {
 			t.Fatalf("%dx%d cold: %v", n, n, err)
 		}
@@ -224,7 +221,7 @@ func TestRecoverSparseWarmStartStaysOnCross(t *testing.T) {
 				wg.Add(1)
 				go func(h int) {
 					defer wg.Done()
-					res, err := Recover(ctx, a, zs[h], RecoverOptions{Method: MethodSparse, Plan: plan, Initial: first.R})
+					res, err := Recover(ctx, a, zs[h], RecoverOptions{Method: MethodSparse, Initial: first.R})
 					if err != nil {
 						t.Errorf("%dx%d hour %d workers=%d: %v (residual %g)", n, n, h, workers, err, res.Residual)
 						return
@@ -239,9 +236,6 @@ func TestRecoverSparseWarmStartStaysOnCross(t *testing.T) {
 			}
 			wg.Wait()
 			mat.Parallelism(prev)
-		}
-		if !reflect.DeepEqual(*plan, before) {
-			t.Fatalf("%dx%d: recoveries mutated the shared plan", n, n)
 		}
 		if n == 20 {
 			res, err := Recover(ctx, a, zs[6], RecoverOptions{Method: MethodSparse, exact: true, Initial: first.R})
@@ -310,6 +304,78 @@ func TestSparsityRationale(t *testing.T) {
 	}
 }
 
+// TestSparseStepperIsOneSymmetricMatrix pins the identity the sparse step is
+// built on, J = S·D⁻¹ with S symmetric: after a refresh on a rough
+// 2,000–11,000 kΩ field every stored S[pq,kl] is the same bits as S[kl,pq]
+// (cross and full pattern, either pool width); in exact mode the right-hand
+// side D⁻¹·S·res and the operator D⁻¹·S·S·D⁻¹ + λ·diag agree with the dense
+// stepper's Jᵀ·res and (JᵀJ + λ·diag)·x, which are assembled entry by entry
+// through jacEntry and share none of this code; and the stepper holds one
+// matrix of plan.NNZ() values, not a second copy for the transpose.
+func TestSparseStepperIsOneSymmetricMatrix(t *testing.T) {
+	ctx := context.Background()
+	const lambda = 1e-3
+	for _, g := range [][2]int{{6, 6}, {5, 7}, {7, 4}, {16, 16}} {
+		m, n := g[0], g[1]
+		u := m * n
+		r := testField(m, n)
+		fwd, err := circuit.NewSolver(grid.New(m, n), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, x := mat.NewVector(u), mat.NewVector(u)
+		for i := range res {
+			res[i], x[i] = float64(i%5)-2, 1+float64(i%7)
+		}
+		dense := newDenseStepper(m, n)
+		dense.prepare(ctx, fwd, r, res)
+		buildDamped(dense.aug, dense.jtj, lambda)
+		wantOp := dense.aug.MulVec(x)
+
+		for _, workers := range []int{1, 3} {
+			prev := mat.Parallelism(workers)
+			cross, exact := newSparseStepper(m, n, false), newSparseStepper(m, n, true)
+			cross.prepare(ctx, fwd, r, res)
+			exact.prepare(ctx, fwd, r, res)
+			for i, d := range exact.diag {
+				exact.shifted[i] = lambda * d
+			}
+			gotOp := mat.NewVector(u)
+			exact.Apply(gotOp, x)
+			mat.Parallelism(prev)
+
+			for name, st := range map[string]*sparseStepper{"cross": cross, "exact": exact} {
+				for pq := 0; pq < u; pq++ {
+					cols, vals := st.s.RowVals(pq)
+					for i, kl := range cols {
+						if back := st.s.At(kl, pq); math.Float64bits(back) != math.Float64bits(vals[i]) {
+							t.Fatalf("%dx%d workers=%d %s: S[%d,%d] = %x but S[%d,%d] = %x", m, n, workers, name,
+								pq, kl, math.Float64bits(vals[i]), kl, pq, math.Float64bits(back))
+						}
+					}
+				}
+			}
+			for name, pair := range map[string][2]mat.Vector{"Jᵀ·res": {exact.jtr, dense.jtr}, "(JᵀJ+λ·diag)·x": {gotOp, wantOp}} {
+				got, want := pair[0].Clone(), pair[1]
+				got.AddScaled(-1, want)
+				if rel := got.Norm2() / want.Norm2(); rel > 1e-12 {
+					t.Errorf("%dx%d workers=%d: %s differs from the dense stepper's by %g relative", m, n, workers, name, rel)
+				}
+			}
+			matrices := 0
+			for f, v := 0, reflect.ValueOf(*cross); f < v.NumField(); f++ {
+				if v.Field(f).Type() == reflect.TypeOf(cross.s) {
+					matrices++
+				}
+			}
+			if matrices != 1 || len(cross.s.Values()) != NewPlan(m, n).NNZ() {
+				t.Errorf("%dx%d: stepper holds %d matrices, the first with %d values; want one of %d",
+					m, n, matrices, len(cross.s.Values()), NewPlan(m, n).NNZ())
+			}
+		}
+	}
+}
+
 // TestRecoverSparseRectangular: the cross pattern and plan indexing must
 // hold off the square diagonal too.
 func TestRecoverSparseRectangular(t *testing.T) {
@@ -332,31 +398,6 @@ func TestRecoverSparseRectangular(t *testing.T) {
 	}
 	if rel := res.R.MaxAbsDiff(truth) / truth.Max(); rel > 1e-3 {
 		t.Fatalf("relative error %g", rel)
-	}
-}
-
-// TestRecoverSparseWithSharedPlan: a caller-supplied plan (the serve cache
-// path) must give the identical result, and a wrong-geometry plan must be
-// ignored rather than corrupt the solve.
-func TestRecoverSparseWithSharedPlan(t *testing.T) {
-	_, z, err := gen.Measurements(gen.Config{Rows: 6, Cols: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := grid.New(6, 6)
-	base, err := Recover(context.Background(), a, z, RecoverOptions{Method: MethodSparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := NewPlan(6, 6)
-	for name, p := range map[string]*Plan{"shared": plan, "wrong-geometry": NewPlan(3, 3)} {
-		res, err := Recover(context.Background(), a, z, RecoverOptions{Method: MethodSparse, Plan: p})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.R.MaxAbsDiff(base.R) != 0 {
-			t.Fatalf("%s: plan changed the result", name)
-		}
 	}
 }
 
@@ -410,9 +451,9 @@ func TestRecoverSparseCanceledMidCG(t *testing.T) {
 	}
 }
 
-// refreshFixture returns a sparse stepper on plan (nil builds one) and the
-// arguments of a prepare — the per-LM-iteration refresh.
-func refreshFixture(tb testing.TB, n int, plan *Plan) (*sparseStepper, *circuit.Solver, *grid.Field, mat.Vector) {
+// refreshFixture returns a sparse stepper and the arguments of a prepare — the
+// per-LM-iteration refresh.
+func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *grid.Field, mat.Vector) {
 	tb.Helper()
 	a := grid.NewSquare(n)
 	r := testField(n, n)
@@ -424,30 +465,29 @@ func refreshFixture(tb testing.TB, n int, plan *Plan) (*sparseStepper, *circuit.
 	for i := range res {
 		res[i] = float64(i%5) - 2
 	}
-	return newSparseStepper(a, RecoverOptions{Plan: plan}), fwd, r, res
+	return newSparseStepper(n, n, false), fwd, r, res
 }
 
 // TestJacobianRefreshAllocationsIndependentOfSize: the refresh reads every
 // entry out of the forward model's inverse in place, so what it allocates is
-// the pool fan-out of its four kernels and nothing per pair; and a stepper on
-// a shared plan adopts the plan's index arrays, so constructing one and
-// running its first refresh adds only its own fixed set of value buffers.
-// Both bounds hold unchanged when the pair count grows sixteenfold.
+// the pool fan-out of its three kernels and nothing per pair; and constructing
+// a stepper adds a fixed set of buffers — the pattern's two index arrays, one
+// values array, seven vectors — however many pairs there are. Both bounds hold
+// unchanged when the pair count grows sixteenfold.
 func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
 	prev := mat.Parallelism(2)
 	defer mat.Parallelism(prev)
 	ctx := context.Background()
 	for _, n := range []int{6, 24} {
-		plan := NewPlan(n, n)
-		st, fwd, r, res := refreshFixture(t, n, plan)
+		st, fwd, r, res := refreshFixture(t, n)
 		for _, tc := range []struct {
 			name  string
 			bound float64
 			run   func()
 		}{
 			{"one Jacobian refresh", 40, func() { st.prepare(ctx, fwd, r, res) }},
-			{"a stepper on a shared plan and its first refresh", 50, func() {
-				newSparseStepper(grid.NewSquare(n), RecoverOptions{Plan: plan}).prepare(ctx, fwd, r, res)
+			{"a stepper and its first refresh", 50, func() {
+				newSparseStepper(n, n, false).prepare(ctx, fwd, r, res)
 			}},
 		} {
 			if allocs := testing.AllocsPerRun(5, tc.run); allocs > tc.bound {
@@ -458,7 +498,7 @@ func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
 }
 
 func BenchmarkJacobianRefresh64(b *testing.B) {
-	st, fwd, r, res := refreshFixture(b, 64, nil)
+	st, fwd, r, res := refreshFixture(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -476,7 +516,6 @@ func BenchmarkJacobianRefresh64(b *testing.B) {
 func BenchmarkRecoverSeries32(b *testing.B) {
 	const n, media = 32, 3
 	a := grid.NewSquare(n)
-	plan := NewPlan(n, n)
 	type timePoint struct{ r, z *grid.Field }
 	series := make([]map[int]timePoint, media)
 	for k := range series {
@@ -503,10 +542,11 @@ func BenchmarkRecoverSeries32(b *testing.B) {
 	}
 	for _, start := range []string{"cold", "near", "far"} {
 		b.Run(start, func(b *testing.B) {
+			b.ReportAllocs()
 			var lm, cg int
 			for i := 0; i < b.N; i++ {
 				j := jobs[start][i%len(jobs[start])]
-				res, err := Recover(context.Background(), a, j.z, RecoverOptions{Method: MethodSparse, Plan: plan, Initial: j.initial})
+				res, err := Recover(context.Background(), a, j.z, RecoverOptions{Method: MethodSparse, Initial: j.initial})
 				if err != nil {
 					b.Fatal(err)
 				}

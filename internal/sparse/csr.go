@@ -160,28 +160,6 @@ func (m *CSR) mulRows(y, x mat.Vector, lo, hi int) {
 	}
 }
 
-// MulTVecTo computes y = Mᵀ·x into the provided y without forming the
-// transpose: one serial pass over m's rows scattering x[i]·row(i). This is
-// the reference transpose kernel; the hot path (solver's sparse
-// Gauss-Newton step) instead keeps an explicit transpose via TransposePlan
-// and runs the row-parallel MulVecTo on it, which parallelizes without
-// scatter conflicts and stays deterministic.
-func (m *CSR) MulTVecTo(y, x mat.Vector) {
-	if len(x) != m.rows || len(y) != m.cols {
-		panic(fmt.Sprintf("sparse: MulTVec shapes y[%d] = Mᵀ(%dx%d)·x[%d]", len(y), m.rows, m.cols, len(x)))
-	}
-	y.Fill(0)
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 { //parmavet:allow floateq -- sparsity skip: exact zeros contribute nothing
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			y[m.colIdx[k]] += xi * m.vals[k]
-		}
-	}
-}
-
 // Diagonal returns the matrix diagonal as a vector (square matrices only).
 func (m *CSR) Diagonal() mat.Vector {
 	d := mat.NewVector(m.rows)

@@ -1,11 +1,10 @@
 package sparse
 
 // Symbolic-pattern support for the solver's sparse Gauss-Newton path: a CSR
-// whose index structure is computed once per geometry and shared (read-only)
-// across recoveries, while each recovery owns a private values slice it
-// refreshes in place every iteration. FromPattern builds such a matrix,
-// TransposePlan precomputes the O(nnz) numeric-refresh permutation for its
-// transpose, and NormalInto refreshes a pattern-restricted JᵀJ.
+// whose index structure is a function of the geometry alone, while its values
+// slice is refreshed in place every iteration. FromPattern builds such a
+// matrix; Values and RowVals are the refresh's view of it. TransposePlan,
+// Gather and NormalInto are what the benchmark's probes still link.
 
 import (
 	"fmt"
@@ -14,9 +13,9 @@ import (
 )
 
 // FromPattern returns a CSR with the given symbolic structure and all-zero
-// values. rowPtr and colIdx are adopted, not copied: callers share one
-// immutable index structure across many matrices (a cached per-geometry
-// plan) and must not mutate the slices afterwards. Column indices must be
+// values. rowPtr and colIdx are adopted, not copied: callers may share one
+// immutable index structure across many matrices and must not mutate the
+// slices afterwards. Column indices must be
 // sorted and unique within each row — the invariant At's binary search and
 // the merge kernels rely on.
 func FromPattern(rows, cols int, rowPtr, colIdx []int) *CSR {
@@ -67,6 +66,10 @@ func (m *CSR) RowVals(i int) (cols []int, vals []float64) {
 // The counting transpose emits each output row's entries in input-row
 // order, so the result has sorted column indices. The returned matrix
 // shares no storage with m.
+//
+// No production caller: kept for the sparse.gather_ms, sparse.normal_ms and
+// sparse.cg_probe_iters probes in benchmark/probes.go, to be deleted together
+// with them in the next benchmark PR.
 func (m *CSR) TransposePlan() (t *CSR, perm []int) {
 	t = &CSR{rows: m.cols, cols: m.rows,
 		rowPtr: make([]int, m.cols+1),
@@ -94,15 +97,13 @@ func (m *CSR) TransposePlan() (t *CSR, perm []int) {
 	return t, perm
 }
 
-// Transpose returns mᵀ.
-func (m *CSR) Transpose() *CSR {
-	t, _ := m.TransposePlan()
-	return t
-}
-
 // Gather refreshes dst[k] = src[perm[k]] — the numeric half of
 // TransposePlan. It fans out across the shared kernel pool; every write
 // targets a distinct index, so the result is identical at any parallelism.
+//
+// No production caller: kept for the sparse.gather_ms probe in
+// benchmark/probes.go, to be deleted together with it in the next benchmark
+// PR.
 func Gather(dst, src []float64, perm []int) {
 	if len(dst) != len(perm) {
 		panic(fmt.Sprintf("sparse: Gather dst length %d, perm length %d", len(dst), len(perm)))
