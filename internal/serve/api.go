@@ -35,10 +35,6 @@ type RecoverRequest struct {
 	// WarmStart opts out of the geometry-keyed warm-start cache when set to
 	// false; unset (nil) means true.
 	WarmStart *bool `json:"warm_start,omitempty"`
-	// Method selects the Gauss-Newton backend: "dense", "sparse", or
-	// "auto"/empty (pick from the geometry's measured crossover). Requests
-	// batch and cache by the method that actually runs.
-	Method string `json:"method,omitempty"`
 	// DeadlineMS overrides the server's default per-request deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
@@ -65,12 +61,9 @@ type RecoverResponse struct {
 	Iterations int         `json:"iterations"`
 	Residual   float64     `json:"residual"`
 	Cache      string      `json:"cache"` // "hit" (warm start used), "miss", or "stale" (degraded)
-	// Method is the Gauss-Newton backend that served the request ("dense"
-	// or "sparse"); empty on degraded replies, which never ran a solve.
-	Method    string  `json:"method,omitempty"`
-	BatchSize int     `json:"batch_size"`
-	QueuedMS  float64 `json:"queued_ms"`
-	SolveMS   float64 `json:"solve_ms"`
+	BatchSize  int         `json:"batch_size"`
+	QueuedMS   float64     `json:"queued_ms"`
+	SolveMS    float64     `json:"solve_ms"`
 	// Timings attributes the request's latency across pipeline stages; it
 	// is omitted on degraded (stale-cache) replies, which never entered the
 	// pipeline.

@@ -42,7 +42,6 @@ type task struct {
 	tol     float64
 	maxIter int
 	warm    bool
-	method  solver.Method // resolved (never auto) for recover tasks
 	enq     time.Time
 	deq     time.Time       // set by the dispatcher when the task leaves the intake queue
 	run     time.Time       // set by the worker when execution starts
@@ -62,7 +61,6 @@ type taskResult struct {
 	field      *grid.Field // recovered R or measured Z
 	iterations int
 	residual   float64
-	method     solver.Method // backend that ran (recover tasks)
 	cacheHit   bool
 	batchSize  int
 	queued     time.Duration
@@ -103,12 +101,9 @@ func (t *task) finish(res taskResult) {
 	t.done <- res
 }
 
-// batchKey canonicalizes the grouping key. method is the resolved solver
-// backend for recover tasks (an "auto" request batches with the explicit
-// requests for the method it resolves to, since they run identically);
-// measure tasks pass MethodAuto.
-func batchKey(kind taskKind, a grid.Array, tol float64, maxIter int, method solver.Method) string {
-	return fmt.Sprintf("%s|%s|tol=%g|iter=%d|m=%s", kind, geomKey(a), tol, maxIter, method)
+// batchKey canonicalizes the grouping key.
+func batchKey(kind taskKind, a grid.Array, tol float64, maxIter int) string {
+	return fmt.Sprintf("%s|%s|tol=%g|iter=%d", kind, geomKey(a), tol, maxIter)
 }
 
 // bucket accumulates same-key tasks until flushed by size or window.
@@ -257,7 +252,7 @@ func (s *Server) runRecover(t *task) taskResult {
 				err: fmt.Errorf("rank validation failed: %w", err)}
 		}
 	}
-	opts := solver.RecoverOptions{Tol: t.tol, MaxIter: t.maxIter, Method: t.method}
+	opts := solver.RecoverOptions{Tol: t.tol, MaxIter: t.maxIter}
 	warmUsed := false
 	if t.warm {
 		if w, ok := s.cache.WarmStart(t.arr); ok {
@@ -283,7 +278,7 @@ func (s *Server) runRecover(t *task) taskResult {
 	}
 	s.cache.StoreWarmStart(t.arr, res.R)
 	return taskResult{field: res.R, iterations: res.Iterations,
-		residual: res.Residual, method: res.Method, cacheHit: warmUsed, factor: factor}
+		residual: res.Residual, cacheHit: warmUsed, factor: factor}
 }
 
 // validateFormation cross-checks the request geometry's equation census

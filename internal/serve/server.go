@@ -16,14 +16,13 @@ import (
 	"parma/internal/grid"
 	"parma/internal/mat"
 	"parma/internal/obs"
-	"parma/internal/solver"
 )
 
 // Config tunes the serving pipeline. The zero value of every field selects
 // a sensible default, so Config{} is a working configuration.
 type Config struct {
 	// Workers is the compute pool size; zero selects GOMAXPROCS. NewServer
-	// divides GOMAXPROCS between this request-level pool and the dense
+	// divides GOMAXPROCS between this request-level pool and the solver
 	// kernel pool (mat.Parallelism), so Workers × kernel-parallelism never
 	// oversubscribes the machine: many workers mean serial kernels, few
 	// workers let each request's kernels fan wide.
@@ -480,27 +479,17 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid z field: %w", err))
 		return
 	}
-	method, err := solver.ParseMethod(req.Method)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid method: %w", err))
-		return
-	}
-	// Resolve auto at admission: batching keys on the backend that will
-	// actually run, so "auto" traffic shares batches with explicit
-	// same-method requests.
-	method = solver.ResolveMethod(req.Rows, req.Cols, method)
 	arr := grid.New(req.Rows, req.Cols)
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
 	t := &task{
 		kind:    kindRecover,
-		key:     batchKey(kindRecover, arr, req.Tol, req.MaxIter, method),
+		key:     batchKey(kindRecover, arr, req.Tol, req.MaxIter),
 		ctx:     ctx,
 		arr:     arr,
 		field:   z,
 		tol:     req.Tol,
 		maxIter: req.MaxIter,
 		warm:    req.WarmStart == nil || *req.WarmStart,
-		method:  method,
 		enq:     time.Now(),
 		done:    make(chan taskResult, 1),
 	}
@@ -513,7 +502,6 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		Iterations: res.iterations,
 		Residual:   res.residual,
 		Cache:      cacheLabel(res.cacheHit),
-		Method:     res.method.String(),
 		BatchSize:  res.batchSize,
 		QueuedMS:   float64(res.queued) / float64(time.Millisecond),
 		SolveMS:    float64(res.solve) / float64(time.Millisecond),
@@ -539,7 +527,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
 	t := &task{
 		kind:  kindMeasure,
-		key:   batchKey(kindMeasure, arr, 0, 0, solver.MethodAuto),
+		key:   batchKey(kindMeasure, arr, 0, 0),
 		ctx:   ctx,
 		arr:   arr,
 		field: rf,

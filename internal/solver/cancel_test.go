@@ -7,7 +7,6 @@ import (
 
 	"parma/internal/circuit"
 	"parma/internal/grid"
-	"parma/internal/mat"
 )
 
 // TestRecoverCanceled pins the cancellation contract: an already-cancelled
@@ -51,28 +50,5 @@ func TestRecoverContextCompletes(t *testing.T) {
 	}
 	if res.R.MaxAbsDiff(truth) > 1e-4 {
 		t.Fatalf("recovered field off by %g", res.R.MaxAbsDiff(truth))
-	}
-}
-
-// TestNewtonSolveCanceled covers the same contract for the damped Newton
-// driver: cancellation between iterations returns the current iterate.
-func TestNewtonSolveCanceled(t *testing.T) {
-	f := func(x mat.Vector) mat.Vector { return mat.Vector{x[0]*x[0] - 2} }
-	jac := func(x mat.Vector) *mat.Matrix {
-		j := mat.NewMatrix(1, 1)
-		j.Set(0, 0, 2*x[0])
-		return j
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x, iters, err := NewtonSolve(ctx, f, jac, mat.Vector{5}, NewtonOptions{})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if iters != 0 {
-		t.Fatalf("iters = %d, want 0 for pre-cancelled context", iters)
-	}
-	if len(x) != 1 || x[0] != 5 {
-		t.Fatalf("x = %v, want the untouched initial iterate", x)
 	}
 }

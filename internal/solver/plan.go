@@ -70,73 +70,14 @@ func (p *Plan) NNZ() int { return len(p.colIdx) }
 type Method uint8
 
 const (
-	// MethodAuto picks dense or sparse from the geometry's size and pattern
-	// density using the measured crossover model (see ResolveMethod and the
-	// n-sweep table in docs/performance.md).
-	MethodAuto Method = iota
+	// MethodSparse (the zero value, and the only production backend) stores
+	// the Jacobian on the cross pattern and solves the damped normal
+	// equations matrix-free by Jacobi-preconditioned CG — per-iteration cost
+	// scales with nnz = m·n·(m+n−1), not (m·n)³.
+	MethodSparse Method = iota
 	// MethodDense materializes the Jacobian, forms JᵀJ with the one-pass
-	// SYRK kernel, and solves the damped normal equations by Cholesky —
-	// the right call for small arrays, but O(n⁶) per iteration on squares.
+	// SYRK kernel, and solves the damped normal equations by Cholesky. It is
+	// the reference the exact-mode golden test holds the sparse step to;
+	// O(n⁶) per iteration on squares.
 	MethodDense
-	// MethodSparse assembles a CSR Jacobian on the cross pattern and
-	// solves the damped normal equations matrix-free by preconditioned CG —
-	// per-iteration cost scales with nnz ≈ 2·m·n·max(m,n), not (m·n)³.
-	MethodSparse
 )
-
-// String returns the method's flag spelling.
-func (m Method) String() string {
-	switch m {
-	case MethodDense:
-		return "dense"
-	case MethodSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMethod parses a method flag value ("auto", "dense", "sparse").
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "", "auto":
-		return MethodAuto, nil
-	case "dense":
-		return MethodDense, nil
-	case "sparse":
-		return MethodSparse, nil
-	}
-	return MethodAuto, fmt.Errorf("solver: unknown method %q (want auto, dense, or sparse)", s)
-}
-
-// sparseCGItersEst is the effective CG iteration count the auto cost model
-// charges one sparse Gauss-Newton step, calibrated against a 2026-08
-// n-sweep of the IC(0)-preconditioned sparse path this package no longer
-// has: at n=16 it measured 1.84× faster than dense end to end, which pins
-// the model's dense/sparse flop ratio n⁴/(8·k·(2n−1)) to k ≈ 144. The
-// constant folds in assembly and the damping ladder's retries, and puts the
-// square-array crossover at n ≈ 13: dense through 12×12, sparse from 14×14
-// up. The Jacobi-preconditioned path is cheaper per step, so the constant is
-// due a re-calibration (docs/performance.md).
-const sparseCGItersEst = 144
-
-// ResolveMethod maps MethodAuto to a concrete backend for an m×n geometry
-// by comparing per-iteration flop models: dense pays the SYRK + Cholesky
-// O(u³) bill (u = m·n unknowns), sparse pays CG SpMVs on the cross
-// pattern's nnz = u·(m+n−1). The density ratio nnz/u² is what makes large
-// arrays sparse territory: it decays like 2/min(m,n). Exported so the
-// serving layer can group and cache requests by the method that will
-// actually run, and so benchmarks can report it.
-func ResolveMethod(m, n int, method Method) Method {
-	if method != MethodAuto {
-		return method
-	}
-	u := m * n
-	nnz := u * (m + n - 1)
-	denseFlops := float64(u) * float64(u) * float64(u+1) / 2 // SYRK half + Cholesky sixth, per solve
-	sparseFlops := float64(sparseCGItersEst) * 4 * float64(nnz)
-	if sparseFlops < denseFlops {
-		return MethodSparse
-	}
-	return MethodDense
-}

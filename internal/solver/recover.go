@@ -1,7 +1,14 @@
+// Package solver finds the unknown resistances from measured Z matrices —
+// the step downstream of Parma's equation formation. The paper leaves root
+// finding out of scope (its companions estimate roots with neural networks);
+// this package provides the classical alternative: a Levenberg-Marquardt
+// recovery in log-resistance space driven by the forward model's adjoint
+// sensitivities, plus the linear baselines in classical.go.
 package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -12,6 +19,24 @@ import (
 	"parma/internal/obs"
 )
 
+// ErrDiverged is returned when an iteration fails to reduce the residual
+// within its budget.
+var ErrDiverged = errors.New("solver: iteration diverged or stalled")
+
+// ErrCanceled is returned when the caller's context ends mid-iteration.
+// Errors carrying it wrap the context's own cause, so callers can test
+// either errors.Is(err, ErrCanceled) or errors.Is(err, context.Canceled).
+var ErrCanceled = errors.New("solver: canceled")
+
+// canceled wraps ctx's error under ErrCanceled, or returns nil while ctx
+// is live.
+func canceled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return nil
+}
+
 // RecoverOptions configures resistance-field recovery.
 type RecoverOptions struct {
 	// Tol is the target relative residual ‖Z(R)−Z‖/‖Z‖; zero selects 1e-8.
@@ -21,9 +46,9 @@ type RecoverOptions struct {
 	// Initial optionally seeds the iteration; nil derives a uniform guess
 	// from the mean measurement.
 	Initial *grid.Field
-	// Method selects the Gauss-Newton linear-algebra backend. MethodAuto
-	// (the zero value) picks dense or sparse from the geometry via the
-	// measured crossover model; see resolveMethod.
+	// Method selects the Gauss-Newton linear-algebra backend. The zero
+	// value, MethodSparse, is the cross-pattern step every production
+	// caller runs; MethodDense is the materialized reference.
 	Method Method
 
 	// exact runs the sparse path as the dense-equivalent oracle: the full
@@ -43,12 +68,11 @@ type RecoverResult struct {
 	// dominant per-iteration cost the serving layer attributes separately
 	// from the rest of the solve.
 	FactorTime time.Duration
-	// Method is the backend that actually ran (never MethodAuto).
-	Method Method
 	// CGIterations is the cumulative inner CG iteration count across the
-	// recovery (sparse method only; zero for dense).
+	// recovery (zero for MethodDense).
 	CGIterations int
-	// NNZ is the sparse Jacobian's entry count (sparse method only).
+	// NNZ is the sparse Jacobian's entry count, m·n·(m+n−1) on the cross
+	// (zero for MethodDense).
 	NNZ int
 }
 
@@ -60,18 +84,15 @@ type RecoverResult struct {
 //
 // Each iteration costs one grounded-Laplacian inverse per trial field
 // (circuit.NewSolver), from which residuals and Jacobian entries are
-// lookups, and a damped normal-equation solve whose backend opts.Method
-// selects: dense (materialized JᵀJ, Cholesky) for small
-// arrays, sparse (CSR Jacobian on the cross pattern, matrix-free
-// preconditioned CG) for large ones, or auto — the default — which picks
-// per geometry from the measured crossover (docs/performance.md tabulates
-// it).
+// lookups, and a damped normal-equation solve. The default backend stores
+// the Jacobian on the cross pattern and solves matrix-free by
+// preconditioned CG at every geometry (docs/performance.md tabulates it
+// against the dense reference); MethodDense materializes JᵀJ and factors it
+// by Cholesky with a pivoted-LU fallback.
 //
 // The hot path runs on the parallel kernel layer in internal/mat: the m·n
 // Jacobian rows fan out across the shared worker pool (each pair owns one
-// row, so no locks), J^T·J is formed by the one-pass symmetric
-// ATA kernel, and the damped normal equations are solved by Cholesky with a
-// pivoted-LU fallback on breakdown. mat.Parallelism bounds the fan-out; a
+// row, so no locks). mat.Parallelism bounds the fan-out; a
 // serving layer running many concurrent recoveries sets it so request-level
 // and kernel-level parallelism multiply out to GOMAXPROCS, not beyond.
 // Results are bit-identical at any parallelism setting: every parallel
@@ -151,12 +172,11 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	// buffer (Jacobian, normal equations, factorization scratch), reused
 	// across iterations and damping retries; only the trial field/residual
 	// that ping-pong with the accepted ones live here.
-	result.Method = ResolveMethod(m, n, opts.Method)
 	var st gnStepper
-	if result.Method == MethodSparse {
-		st = newSparseStepper(m, n, opts.exact)
-	} else {
+	if opts.Method == MethodDense {
 		st = newDenseStepper(m, n)
+	} else {
+		st = newSparseStepper(m, n, opts.exact)
 	}
 	step := mat.NewVector(nUnknown)
 	trial := grid.NewField(m, n)

@@ -9,50 +9,7 @@ import (
 	"parma/internal/circuit"
 	"parma/internal/gen"
 	"parma/internal/grid"
-	"parma/internal/mat"
 )
-
-func TestNewtonSolveQuadratic(t *testing.T) {
-	// f(x) = x² − 4, root at 2 from x0 = 5.
-	f := func(x mat.Vector) mat.Vector { return mat.Vector{x[0]*x[0] - 4} }
-	jac := func(x mat.Vector) *mat.Matrix { return mat.FromRows([][]float64{{2 * x[0]}}) }
-	x, iters, err := NewtonSolve(context.Background(), f, jac, mat.Vector{5}, NewtonOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-9 {
-		t.Fatalf("root = %v after %d iterations", x[0], iters)
-	}
-}
-
-func TestNewtonSolveSystem(t *testing.T) {
-	// x² + y² = 25, x − y = 1 → (4, 3).
-	f := func(v mat.Vector) mat.Vector {
-		return mat.Vector{v[0]*v[0] + v[1]*v[1] - 25, v[0] - v[1] - 1}
-	}
-	jac := func(v mat.Vector) *mat.Matrix {
-		return mat.FromRows([][]float64{{2 * v[0], 2 * v[1]}, {1, -1}})
-	}
-	x, _, err := NewtonSolve(context.Background(), f, jac, mat.Vector{10, 1}, NewtonOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-4) > 1e-8 || math.Abs(x[1]-3) > 1e-8 {
-		t.Fatalf("solution = %v, want (4, 3)", x)
-	}
-}
-
-func TestNewtonReportsDivergence(t *testing.T) {
-	// f(x) = x² + 1 has no real root: damped Newton must stall (at the
-	// residual minimum x = 0 the Jacobian is singular) and report an
-	// error rather than loop forever.
-	f := func(x mat.Vector) mat.Vector { return mat.Vector{x[0]*x[0] + 1} }
-	jac := func(x mat.Vector) *mat.Matrix { return mat.FromRows([][]float64{{2 * x[0]}}) }
-	_, _, err := NewtonSolve(context.Background(), f, jac, mat.Vector{0.5}, NewtonOptions{MaxIter: 50})
-	if err == nil {
-		t.Fatal("rootless system solved")
-	}
-}
 
 // TestRecoverExact is the end-to-end inverse-problem test: generate a
 // ground-truth field, measure Z with the forward model, recover R from Z
