@@ -54,7 +54,6 @@ type result struct {
 	status     int
 	latency    time.Duration
 	cache      string
-	batch      int
 	degraded   bool
 	retryAfter string
 	timings    *serve.Timings
@@ -85,7 +84,7 @@ func run(argv []string) error {
 	tol := fs.Float64("tol", 0, "recover tolerance forwarded to the server (0 = server default)")
 	deadline := fs.Int64("deadline", 0, "per-request deadline_ms forwarded to the server (0 = server default)")
 	minHitRate := fs.Float64("min-cache-hit-rate", -1, "exit 1 when the observed cache hit rate is below this (e.g. 0.5); negative disables")
-	checkMetrics := fs.Bool("check-metrics", false, "scrape /metrics afterwards and require batch-size, queue-depth, stage-latency, and RED series")
+	checkMetrics := fs.Bool("check-metrics", false, "scrape /metrics afterwards and require queue-depth, stage-latency, and RED series")
 	checkTimings := fs.Bool("check-timings", false, "require every OK response's timings stages to sum to within 10% (+2ms) of its total_ms")
 	checkTraces := fs.Bool("check-traces", false, "require every OK response to carry a trace_id")
 	checkSLO := fs.Bool("check-slo", false, "require SLO burn-rate gauges in /metrics (server must run with -slo)")
@@ -179,8 +178,8 @@ func run(argv []string) error {
 	if *checkMetrics || *checkSLO {
 		want := []string{}
 		if *checkMetrics {
-			want = append(want, "parma_serve_batch_size", "parma_serve_queue_depth",
-				"parma_serve_stage_solve_ms", "parma_serve_red_")
+			want = append(want, "parma_serve_queue_depth", "parma_serve_stage_solve_ms",
+				"parma_serve_red_")
 		}
 		if *checkSLO {
 			want = append(want, "parma_slo_objective_ms", "burn_rate_5m", "burn_rate_1h")
@@ -314,12 +313,11 @@ func fire(client *http.Client, base, path string, body []byte) result {
 	}
 	defer resp.Body.Close()
 	var meta struct {
-		Cache     string         `json:"cache"`
-		BatchSize int            `json:"batch_size"`
-		Degraded  bool           `json:"degraded"`
-		Timings   *serve.Timings `json:"timings"`
-		TraceID   string         `json:"trace_id"`
-		Error     string         `json:"error"`
+		Cache    string         `json:"cache"`
+		Degraded bool           `json:"degraded"`
+		Timings  *serve.Timings `json:"timings"`
+		TraceID  string         `json:"trace_id"`
+		Error    string         `json:"error"`
 	}
 	dec := json.NewDecoder(resp.Body)
 	_ = dec.Decode(&meta)
@@ -331,7 +329,7 @@ func fire(client *http.Client, base, path string, body []byte) result {
 		backend = base
 	}
 	res := result{status: resp.StatusCode, latency: time.Since(start),
-		cache: meta.Cache, batch: meta.BatchSize, degraded: meta.Degraded,
+		cache: meta.Cache, degraded: meta.Degraded,
 		timings: meta.Timings, traceID: meta.TraceID, backend: backend,
 		hedged:     resp.Header.Get("X-Parma-Hedged") == "1",
 		retryAfter: resp.Header.Get("Retry-After")}
@@ -343,7 +341,7 @@ func fire(client *http.Client, base, path string, body []byte) result {
 
 func report(w io.Writer, items []workItem, results []result, elapsed time.Duration) {
 	lat := make([]time.Duration, 0, len(results))
-	hits, failures, batchSum, batchN, sheds, degraded := 0, 0, 0, 0, 0, 0
+	hits, failures, sheds, degraded := 0, 0, 0, 0
 	perGeom := map[string]int{}
 	for i, r := range results {
 		lat = append(lat, r.latency)
@@ -360,10 +358,6 @@ func report(w io.Writer, items []workItem, results []result, elapsed time.Durati
 		}
 		if r.cache == "hit" {
 			hits++
-		}
-		if r.batch > 0 {
-			batchSum += r.batch
-			batchN++
 		}
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
@@ -417,10 +411,6 @@ func report(w io.Writer, items []workItem, results []result, elapsed time.Durati
 				100*float64(backendHits[b])/float64(perBackend[b])))
 		}
 		fmt.Fprintf(w, "backends:   %s\n", strings.Join(parts, " "))
-	}
-	if batchN > 0 {
-		fmt.Fprintf(w, "batching:   mean batch size %.2f over %d ok requests\n",
-			float64(batchSum)/float64(batchN), batchN)
 	}
 	if sheds > 0 || degraded > 0 {
 		fmt.Fprintf(w, "resilience: %d shed (429/503), %d served degraded from stale cache\n", sheds, degraded)
@@ -477,7 +467,7 @@ func timingsAddUp(tm *serve.Timings) bool {
 	if tm == nil {
 		return false
 	}
-	sum := tm.QueueMS + tm.BatchMS + tm.FactorMS + tm.SolveMS
+	sum := tm.QueueMS + tm.FactorMS + tm.SolveMS
 	diff := tm.TotalMS - sum
 	if diff < 0 {
 		diff = -diff
@@ -596,15 +586,7 @@ func counterValue(text []byte, name string) float64 {
 // verifyMetrics scrapes /metrics and requires each of the wanted series
 // substrings to be present.
 func verifyMetrics(client *http.Client, base string, want []string) error {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return fmt.Errorf("scraping /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/metrics returned HTTP %d", resp.StatusCode)
-	}
-	text, err := io.ReadAll(resp.Body)
+	text, err := scrapeMetrics(client, base)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
-// Command parmad serves Parma's MEA recovery and forward measurement as a
-// batched HTTP/JSON daemon. It fronts internal/serve: an admission queue
-// with bounded depth, a dispatcher that batches compatible requests, a
-// worker pool with per-request deadlines, and an LRU cache amortizing
-// Laplacian factorizations and warm-start estimates across requests.
+// Command parmad serves Parma's MEA recovery and forward measurement as an
+// HTTP/JSON daemon. It fronts internal/serve: an admission queue with
+// bounded depth, a worker pool that takes admitted requests straight off
+// the queue in admission order under per-request deadlines, and an LRU
+// cache amortizing Laplacian factorizations and warm-start estimates
+// across requests.
 //
 // Endpoints:
 //
@@ -18,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -34,20 +36,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h already printed the usage and is not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "parmad:", err)
 		os.Exit(1)
 	}
 }
 
 func run(argv []string) error {
-	fs := flag.NewFlagSet("parmad", flag.ExitOnError)
+	fs := flag.NewFlagSet("parmad", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address (host:port; port 0 picks a free port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (for scripts using port 0)")
 	workers := fs.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 64, "max admitted-but-unfinished requests before 429")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "how long a batch stays open for same-key requests")
-	maxBatch := fs.Int("max-batch", 8, "flush a batch early at this size")
 	cacheEntries := fs.Int("cache-entries", 128, "factorization/warm-start LRU capacity")
 	deadline := fs.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxDim := fs.Int("max-dim", 64, "reject geometries larger than this per side")
@@ -108,8 +109,6 @@ func run(argv []string) error {
 	srv := serve.NewServer(serve.Config{
 		Workers:          *workers,
 		QueueDepth:       *queueDepth,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *maxBatch,
 		CacheEntries:     *cacheEntries,
 		DefaultDeadline:  *deadline,
 		MaxDim:           *maxDim,
@@ -171,8 +170,7 @@ func run(argv []string) error {
 	}()
 
 	logger.Info("listening", "addr", bound, "workers", *workers, "queue", *queueDepth,
-		"max_batch", *maxBatch, "batch_window", (*batchWindow).String(), "cache", *cacheEntries,
-		"slo", *sloSpec, "validate_ranks", *validateRanks)
+		"cache", *cacheEntries, "slo", *sloSpec, "validate_ranks", *validateRanks)
 
 	select {
 	case err := <-errc:

@@ -70,10 +70,12 @@ func hedgeRouter(t *testing.T, budget float64, workers ...*hedgeWorker) *Router 
 		Policy:         PolicyAffinity,
 		Attempts:       len(backends),
 		AttemptTimeout: 10 * time.Second,
-		Probe:          fastProbe(),
-		HedgeBudget:    budget,
-		HedgeDelayMin:  time.Millisecond,
-		HedgeDelayMax:  10 * time.Millisecond,
+		// Hedging, not ejection, is under test: a probe that a loaded race
+		// run delays past fastProbe's 40ms must not eject a healthy worker.
+		Probe:         ProberConfig{Every: 10 * time.Millisecond, SuspectAfter: 10 * time.Second, Timeout: 5 * time.Second},
+		HedgeBudget:   budget,
+		HedgeDelayMin: time.Millisecond,
+		HedgeDelayMax: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

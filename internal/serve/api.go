@@ -1,18 +1,17 @@
 // Package serve turns Parma's one-shot solver/circuit stack into a
-// long-running batched service: an HTTP/JSON API in front of an admission
-// queue with bounded depth and per-request deadlines, a dispatcher that
-// groups compatible requests (same geometry and solver options) into
-// batches, a worker pool executing recoveries and forward measurements
-// with context cancellation threaded through the Newton iterations, and an
-// LRU cache that amortizes Laplacian factorizations and warm-start R
-// estimates across requests — the effective-resistance amortization the
-// PEERS line of work shows is where serving throughput lives.
+// long-running service: an HTTP/JSON API in front of an admission queue
+// with bounded depth and per-request deadlines, a worker pool that takes
+// admitted requests straight off the queue in admission order and runs
+// recoveries and forward measurements with context cancellation threaded
+// through the Newton iterations, and an LRU cache that amortizes Laplacian
+// factorizations and warm-start R estimates across requests — the
+// effective-resistance amortization the PEERS line of work shows is where
+// serving throughput lives.
 //
 // Request lifecycle: handler → admit (429 when the queue is full, 503 when
-// draining) → per-key batch bucket (flushed by size or window) → worker →
-// response. Every stage is measured: queue depth and wait, batch size,
-// cache hit rate, and per-endpoint latency histograms all land in the obs
-// registry and are scraped from GET /metrics.
+// draining) → queue → worker → response. Every stage is measured: queue
+// depth and wait, cache hit rate, and per-endpoint latency histograms all
+// land in the obs registry and are scraped from GET /metrics.
 package serve
 
 import (
@@ -40,16 +39,19 @@ type RecoverRequest struct {
 }
 
 // Timings is the per-request latency attribution breakdown: where one
-// request's wall time went, stage by stage. queue_ms is admission to
-// dispatcher dequeue, batch_ms is the batching-window wait until a worker
-// picked the task up, factor_ms is time spent factorizing grounded
-// Laplacians inside the solve, and solve_ms is the remaining solver time.
-// The four stages sum to within jitter of total_ms, so a client (or an SLO
-// dashboard) can see at a glance whether a slow request burned its budget
-// queueing, batching, or computing.
+// request's wall time went, stage by stage. queue_ms is admission to worker
+// pickup, factor_ms is time spent factorizing grounded Laplacians inside
+// the solve, and solve_ms is the remaining solver time. The three stages
+// sum to within jitter of total_ms, so a client (or an SLO dashboard) can
+// see at a glance whether a slow request burned its budget queueing or
+// computing.
 type Timings struct {
-	QueueMS  float64 `json:"queue_ms"`
-	BatchMS  float64 `json:"batch_ms"`
+	QueueMS float64 `json:"queue_ms"`
+	// BatchMS is never set, so it stays off the wire: there is no batching
+	// stage. The field remains only because the benchmark module
+	// (benchmark/serve.go) still reads it; it goes with the next revision
+	// of that module (ROADMAP item 3).
+	BatchMS  float64 `json:"batch_ms,omitempty"`
 	FactorMS float64 `json:"factor_ms"`
 	SolveMS  float64 `json:"solve_ms"`
 	TotalMS  float64 `json:"total_ms"`
@@ -61,7 +63,6 @@ type RecoverResponse struct {
 	Iterations int         `json:"iterations"`
 	Residual   float64     `json:"residual"`
 	Cache      string      `json:"cache"` // "hit" (warm start used), "miss", or "stale" (degraded)
-	BatchSize  int         `json:"batch_size"`
 	QueuedMS   float64     `json:"queued_ms"`
 	SolveMS    float64     `json:"solve_ms"`
 	// Timings attributes the request's latency across pipeline stages; it
@@ -91,11 +92,10 @@ type MeasureRequest struct {
 
 // MeasureResponse is the POST /v1/measure reply.
 type MeasureResponse struct {
-	Z         [][]float64 `json:"z"`
-	Cache     string      `json:"cache"` // "hit" (factorization reused), "miss", or "stale" (degraded)
-	BatchSize int         `json:"batch_size"`
-	QueuedMS  float64     `json:"queued_ms"`
-	SolveMS   float64     `json:"solve_ms"`
+	Z        [][]float64 `json:"z"`
+	Cache    string      `json:"cache"` // "hit" (factorization reused), "miss", or "stale" (degraded)
+	QueuedMS float64     `json:"queued_ms"`
+	SolveMS  float64     `json:"solve_ms"`
 	// Timings attributes the request's latency across pipeline stages (see
 	// RecoverResponse.Timings); factor_ms is the Laplacian factorization —
 	// near zero on a factorization-cache hit.
@@ -153,12 +153,12 @@ type ErrorResponse struct {
 type HealthResponse struct {
 	Status  string  `json:"status"` // "ok" or "draining"
 	UptimeS float64 `json:"uptime_s"`
-	// QueueDepth counts admitted-but-unfinished requests (queued, batched,
-	// or running); QueueCapacity is the admission bound behind 429s.
+	// QueueDepth counts admitted-but-unfinished requests (queued or
+	// running); QueueCapacity is the admission bound behind 429s.
 	QueueDepth    int64 `json:"queue_depth"`
 	QueueCapacity int   `json:"queue_capacity"`
 	// InFlight counts requests a worker is executing right now — the
-	// subset of QueueDepth that is past the batching stage.
+	// subset of QueueDepth that has left the queue.
 	InFlight int64 `json:"in_flight"`
 	Workers  int   `json:"workers"`
 	Draining bool  `json:"draining"`

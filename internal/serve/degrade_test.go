@@ -29,17 +29,16 @@ func requireRetryAfter(t *testing.T, resp *http.Response) {
 // TestRetryAfterOnQueueFull: a 429 backpressure rejection tells the
 // client when to retry.
 func TestRetryAfterOnQueueFull(t *testing.T) {
-	_, hs := newTestServer(t, Config{
-		Workers:     1,
-		QueueDepth:  1,
-		BatchWindow: 400 * time.Millisecond,
-		MaxBatch:    100,
-		RetryAfter:  2 * time.Second,
+	s, hs := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: 1,
+		RetryAfter: 2 * time.Second,
 	})
+	release := gateWorkers(t, s, true)
 	_, z := workload(t, 4)
 	req := RecoverRequest{Rows: 4, Cols: 4, Z: rowsFromField(z)}
 
-	// Occupy the queue: the first request sits in its batching window.
+	// Occupy the queue: the first request parks at worker pickup.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -47,7 +46,8 @@ func TestRetryAfterOnQueueFull(t *testing.T) {
 		postJSON(t, hs.Client(), hs.URL+"/v1/recover", req)
 	}()
 	defer wg.Wait()
-	time.Sleep(50 * time.Millisecond)
+	defer release()
+	waitQueueDepth(t, s, 1)
 
 	// Fresh server, empty cache: no stale fallback exists, so the second
 	// request must shed with 429 + Retry-After.
@@ -83,12 +83,8 @@ func TestRetryAfterOnDraining(t *testing.T) {
 // has answered this geometry before, the request is served from the stale
 // cache with degraded: true instead of shed.
 func TestStaleFallbackUnderSaturation(t *testing.T) {
-	s, hs := newTestServer(t, Config{
-		Workers:     1,
-		QueueDepth:  1,
-		BatchWindow: 400 * time.Millisecond,
-		MaxBatch:    100,
-	})
+	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	release := gateWorkers(t, s, true)
 	truth, z := workload(t, 4)
 	arr := grid.New(4, 4)
 	s.Cache().StoreWarmStart(arr, truth)
@@ -103,7 +99,8 @@ func TestStaleFallbackUnderSaturation(t *testing.T) {
 			RecoverRequest{Rows: 4, Cols: 4, Z: rowsFromField(z)})
 	}()
 	defer wg.Wait()
-	time.Sleep(50 * time.Millisecond)
+	defer release()
+	waitQueueDepth(t, s, 1)
 
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/recover",
 		RecoverRequest{Rows: 4, Cols: 4, Z: rowsFromField(z)})
@@ -147,11 +144,10 @@ func TestStaleFallbackUnderSaturation(t *testing.T) {
 func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	s, hs := newTestServer(t, Config{
 		Workers:          1,
-		BatchWindow:      120 * time.Millisecond,
-		MaxBatch:         100,
 		BreakerThreshold: 2,
 		BreakerOpenFor:   300 * time.Millisecond,
 	})
+	gateWorkers(t, s, false)
 	truth, z := workload(t, 5)
 	doomed := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z), DeadlineMS: 1}
 	healthy := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z)}
@@ -209,14 +205,13 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 // forever with no request ever allowed to retry it. Queue-full at probe
 // time is the likely case: the breaker opened under the same saturation.
 func TestBreakerProbeSettlesOnAdmissionFailure(t *testing.T) {
-	_, hs := newTestServer(t, Config{
+	s, hs := newTestServer(t, Config{
 		Workers:          1,
 		QueueDepth:       1,
-		BatchWindow:      300 * time.Millisecond,
-		MaxBatch:         100,
 		BreakerThreshold: 2,
 		BreakerOpenFor:   150 * time.Millisecond,
 	})
+	release := gateWorkers(t, s, true)
 	_, z5 := workload(t, 5)
 	doomed := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z5), DeadlineMS: 1}
 	healthy := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z5)}
@@ -240,11 +235,12 @@ func TestBreakerProbeSettlesOnAdmissionFailure(t *testing.T) {
 		postJSON(t, hs.Client(), hs.URL+"/v1/recover",
 			RecoverRequest{Rows: 4, Cols: 4, Z: rowsFromField(z4)})
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitQueueDepth(t, s, 1)
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/recover", healthy)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("refused probe: status %d, want 429: %s", resp.StatusCode, body)
 	}
+	release()
 	wg.Wait() // queue drains
 
 	// The refused probe re-opened the breaker; after another open window a

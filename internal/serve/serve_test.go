@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +17,8 @@ import (
 	"parma/internal/obs"
 )
 
-// newTestServer builds a server + httptest frontend with fast-flush
-// batching defaults suitable for unit tests.
+// newTestServer builds a server + httptest frontend that drains when the
+// test ends.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(cfg)
@@ -31,6 +32,42 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		hs.Close()
 	})
 	return s, hs
+}
+
+// gateWorkers installs the saturation tests' beforeRun hook on s; call it
+// before the first request. A task whose deadline is under a second away
+// waits it out at worker pickup, so its 503 is certain. While hold is set,
+// every other task parks at pickup until release is called, which holds the
+// queue at capacity without a wall-clock stall. Cleanup releases.
+func gateWorkers(t *testing.T, s *Server, hold bool) (release func()) {
+	t.Helper()
+	ch := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(ch) }) }
+	if !hold {
+		release()
+	}
+	t.Cleanup(release)
+	s.beforeRun = func(tk *task) {
+		if dl, ok := tk.ctx.Deadline(); ok && dl.Sub(tk.enq) < time.Second {
+			<-tk.ctx.Done()
+			return
+		}
+		<-ch
+	}
+	return release
+}
+
+// waitQueueDepth returns once n requests are admitted and unfinished.
+func waitQueueDepth(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.QueueDepth() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d never reached %d", s.QueueDepth(), n)
+		}
+		runtime.Gosched()
+	}
 }
 
 // workload returns a ground-truth field and its measured Z for an n x n
@@ -168,31 +205,32 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: with a tiny queue and a wide-open batching window
-// holding work back, excess concurrent requests are rejected with 429
-// while admitted ones still complete.
+// TestAdmissionControl: with a tiny queue and the worker parked, excess
+// concurrent requests are rejected with 429 while admitted ones still
+// complete.
 func TestAdmissionControl(t *testing.T) {
-	_, hs := newTestServer(t, Config{
-		Workers:     1,
-		QueueDepth:  2,
-		BatchWindow: 300 * time.Millisecond,
-		MaxBatch:    100,
-	})
+	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	release := gateWorkers(t, s, true)
 	_, z := workload(t, 4)
 	req := RecoverRequest{Rows: 4, Cols: 4, Z: rowsFromField(z)}
 
 	const n = 10
-	statuses := make([]int, n)
-	var wg sync.WaitGroup
+	replies := make(chan int, n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		go func() {
+			status := 0 // sent even if postJSON fails the test
+			defer func() { replies <- status }()
 			resp, _ := postJSON(t, hs.Client(), hs.URL+"/v1/recover", req)
-			statuses[i] = resp.StatusCode
-		}(i)
+			status = resp.StatusCode
+		}()
 	}
-	wg.Wait()
+	// A parked worker finishes nothing, so the first reply is a rejection;
+	// only then may the admitted requests run.
+	statuses := []int{<-replies}
+	release()
+	for len(statuses) < n {
+		statuses = append(statuses, <-replies)
+	}
 	ok, rejected := 0, 0
 	for _, st := range statuses {
 		switch st {
@@ -209,14 +247,11 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestDeadlineInQueue: a request whose deadline expires while it waits in
-// the batching window gets 503, not a hung connection.
+// TestDeadlineInQueue: a request whose deadline expires while it waits for
+// a worker gets 503, not a hung connection.
 func TestDeadlineInQueue(t *testing.T) {
-	_, hs := newTestServer(t, Config{
-		Workers:     1,
-		BatchWindow: 250 * time.Millisecond,
-		MaxBatch:    100,
-	})
+	s, hs := newTestServer(t, Config{Workers: 1})
+	gateWorkers(t, s, false)
 	_, z := workload(t, 4)
 	req := RecoverRequest{Rows: 4, Cols: 4, Z: rowsFromField(z), DeadlineMS: 20}
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/recover", req)
@@ -225,52 +260,49 @@ func TestDeadlineInQueue(t *testing.T) {
 	}
 }
 
-// TestBatching: same-key requests arriving together share a batch.
-func TestBatching(t *testing.T) {
-	_, hs := newTestServer(t, Config{
-		Workers:     2,
-		BatchWindow: 150 * time.Millisecond,
-		MaxBatch:    8,
-	})
-	truth, _ := workload(t, 5)
-	req := MeasureRequest{Rows: 5, Cols: 5, R: rowsFromField(truth)}
-
-	const n = 4
-	sizes := make([]int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/measure", req)
-			if resp.StatusCode != 200 {
-				t.Errorf("status %d: %s", resp.StatusCode, body)
-				return
-			}
-			var out MeasureResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				t.Error(err)
-				return
-			}
-			sizes[i] = out.BatchSize
-		}(i)
+// TestWorkerRunsInAdmissionOrder: tasks of different geometries run in the
+// order they were admitted.
+func TestWorkerRunsInAdmissionOrder(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	release := gateWorkers(t, s, true)
+	var order []string // appended by the single worker only
+	hold := s.beforeRun
+	s.beforeRun = func(tk *task) {
+		hold(tk)
+		order = append(order, geomKey(tk.arr))
 	}
-	wg.Wait()
-	max := 0
-	for _, sz := range sizes {
-		if sz > max {
-			max = sz
+
+	var tasks []*task
+	for _, n := range []int{6, 4, 5} {
+		truth, _ := workload(t, n)
+		tk := &task{kind: kindMeasure, ctx: context.Background(), arr: grid.New(n, n),
+			field: truth, enq: time.Now(), done: make(chan taskResult, 1)}
+		if err := s.admit(tk); err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, tk)
+	}
+	release()
+	for i, tk := range tasks {
+		if res := <-tk.done; res.err != nil {
+			t.Fatalf("task %d: %v", i, res.err)
 		}
 	}
-	if max < 2 {
-		t.Errorf("max batch size = %d, want >= 2 for simultaneous same-key requests", max)
+	// One worker starts a task only after finishing the one before it, so
+	// the start order is the completion order.
+	want := []string{"6x6", "4x4", "5x5"}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("ran in order %v, admitted in order %v", order, want)
+		}
 	}
 }
 
 // TestDrain: draining finishes every admitted request and rejects new ones
 // with 503; healthz flips to draining.
 func TestDrain(t *testing.T) {
-	s := NewServer(Config{Workers: 1, BatchWindow: 100 * time.Millisecond, MaxBatch: 100})
+	s := NewServer(Config{Workers: 1})
+	release := gateWorkers(t, s, true)
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	_, z := workload(t, 4)
@@ -287,7 +319,15 @@ func TestDrain(t *testing.T) {
 			statuses[i] = resp.StatusCode
 		}(i)
 	}
-	time.Sleep(30 * time.Millisecond) // let the requests reach the queue
+	waitQueueDepth(t, s, n)
+	// With the worker parked, draining cannot finish: it must wait for the
+	// admitted requests rather than drop them.
+	stopped, stop := context.WithCancel(context.Background())
+	stop()
+	if err := s.Drain(stopped); err == nil {
+		t.Fatal("drain returned while admitted requests were still queued")
+	}
+	release()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
@@ -325,7 +365,7 @@ func getURL(t *testing.T, client *http.Client, url string) (*http.Response, []by
 }
 
 // TestHealthzAndMetrics: the observability endpoints expose queue and
-// batch metrics from the shared registry.
+// cache metrics from the shared registry.
 func TestHealthzAndMetrics(t *testing.T) {
 	rec := obs.NewRecorder()
 	obs.Enable(rec)
@@ -380,7 +420,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"parma_serve_queue_depth",
-		"parma_serve_batch_size",
+		"parma_serve_stage_queue_ms",
 		"parma_serve_cache_hits",
 		"parma_serve_requests_measure 2",
 	} {
@@ -419,9 +459,9 @@ func TestCanceledClient(t *testing.T) {
 }
 
 // TestConcurrentMixedLoad hammers both endpoints from many goroutines —
-// primarily a -race exercise over queue, cache, and dispatcher.
+// primarily a -race exercise over queue, cache, and workers.
 func TestConcurrentMixedLoad(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 4, QueueDepth: 256, BatchWindow: time.Millisecond})
+	_, hs := newTestServer(t, Config{Workers: 4, QueueDepth: 256})
 	truths := map[int]*grid.Field{}
 	zs := map[int]*grid.Field{}
 	for _, n := range []int{4, 5} {

@@ -30,12 +30,6 @@ type Config struct {
 	// QueueDepth bounds admitted-but-unfinished requests; past it new
 	// requests get 429. Zero selects 64.
 	QueueDepth int
-	// BatchWindow is how long the dispatcher holds a batch open for
-	// same-key requests to join. Zero selects 2ms.
-	BatchWindow time.Duration
-	// MaxBatch flushes a batch early once it reaches this size. Zero
-	// selects 8.
-	MaxBatch int
 	// CacheEntries bounds the factorization/warm-start LRU. Zero selects 128.
 	CacheEntries int
 	// DefaultDeadline applies to requests that do not set deadline_ms.
@@ -77,12 +71,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
 	}
@@ -112,9 +100,10 @@ var (
 	ErrDraining = errors.New("serve: server is draining")
 )
 
-// Server is the batched MEA-recovery service: admission queue, batching
-// dispatcher, worker pool, and factorization cache behind an HTTP handler.
-// Create with NewServer, serve via Handler, stop with Drain.
+// Server is the MEA-recovery service: admission queue, worker pool, and
+// factorization cache behind an HTTP handler. Workers take admitted tasks
+// straight off the queue in admission order. Create with NewServer, serve
+// via Handler, stop with Drain.
 type Server struct {
 	cfg      Config
 	cache    *FactorCache
@@ -122,27 +111,30 @@ type Server struct {
 	start    time.Time
 
 	intake chan *task
-	work   chan []*task
 
 	admitMu  sync.RWMutex
 	draining bool
 	depth    atomic.Int64
 	// running counts tasks a worker is actively executing right now, as
-	// opposed to depth, which also includes tasks still queued or waiting
-	// in a batch bucket. Both are exported through /healthz so a fleet
-	// router's least-loaded policy can read live load without scraping and
-	// parsing the full Prometheus exposition.
+	// opposed to depth, which also includes tasks still queued. Both are
+	// exported through /healthz so a fleet router's least-loaded policy can
+	// read live load without scraping and parsing the full Prometheus
+	// exposition.
 	running atomic.Int64
 
-	dispatcherDone chan struct{}
-	workersWG      sync.WaitGroup
+	workersWG sync.WaitGroup
+
+	// beforeRun, when set, is called by a worker just before it runs a
+	// task. It is nil in production; in-package tests set it before the
+	// first request to hold the queue at capacity deterministically.
+	beforeRun func(*task)
 }
 
-// NewServer builds the pipeline and starts its dispatcher and workers. It
-// also splits the machine between the two parallelism levels: the kernel
-// pool (internal/mat) gets GOMAXPROCS/Workers goroutines per solve, so a
-// fully busy worker pool lands on GOMAXPROCS total runnable goroutines
-// instead of Workers × GOMAXPROCS.
+// NewServer builds the pipeline and starts its workers. It also splits the
+// machine between the two parallelism levels: the kernel pool
+// (internal/mat) gets GOMAXPROCS/Workers goroutines per solve, so a fully
+// busy worker pool lands on GOMAXPROCS total runnable goroutines instead of
+// Workers × GOMAXPROCS.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	kernelPar := runtime.GOMAXPROCS(0) / cfg.Workers
@@ -151,18 +143,12 @@ func NewServer(cfg Config) *Server {
 	}
 	mat.Parallelism(kernelPar)
 	s := &Server{
-		cfg:            cfg,
-		cache:          NewFactorCache(cfg.CacheEntries),
-		breakers:       NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerOpenFor, "serve"),
-		start:          time.Now(),
-		intake:         make(chan *task, cfg.QueueDepth),
-		work:           make(chan []*task),
-		dispatcherDone: make(chan struct{}),
+		cfg:      cfg,
+		cache:    NewFactorCache(cfg.CacheEntries),
+		breakers: NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerOpenFor, "serve"),
+		start:    time.Now(),
+		intake:   make(chan *task, cfg.QueueDepth),
 	}
-	go func() {
-		defer close(s.dispatcherDone)
-		s.dispatch()
-	}()
 	s.workersWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -184,8 +170,8 @@ func (s *Server) InFlight() int64 { return s.running.Load() }
 func (s *Server) Breakers() *BreakerSet { return s.breakers }
 
 // admit enqueues t or reports why it cannot. The depth gauge counts
-// admitted-but-unfinished tasks (queued, batched, or running), so
-// backpressure tracks real outstanding work, not just channel occupancy.
+// admitted-but-unfinished tasks (queued or running), so backpressure
+// tracks real outstanding work, not just channel occupancy.
 func (s *Server) admit(t *task) error {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
@@ -216,8 +202,8 @@ func (s *Server) admitDone() {
 
 // Drain stops admission and waits — bounded by ctx — for every already
 // admitted request to finish. It is idempotent; only the first call closes
-// the intake. In-flight requests are never dropped: the dispatcher flushes
-// its buckets and the workers run the queue dry before Drain returns.
+// the intake. In-flight requests are never dropped: the workers run the
+// queue dry before Drain returns.
 func (s *Server) Drain(ctx context.Context) error {
 	s.admitMu.Lock()
 	first := !s.draining
@@ -228,7 +214,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		<-s.dispatcherDone
 		s.workersWG.Wait()
 		close(done)
 	}()
@@ -483,7 +468,6 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
 	t := &task{
 		kind:    kindRecover,
-		key:     batchKey(kindRecover, arr, req.Tol, req.MaxIter),
 		ctx:     ctx,
 		arr:     arr,
 		field:   z,
@@ -502,9 +486,8 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		Iterations: res.iterations,
 		Residual:   res.residual,
 		Cache:      cacheLabel(res.cacheHit),
-		BatchSize:  res.batchSize,
-		QueuedMS:   float64(res.queued) / float64(time.Millisecond),
-		SolveMS:    float64(res.solve) / float64(time.Millisecond),
+		QueuedMS:   ms(res.queued),
+		SolveMS:    ms(res.solve),
 		Timings:    res.timings,
 		TraceID:    traceIDFor(r),
 	})
@@ -527,7 +510,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
 	t := &task{
 		kind:  kindMeasure,
-		key:   batchKey(kindMeasure, arr, 0, 0),
 		ctx:   ctx,
 		arr:   arr,
 		field: rf,
@@ -539,13 +521,12 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, MeasureResponse{
-		Z:         rowsFromField(res.field),
-		Cache:     cacheLabel(res.cacheHit),
-		BatchSize: res.batchSize,
-		QueuedMS:  float64(res.queued) / float64(time.Millisecond),
-		SolveMS:   float64(res.solve) / float64(time.Millisecond),
-		Timings:   res.timings,
-		TraceID:   traceIDFor(r),
+		Z:        rowsFromField(res.field),
+		Cache:    cacheLabel(res.cacheHit),
+		QueuedMS: ms(res.queued),
+		SolveMS:  ms(res.solve),
+		Timings:  res.timings,
+		TraceID:  traceIDFor(r),
 	})
 }
 

@@ -27,14 +27,14 @@ func TestTimingsAttribution(t *testing.T) {
 			t.Fatalf("%s: response has no timings", label)
 		}
 		for stage, v := range map[string]float64{
-			"queue": tm.QueueMS, "batch": tm.BatchMS,
-			"factor": tm.FactorMS, "solve": tm.SolveMS, "total": tm.TotalMS,
+			"queue": tm.QueueMS, "factor": tm.FactorMS,
+			"solve": tm.SolveMS, "total": tm.TotalMS,
 		} {
 			if v < 0 {
 				t.Errorf("%s: negative %s_ms %g", label, stage, v)
 			}
 		}
-		sum := tm.QueueMS + tm.BatchMS + tm.FactorMS + tm.SolveMS
+		sum := tm.QueueMS + tm.FactorMS + tm.SolveMS
 		if slack := 0.1*tm.TotalMS + 2; math.Abs(tm.TotalMS-sum) > slack {
 			t.Errorf("%s: stages sum to %.3fms but total is %.3fms (slack %.3fms): %+v",
 				label, sum, tm.TotalMS, slack, tm)
@@ -70,7 +70,7 @@ func TestTimingsAttribution(t *testing.T) {
 // TestTracedRecoverBuildsConnectedTree: one traced recover request — with
 // the distributed formation cross-check enabled so in-process MPI ranks
 // participate — must yield exactly one connected span tree rooted at the
-// HTTP handler and reaching queue, batch, solver, and every rank.
+// HTTP handler and reaching queue, solver, and every rank.
 func TestTracedRecoverBuildsConnectedTree(t *testing.T) {
 	r := obs.NewRecorder()
 	obs.Enable(r)
@@ -109,7 +109,7 @@ func TestTracedRecoverBuildsConnectedTree(t *testing.T) {
 				t.Fatalf("tree trace %s, response said %s", tree.Trace, rr.TraceID)
 			}
 			for _, want := range []string{
-				"serve/queue", "serve/batchwait", "serve/recover",
+				"serve/queue", "serve/recover",
 				"solver/recover", "mpi/rank", "mpi/formation",
 			} {
 				found := false
@@ -120,7 +120,8 @@ func TestTracedRecoverBuildsConnectedTree(t *testing.T) {
 					t.Fatalf("span tree %v missing %q", tree.Names, want)
 				}
 			}
-			// Request root + 2 stage spans + serve/recover + 2 rank roots.
+			// Request root + queue span + serve/recover + solver/recover +
+			// 2 rank roots.
 			if tree.Spans < 6 {
 				t.Fatalf("tree has only %d spans", tree.Spans)
 			}

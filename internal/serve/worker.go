@@ -22,20 +22,9 @@ const (
 	kindMeasure
 )
 
-func (k taskKind) String() string {
-	if k == kindRecover {
-		return "recover"
-	}
-	return "measure"
-}
-
-// task is one admitted request travelling queue → bucket → worker.
+// task is one admitted request travelling intake → worker.
 type task struct {
-	kind taskKind
-	// key groups batch-compatible tasks: same kind, geometry, and solver
-	// options. Only same-key tasks share a batch (and therefore warm-start
-	// and factorization locality).
-	key     string
+	kind    taskKind
 	ctx     context.Context
 	arr     grid.Array
 	field   *grid.Field // Z for recover, R for measure
@@ -43,17 +32,14 @@ type task struct {
 	maxIter int
 	warm    bool
 	enq     time.Time
-	deq     time.Time       // set by the dispatcher when the task leaves the intake queue
 	run     time.Time       // set by the worker when execution starts
 	done    chan taskResult // buffered(1): workers never block on a gone handler
 
-	// Stage spans attribute pipeline latency inside the request's trace:
-	// queueSpan covers admission → dispatcher dequeue, batchSpan covers the
-	// batching-window wait until a worker starts the task. Each is written
-	// strictly before the task crosses the channel to the goroutine that
-	// ends it, so the channel send orders the handoff.
+	// queueSpan attributes admission → worker pickup inside the request's
+	// trace. It is written strictly before the task crosses the intake
+	// channel to the worker that ends it, so the channel send orders the
+	// handoff.
 	queueSpan obs.Span
-	batchSpan obs.Span
 }
 
 // taskResult is the worker's reply to the handler.
@@ -62,7 +48,6 @@ type taskResult struct {
 	iterations int
 	residual   float64
 	cacheHit   bool
-	batchSize  int
 	queued     time.Duration
 	solve      time.Duration
 	factor     time.Duration // Laplacian factorization share of solve
@@ -78,138 +63,44 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func (t *task) finish(res taskResult) {
 	res.queued = time.Since(t.enq) - res.solve
 	if !t.run.IsZero() {
-		deq := t.deq
-		if deq.IsZero() {
-			deq = t.run
-		}
 		solve := res.solve - res.factor
 		if solve < 0 {
 			solve = 0
 		}
 		res.timings = &Timings{
-			QueueMS:  ms(deq.Sub(t.enq)),
-			BatchMS:  ms(t.run.Sub(deq)),
+			QueueMS:  ms(t.run.Sub(t.enq)),
 			FactorMS: ms(res.factor),
 			SolveMS:  ms(solve),
 			TotalMS:  ms(time.Since(t.enq)),
 		}
 		obs.Observe("serve/stage/queue_ms", res.timings.QueueMS)
-		obs.Observe("serve/stage/batch_ms", res.timings.BatchMS)
 		obs.Observe("serve/stage/factor_ms", res.timings.FactorMS)
 		obs.Observe("serve/stage/solve_ms", res.timings.SolveMS)
 	}
 	t.done <- res
 }
 
-// batchKey canonicalizes the grouping key.
-func batchKey(kind taskKind, a grid.Array, tol float64, maxIter int) string {
-	return fmt.Sprintf("%s|%s|tol=%g|iter=%d", kind, geomKey(a), tol, maxIter)
-}
-
-// bucket accumulates same-key tasks until flushed by size or window.
-type bucket struct {
-	tasks   []*task
-	flushAt time.Time
-}
-
-// dispatch is the batching loop: it drains the intake channel into per-key
-// buckets and flushes each bucket to the worker pool when it reaches
-// MaxBatch or its batching window expires. When intake closes (drain), all
-// buckets flush and the work channel closes behind them, so every admitted
-// task reaches a worker.
-func (s *Server) dispatch() {
-	defer close(s.work)
-	buckets := map[string]*bucket{}
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-
-	flush := func(key string) {
-		b := buckets[key]
-		delete(buckets, key)
-		obs.Observe("serve/batch_size", float64(len(b.tasks)))
-		s.work <- b.tasks
-	}
-	flushExpired := func(now time.Time) {
-		for key, b := range buckets {
-			if !b.flushAt.After(now) {
-				flush(key)
-			}
-		}
-	}
-	for {
-		// Arm the timer for the nearest pending flush.
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		next := time.Duration(-1)
-		for _, b := range buckets {
-			d := time.Until(b.flushAt)
-			if d < 0 {
-				// Already expired (e.g. the loop was busy flushing another
-				// bucket past this one's window): fire immediately.
-				d = 0
-			}
-			if next < 0 || d < next {
-				next = d
-			}
-		}
-		var timerC <-chan time.Time
-		if next >= 0 {
-			timer.Reset(next)
-			timerC = timer.C
-		}
-
-		select {
-		case t, ok := <-s.intake:
-			if !ok {
-				for key := range buckets {
-					flush(key)
-				}
-				return
-			}
-			t.deq = time.Now()
-			t.queueSpan.End()
-			t.batchSpan = obs.StartSpanIn(t.ctx, "serve/batchwait")
-			b := buckets[t.key]
-			if b == nil {
-				b = &bucket{flushAt: time.Now().Add(s.cfg.BatchWindow)}
-				buckets[t.key] = b
-			}
-			b.tasks = append(b.tasks, t)
-			if len(b.tasks) >= s.cfg.MaxBatch {
-				flush(t.key)
-			}
-		case now := <-timerC:
-			flushExpired(now)
-		}
-	}
-}
-
-// worker executes batches until the work channel closes.
+// worker runs admitted tasks in admission order until Drain closes the
+// intake and the queue runs dry.
 func (s *Server) worker() {
 	defer s.workersWG.Done()
-	for batch := range s.work {
-		sp := obs.StartSpan("serve/batch")
-		for _, t := range batch {
-			s.runTask(t, len(batch))
+	for t := range s.intake {
+		t.queueSpan.End()
+		if s.beforeRun != nil {
+			s.beforeRun(t)
 		}
-		sp.End(obs.I("size", len(batch)), obs.S("key", batch[0].key))
+		s.runTask(t)
 	}
 }
 
 // runTask executes one admitted task and always delivers exactly one
 // result (the queue-depth decrement lives in finish's caller, admitDone).
-func (s *Server) runTask(t *task, batchSize int) {
+func (s *Server) runTask(t *task) {
 	defer s.admitDone()
-	t.batchSpan.End(obs.I("batch", batchSize))
-	obs.Observe("serve/queue_wait_ms", float64(time.Since(t.enq).Milliseconds()))
 	if err := t.ctx.Err(); err != nil {
 		obs.Add("serve/abandoned_in_queue", 1)
 		t.finish(taskResult{status: http.StatusServiceUnavailable,
-			err: fmt.Errorf("abandoned while queued: %w", err), batchSize: batchSize})
+			err: fmt.Errorf("abandoned while queued: %w", err)})
 		return
 	}
 	t.run = time.Now()
@@ -222,9 +113,7 @@ func (s *Server) runTask(t *task, batchSize int) {
 	case kindMeasure:
 		res = s.runMeasure(t)
 	}
-	res.batchSize = batchSize
 	res.solve = time.Since(t.run)
-	obs.Observe("serve/latency_"+t.kind.String()+"_ms", float64(time.Since(t.enq).Milliseconds()))
 	if obs.Enabled() {
 		// Per-geometry-keyspace RED: the same rate/error/duration triple the
 		// endpoints export, cut by geometry so a single hot keyspace is
@@ -245,7 +134,7 @@ func (s *Server) runTask(t *task, batchSize int) {
 // cold path would have served.
 func (s *Server) runRecover(t *task) taskResult {
 	ctx, sp := obs.StartSpanCtx(t.ctx, "serve/recover")
-	defer sp.End(obs.S("key", t.key))
+	defer sp.End(obs.S("key", geomKey(t.arr)))
 	if s.cfg.ValidateRanks > 0 {
 		if err := s.validateFormation(ctx, t); err != nil {
 			return taskResult{status: http.StatusInternalServerError,
@@ -323,7 +212,7 @@ const validateSourceU = 5
 // factorization, honouring cancellation between rows.
 func (s *Server) runMeasure(t *task) taskResult {
 	sp := obs.StartSpanIn(t.ctx, "serve/measure")
-	defer sp.End(obs.S("key", t.key))
+	defer sp.End(obs.S("key", geomKey(t.arr)))
 	f0 := time.Now()
 	sol, hit, err := s.cache.Solver(t.arr, t.field)
 	factor := time.Since(f0)

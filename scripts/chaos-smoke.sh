@@ -8,10 +8,12 @@
 # the crash and the redistribution, and every surviving rank must land on
 # the exact system hash of the fault-free run — bit-identical recovery.
 #
-# Stage 2 (serving): boot parmad with a deliberately tiny queue, warm the
-# stale cache, then hammer it past saturation. Shed requests must carry
-# Retry-After; saturated requests on warmed geometries must be served from
-# the stale cache flagged degraded:true. SIGTERM must still drain cleanly.
+# Stage 2 (serving): boot parmad with one worker and a deliberately tiny
+# queue, warm the stale cache, then hammer it past saturation with a mix
+# that includes a cold heavy geometry, whose solves hold the worker long
+# enough for the queue to fill. Shed requests must carry Retry-After;
+# saturated requests on warmed geometries must be served from the stale
+# cache flagged degraded:true. SIGTERM must still drain cleanly.
 set -eu
 
 tmp=$(mktemp -d chaos-smoke.XXXXXX)
@@ -54,7 +56,7 @@ echo "chaos-smoke: formation survived drop/dup/crash with $clean_hash"
 # --- Stage 2: parmad saturation -> Retry-After sheds + degraded stale ---
 
 "$tmp/parmad" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-	-workers 1 -queue-depth 2 -batch-window 300ms -max-batch 100 \
+	-workers 1 -queue-depth 2 \
 	>"$tmp/parmad.log" 2>&1 &
 daemon_pid=$!
 for _ in $(seq 1 50); do
@@ -68,9 +70,10 @@ addr=$(head -n 1 "$tmp/addr")
 "$tmp/parma-load" -addr "$addr" -n 8 -qps 2 -geoms 4x4 || {
 	echo "chaos-smoke: warm-up load failed"; cat "$tmp/parmad.log"; exit 1; }
 
-# Hammer far past capacity: warmed 4x4 traffic must degrade to stale
-# answers, cold 6x6 traffic must shed with Retry-After.
-"$tmp/parma-load" -addr "$addr" -n 60 -qps 300 -geoms 4x4,6x6 \
+# Hammer far past capacity: cold 48x48 solves keep the single worker busy,
+# so warmed 4x4 traffic must degrade to stale answers and cold 48x48
+# traffic must shed with Retry-After.
+"$tmp/parma-load" -addr "$addr" -n 60 -qps 300 -geoms 4x4,48x48 \
 	-expect-shed -expect-degraded || {
 	echo "chaos-smoke: saturation load did not shed+degrade as required"; cat "$tmp/parmad.log"; exit 1; }
 

@@ -28,7 +28,7 @@ done
 addr=$(head -n 1 "$tmp/addr")
 
 # 200 mixed requests; the run itself asserts zero failures, a >50% cache
-# hit rate, and the batch-size / queue-depth series on /metrics.
+# hit rate, and the queue-depth, stage-latency and RED series on /metrics.
 "$tmp/parma-load" -addr "$addr" -n 200 -qps 150 -geoms 4x4,5x5,6x6 \
 	-min-cache-hit-rate 0.5 -check-metrics
 
