@@ -2,6 +2,7 @@ package kirchhoff
 
 import (
 	"fmt"
+	"slices"
 
 	"parma/internal/grid"
 	"parma/internal/obs"
@@ -53,15 +54,27 @@ func primeIndex(k, skip int) int {
 	return k - 1
 }
 
+// termBuf returns buf emptied when it can hold n terms, else a fresh slice
+// that can.
+func termBuf(buf []Term, n int) []Term {
+	if cap(buf) < n {
+		return make([]Term, 0, n)
+	}
+	return buf[:0]
+}
+
 // FormSource builds the single source equation of pair (i, j):
 //
 //	U/R_ij + Σ_{k≠j} (U − Ua_k')/R_ik = U/Z_ij.
-func (p *Problem) FormSource(i, j int) Equation {
+//
+// Like every Form* builder it writes the terms into buf, reusing its
+// backing array when it has room for them, so the result aliases buf.
+func (p *Problem) FormSource(i, j int, buf []Term) Equation {
 	n := p.Array.Cols()
 	eq := Equation{
 		PairI: i, PairJ: j, Cat: CatSource,
 		Flow:  p.SourceU / p.Z.At(i, j),
-		Terms: make([]Term, 0, n),
+		Terms: termBuf(buf, n),
 	}
 	eq.Terms = append(eq.Terms, Term{Sign: 1, Plus: VoltRef{Kind: VoltU}, RI: int16(i), RJ: int16(j)})
 	for k := 0; k < n; k++ {
@@ -81,12 +94,12 @@ func (p *Problem) FormSource(i, j int) Equation {
 // FormDest builds the single destination equation of pair (i, j):
 //
 //	U/R_ij + Σ_{m≠i} Ub_m'/R_mj = U/Z_ij.
-func (p *Problem) FormDest(i, j int) Equation {
+func (p *Problem) FormDest(i, j int, buf []Term) Equation {
 	m := p.Array.Rows()
 	eq := Equation{
 		PairI: i, PairJ: j, Cat: CatDest,
 		Flow:  p.SourceU / p.Z.At(i, j),
-		Terms: make([]Term, 0, m),
+		Terms: termBuf(buf, m),
 	}
 	eq.Terms = append(eq.Terms, Term{Sign: 1, Plus: VoltRef{Kind: VoltU}, RI: int16(i), RJ: int16(j)})
 	for mm := 0; mm < m; mm++ {
@@ -105,7 +118,7 @@ func (p *Problem) FormDest(i, j int) Equation {
 // FormUa builds the intermediate equation at vertical wire k (k ≠ j):
 //
 //	(U − Ua_k')/R_ik − Σ_{m≠i} (Ua_k' − Ub_m')/R_mk = 0.
-func (p *Problem) FormUa(i, j, k int) Equation {
+func (p *Problem) FormUa(i, j, k int, buf []Term) Equation {
 	if k == j {
 		panic(fmt.Sprintf("kirchhoff: FormUa at the destination wire k=%d", k))
 	}
@@ -113,7 +126,7 @@ func (p *Problem) FormUa(i, j, k int) Equation {
 	kp := primeIndex(k, j)
 	eq := Equation{
 		PairI: i, PairJ: j, Cat: CatUa, Layer: kp,
-		Terms: make([]Term, 0, m),
+		Terms: termBuf(buf, m),
 	}
 	ua := VoltRef{Kind: VoltUa, Idx: int32(kp)}
 	eq.Terms = append(eq.Terms, Term{
@@ -136,7 +149,7 @@ func (p *Problem) FormUa(i, j, k int) Equation {
 // FormUb builds the intermediate equation at horizontal wire m (m ≠ i):
 //
 //	Ub_m'/R_mj − Σ_{k≠j} (Ua_k' − Ub_m')/R_mk = 0.
-func (p *Problem) FormUb(i, j, m int) Equation {
+func (p *Problem) FormUb(i, j, m int, buf []Term) Equation {
 	if m == i {
 		panic(fmt.Sprintf("kirchhoff: FormUb at the source wire m=%d", m))
 	}
@@ -144,7 +157,7 @@ func (p *Problem) FormUb(i, j, m int) Equation {
 	mp := primeIndex(m, i)
 	eq := Equation{
 		PairI: i, PairJ: j, Cat: CatUb, Layer: mp,
-		Terms: make([]Term, 0, n),
+		Terms: termBuf(buf, n),
 	}
 	ub := VoltRef{Kind: VoltUb, Idx: int32(mp)}
 	eq.Terms = append(eq.Terms, Term{
@@ -165,21 +178,32 @@ func (p *Problem) FormUb(i, j, m int) Equation {
 	return eq
 }
 
+// pairBuf allocates a term buffer that holds the longest equation of any
+// pair: source and Ub equations have n terms, dest and Ua equations m.
+func (p *Problem) pairBuf() []Term {
+	return make([]Term, 0, max(p.Array.Rows(), p.Array.Cols()))
+}
+
 // FormPair emits the complete 2 + (n−1) + (m−1) equation block of one pair
 // in canonical order: source, dest, Ua layers ascending, Ub layers
 // ascending.
+//
+// Every equation is formed into one term buffer allocated per call, so
+// e.Terms is valid only until emit returns: the next equation overwrites
+// it. An emit that keeps an equation must copy its Terms (slices.Clone).
 func (p *Problem) FormPair(i, j int, emit func(Equation)) {
 	sp := obs.StartSpan(spanFormPair)
-	emit(p.FormSource(i, j))
-	emit(p.FormDest(i, j))
+	buf := p.pairBuf()
+	emit(p.FormSource(i, j, buf))
+	emit(p.FormDest(i, j, buf))
 	for k := 0; k < p.Array.Cols(); k++ {
 		if k != j {
-			emit(p.FormUa(i, j, k))
+			emit(p.FormUa(i, j, k, buf))
 		}
 	}
 	for m := 0; m < p.Array.Rows(); m++ {
 		if m != i {
-			emit(p.FormUb(i, j, m))
+			emit(p.FormUb(i, j, m, buf))
 		}
 	}
 	if sp.Active() {
@@ -190,7 +214,9 @@ func (p *Problem) FormPair(i, j int, emit func(Equation)) {
 }
 
 // FormCategory emits every equation of one category for one pair — the
-// task granularity of the paper's four-way Parallel strategy.
+// task granularity of the paper's four-way Parallel strategy. Like
+// FormPair it forms into one buffer per call: e.Terms is valid only until
+// emit returns.
 func (p *Problem) FormCategory(i, j int, cat Category, emit func(Equation)) {
 	sp := obs.StartSpan(spanFormCategory)
 	if sp.Active() {
@@ -207,21 +233,22 @@ func (p *Problem) FormCategory(i, j int, cat Category, emit func(Equation)) {
 			sp.End(obs.I("i", i), obs.I("j", j), obs.S("category", cat.String()))
 		}()
 	}
+	buf := p.pairBuf()
 	switch cat {
 	case CatSource:
-		emit(p.FormSource(i, j))
+		emit(p.FormSource(i, j, buf))
 	case CatDest:
-		emit(p.FormDest(i, j))
+		emit(p.FormDest(i, j, buf))
 	case CatUa:
 		for k := 0; k < p.Array.Cols(); k++ {
 			if k != j {
-				emit(p.FormUa(i, j, k))
+				emit(p.FormUa(i, j, k, buf))
 			}
 		}
 	case CatUb:
 		for m := 0; m < p.Array.Rows(); m++ {
 			if m != i {
-				emit(p.FormUb(i, j, m))
+				emit(p.FormUb(i, j, m, buf))
 			}
 		}
 	default:
@@ -251,10 +278,16 @@ func (p *Problem) EquationIndex(e Equation) int {
 }
 
 // EquationAt decodes a canonical index (the inverse of EquationIndex) and
-// forms that single equation. This is the finest task granularity: the
-// fine-grained strategy parallelizes directly over the canonical index
-// space, the Go analogue of pushing PyMP into each k-dimensional loop.
-func (p *Problem) EquationAt(idx int) Equation {
+// forms that single equation into buf. This is the finest task
+// granularity: the fine-grained strategy parallelizes directly over the
+// canonical index space, the Go analogue of pushing PyMP into each
+// k-dimensional loop.
+//
+// The terms reuse buf's backing array when it has room for them, so a
+// caller that passes the previous result's Terms back in forms without
+// allocating, and the previous equation's Terms are overwritten. A nil buf
+// allocates a fresh slice that the result owns.
+func (p *Problem) EquationAt(idx int, buf []Term) Equation {
 	m, n := p.Array.Rows(), p.Array.Cols()
 	perPair := 2 + (n - 1) + (m - 1)
 	if idx < 0 || idx >= perPair*m*n {
@@ -265,34 +298,37 @@ func (p *Problem) EquationAt(idx int) Equation {
 	i, j := pair/n, pair%n
 	switch {
 	case off == 0:
-		return p.FormSource(i, j)
+		return p.FormSource(i, j, buf)
 	case off == 1:
-		return p.FormDest(i, j)
+		return p.FormDest(i, j, buf)
 	case off < 2+(n-1):
 		kp := off - 2
 		k := kp
 		if k >= j {
 			k++ // undo the primed-index collapse
 		}
-		return p.FormUa(i, j, k)
+		return p.FormUa(i, j, k, buf)
 	default:
 		mp := off - 2 - (n - 1)
 		mm := mp
 		if mm >= i {
 			mm++
 		}
-		return p.FormUb(i, j, mm)
+		return p.FormUb(i, j, mm, buf)
 	}
 }
 
 // FormAll forms the entire system serially in canonical order — the
-// paper's Single-thread baseline.
+// paper's Single-thread baseline. Every returned equation owns its Terms.
 func (p *Problem) FormAll() []Equation {
 	census := SystemCensus(p.Array)
 	out := make([]Equation, 0, census.Equations)
 	for i := 0; i < p.Array.Rows(); i++ {
 		for j := 0; j < p.Array.Cols(); j++ {
-			p.FormPair(i, j, func(e Equation) { out = append(out, e) })
+			p.FormPair(i, j, func(e Equation) {
+				e.Terms = slices.Clone(e.Terms)
+				out = append(out, e)
+			})
 		}
 	}
 	return out

@@ -134,18 +134,20 @@ func TestEquationIndexIsBijective(t *testing.T) {
 	}
 }
 
+// TestFormCategoryMatchesFormPair renders each equation inside emit: the
+// Terms are borrowed and the next equation overwrites them.
 func TestFormCategoryMatchesFormPair(t *testing.T) {
 	p, _ := testProblem(t, 3, 3, 17)
-	var viaPair, viaCat []Equation
-	p.FormPair(2, 1, func(e Equation) { viaPair = append(viaPair, e) })
+	var viaPair, viaCat []string
+	p.FormPair(2, 1, func(e Equation) { viaPair = append(viaPair, e.String()) })
 	for _, cat := range Categories {
-		p.FormCategory(2, 1, cat, func(e Equation) { viaCat = append(viaCat, e) })
+		p.FormCategory(2, 1, cat, func(e Equation) { viaCat = append(viaCat, e.String()) })
 	}
 	if len(viaPair) != len(viaCat) {
 		t.Fatalf("sizes %d vs %d", len(viaPair), len(viaCat))
 	}
 	for i := range viaPair {
-		if viaPair[i].String() != viaCat[i].String() {
+		if viaPair[i] != viaCat[i] {
 			t.Fatalf("equation %d differs:\n%s\n%s", i, viaPair[i], viaCat[i])
 		}
 	}
@@ -153,7 +155,7 @@ func TestFormCategoryMatchesFormPair(t *testing.T) {
 
 func TestTermStructure(t *testing.T) {
 	p, _ := testProblem(t, 3, 3, 19)
-	src := p.FormSource(0, 1)
+	src := p.FormSource(0, 1, nil)
 	// n terms: the direct branch plus n−1 detours.
 	if len(src.Terms) != 3 {
 		t.Fatalf("source terms = %d, want 3", len(src.Terms))
@@ -164,7 +166,7 @@ func TestTermStructure(t *testing.T) {
 	if src.Terms[0].RI != 0 || src.Terms[0].RJ != 1 {
 		t.Fatal("direct branch resistor wrong")
 	}
-	ua := p.FormUa(0, 1, 2) // k=2 > j=1 ⇒ k' = 1
+	ua := p.FormUa(0, 1, 2, nil) // k=2 > j=1 ⇒ k' = 1
 	if ua.Layer != 1 {
 		t.Fatalf("Ua layer = %d, want 1", ua.Layer)
 	}
@@ -189,7 +191,7 @@ func TestFormUaPanicsAtDestination(t *testing.T) {
 			t.Fatal("FormUa(k=j) did not panic")
 		}
 	}()
-	p.FormUa(0, 1, 1)
+	p.FormUa(0, 1, 1, nil)
 }
 
 func TestNewProblemValidation(t *testing.T) {

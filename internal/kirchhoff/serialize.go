@@ -25,7 +25,17 @@ func NewWriter(w io.Writer) *Writer {
 
 // WriteEquation serializes one equation.
 func (sw *Writer) WriteEquation(e Equation) error {
-	b := sw.buf[:0]
+	sw.buf = AppendEquation(sw.buf[:0], e)
+	n, err := sw.w.Write(sw.buf)
+	sw.n += int64(n)
+	return err
+}
+
+// AppendEquation appends the text form of e — one line, newline included —
+// to b and returns the extended slice. It is the one serializer: Writer
+// calls it, and so does anything that renders equations straight into a
+// byte slice of its own.
+func AppendEquation(b []byte, e Equation) []byte {
 	b = append(b, "eq p=("...)
 	b = strconv.AppendInt(b, int64(e.PairI), 10)
 	b = append(b, ',')
@@ -58,11 +68,7 @@ func (sw *Writer) WriteEquation(e Equation) error {
 	}
 	b = append(b, " = "...)
 	b = strconv.AppendFloat(b, e.Flow, 'g', 12, 64)
-	b = append(b, '\n')
-	sw.buf = b[:0]
-	n, err := sw.w.Write(b)
-	sw.n += int64(n)
-	return err
+	return append(b, '\n')
 }
 
 func appendVolt(b []byte, v VoltRef) []byte {

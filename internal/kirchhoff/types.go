@@ -186,15 +186,3 @@ func TermCensus(a grid.Array) int {
 	perPair := n + m + (n-1)*m + (m-1)*n
 	return m * n * perPair
 }
-
-// EstimateSystemBytes predicts the resident size of a fully retained
-// system: term storage plus per-equation struct and slice overhead. It is
-// a model, not an accounting, but tracks the measured Figure-8 peaks.
-func EstimateSystemBytes(a grid.Array) int64 {
-	const (
-		bytesPerTerm     = 16 // Term: sign + 2 VoltRefs + 2 int16, padded
-		bytesPerEquation = 96 // Equation struct + Terms slice header + allocator slack
-	)
-	c := SystemCensus(a)
-	return int64(TermCensus(a))*bytesPerTerm + int64(c.Equations)*bytesPerEquation
-}

@@ -41,6 +41,7 @@ func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, 
 	}
 
 	total := kirchhoff.SystemCensus(p.Array).Equations
+	sinks, _ := newSinks(p, w, false)
 	errs := make([]error, w)
 	var once sync.Once
 	var firstErr error
@@ -48,7 +49,7 @@ func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, 
 		if errs[worker] != nil {
 			return
 		}
-		if err := writers[worker].WriteEquation(p.EquationAt(idx)); err != nil {
+		if err := writers[worker].WriteEquation(sinks[worker].formAt(idx)); err != nil {
 			errs[worker] = err
 			once.Do(func() { firstErr = fmt.Errorf("parallel: shard %d write: %w", worker, err) })
 		}

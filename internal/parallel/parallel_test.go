@@ -103,7 +103,7 @@ func TestEquationAtMatchesCanonicalIndex(t *testing.T) {
 	p := testProblem(t, 4, 3, 5)
 	census := kirchhoff.SystemCensus(p.Array)
 	for idx := 0; idx < census.Equations; idx++ {
-		e := p.EquationAt(idx)
+		e := p.EquationAt(idx, nil)
 		if back := p.EquationIndex(e); back != idx {
 			t.Fatalf("EquationIndex(EquationAt(%d)) = %d", idx, back)
 		}

@@ -66,11 +66,36 @@ func TestTermCensusMatchesFormedSystem(t *testing.T) {
 	}
 }
 
-func TestEstimateSystemBytesScalesQuartically(t *testing.T) {
-	p10 := kirchhoff.EstimateSystemBytes(testProblem(t, 10, 10, 24).Array)
-	p20 := kirchhoff.EstimateSystemBytes(testProblem(t, 20, 20, 25).Array)
-	ratio := float64(p20) / float64(p10)
-	if ratio < 12 || ratio > 20 {
-		t.Fatalf("doubling n scaled memory %.1fx, want ≈16x", ratio)
+// TestWritePipelinedPropagatesFirstWriteError: with more formers than the
+// sequencer can drain, a writer that fails at once must still surface its
+// error, not deadlock the formers on the block or free-list channels.
+func TestWritePipelinedPropagatesFirstWriteError(t *testing.T) {
+	p := testProblem(t, 6, 6, 26)
+	_, err := WritePipelined(p, &failAfter{n: 0}, 4)
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("err = %v, want disk-full", err)
+	}
+}
+
+// discard accepts every write.
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWritePipelinedRecyclesBlocks: blocks come back through the free list
+// and formers form into their own term buffers, so a whole pass allocates
+// fewer times than it has pairs.
+func TestWritePipelinedRecyclesBlocks(t *testing.T) {
+	p := testProblem(t, 12, 12, 27)
+	pairs := p.Array.Pairs()
+	for _, formers := range []int{2, 4} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := WritePipelined(p, discard{}, formers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= float64(pairs) {
+			t.Fatalf("formers=%d: %.0f allocations for %d pairs", formers, allocs, pairs)
+		}
 	}
 }

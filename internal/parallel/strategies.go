@@ -138,7 +138,8 @@ func (f FineGrained) Run(p *kirchhoff.Problem, opts Options) Result {
 	total := kirchhoff.SystemCensus(p.Array).Equations
 	sinks, eqs := newSinks(p, w, opts.Collect)
 	sched.Run(f.Name(), w, sched.NewChunker(total, w, opts.Policy, chunk), sched.Each(func(worker, idx int) {
-		sinks[worker].emit(p.EquationAt(idx))
+		s := &sinks[worker]
+		s.emit(s.formAt(idx))
 	}))
 	res := merge(f.Name(), sinks, eqs)
 	sp.End(obs.I("equations", res.Count), obs.I("chunk", chunk))

@@ -19,6 +19,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"parma/internal/kirchhoff"
 	"parma/internal/sched"
@@ -69,16 +70,34 @@ type Strategy interface {
 }
 
 // sink accumulates per-worker results without synchronization; workers own
-// disjoint sinks that are merged at the end.
+// disjoint sinks, indexed by sched.Run's worker id, that are merged at the
+// end.
 type sink struct {
 	eqs   []kirchhoff.Equation // shared canonical slots (disjoint writes)
 	prob  *kirchhoff.Problem
+	terms []kirchhoff.Term // the worker's formation buffer
 	count int
 	hash  uint64
+	// Pads a sink to 128 bytes so one worker's count and hash writes do
+	// not share a cache line (or its prefetch pair) with a neighbour's
+	// fields (false sharing there cost FineGrained 5–10 % at 48×48 on a
+	// two-vCPU VM).
+	_ [56]byte
 }
 
+// formAt forms canonical equation idx into the sink's term buffer. The
+// result's Terms are valid until the next formAt on the same sink.
+func (s *sink) formAt(idx int) kirchhoff.Equation {
+	e := s.prob.EquationAt(idx, s.terms)
+	s.terms = e.Terms
+	return e
+}
+
+// emit folds one equation into the sink. The Terms may be borrowed, so a
+// collecting sink stores a copy.
 func (s *sink) emit(e kirchhoff.Equation) {
 	if s.eqs != nil {
+		e.Terms = slices.Clone(e.Terms)
 		s.eqs[s.prob.EquationIndex(e)] = e
 	}
 	s.count++
