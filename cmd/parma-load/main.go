@@ -20,6 +20,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,7 +37,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -h already printed the usage and is not a failure.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "parma-load:", err)
 		os.Exit(1)
 	}
@@ -64,7 +66,7 @@ type result struct {
 }
 
 func run(argv []string) error {
-	fs := flag.NewFlagSet("parma-load", flag.ExitOnError)
+	fs := flag.NewFlagSet("parma-load", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8321", "parmad address (host:port); ignored when -target is given")
 	var targets []string
 	fs.Func("target", "target address (repeatable; comma lists allowed); requests round-robin across targets",

@@ -1,6 +1,8 @@
 // Command parma-router fronts a fleet of parmad workers: a reverse proxy
-// with pluggable routing policies, health-checked failover, and
-// geometry-affinity caching (internal/fleet).
+// with geometry-affinity routing (round-robin as the baseline),
+// health-checked failover, and hedged recovers (internal/fleet). It
+// admits nothing itself: each worker bounds its own queue, and its 429
+// and Retry-After reach the client unchanged.
 //
 // Endpoints:
 //
@@ -55,19 +57,13 @@ func run(argv []string) error {
 	var backendSpecs []string
 	fs.Func("backend", `worker spec "name=host:port" (repeatable; comma lists allowed; bare addrs become their own name)`,
 		func(v string) error { backendSpecs = append(backendSpecs, v); return nil })
-	policy := fs.String("policy", fleet.PolicyAffinity, "routing policy: roundrobin, leastloaded, or affinity")
-	vnodes := fs.Int("vnodes", fleet.DefaultVnodes, "virtual nodes per backend on the consistent-hash ring")
-	spillFactor := fs.Float64("spill-factor", 1.25, "bounded-load factor c: affinity spills off an owner loaded past c×mean")
-	attempts := fs.Int("attempts", 3, "max backends tried per request before giving up")
+	policy := fs.String("policy", fleet.PolicyAffinity, "routing policy: affinity or roundrobin")
 	attemptTimeout := fs.Duration("attempt-timeout", 30*time.Second, "per-attempt deadline on proxied requests")
 	probeEvery := fs.Duration("probe-every", 250*time.Millisecond, "health-probe period")
 	suspectAfter := fs.Duration("suspect-after", time.Second, "eject a backend silent for this long (readmitted on first success)")
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that open a backend's circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 2*time.Second, "how long an open breaker skips its backend before a half-open probe")
-	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on router-generated 503s")
 	maxBody := fs.Int64("max-body", 1<<20, "max proxied request body bytes (bodies are buffered for idempotent replay; oversize answers 413)")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrently proxied requests router-wide; past it requests shed with 429 (0 disables)")
-	maxPerBackend := fs.Int("max-per-backend", 0, "max outstanding requests per backend from this router; capped candidates are skipped (0 disables)")
 	hedgeBudget := fs.Float64("hedge-budget", 0, "max fraction of /v1/recover requests that may launch a hedged second attempt (0 disables hedging)")
 	hedgeDelayMin := fs.Duration("hedge-delay-min", time.Millisecond, "lower clamp on the rolling-p95 hedge delay")
 	hedgeDelayMax := fs.Duration("hedge-delay-max", 500*time.Millisecond, "upper clamp on the rolling-p95 hedge delay")
@@ -113,9 +109,6 @@ func run(argv []string) error {
 	router, err := fleet.New(fleet.Config{
 		Backends:       backends,
 		Policy:         *policy,
-		Vnodes:         *vnodes,
-		SpillFactor:    *spillFactor,
-		Attempts:       *attempts,
 		AttemptTimeout: *attemptTimeout,
 		Probe: fleet.ProberConfig{
 			Every:        *probeEvery,
@@ -123,10 +116,7 @@ func run(argv []string) error {
 		},
 		BreakerThreshold: *breakerThreshold,
 		BreakerOpenFor:   *breakerOpenFor,
-		RetryAfter:       *retryAfter,
 		MaxBody:          *maxBody,
-		MaxInFlight:      *maxInflight,
-		MaxPerBackend:    *maxPerBackend,
 		HedgeBudget:      *hedgeBudget,
 		HedgeDelayMin:    *hedgeDelayMin,
 		HedgeDelayMax:    *hedgeDelayMax,
@@ -173,10 +163,8 @@ func run(argv []string) error {
 		names[i] = b.Name
 	}
 	logger.Info("routing", "addr", bound, "policy", *policy, "backends", names,
-		"vnodes", *vnodes, "attempts", *attempts,
 		"probe_every", (*probeEvery).String(), "suspect_after", (*suspectAfter).String(),
-		"hedge_budget", *hedgeBudget, "max_inflight", *maxInflight,
-		"admin_api", *adminToken != "")
+		"hedge_budget", *hedgeBudget, "admin_api", *adminToken != "")
 
 	select {
 	case err := <-errc:

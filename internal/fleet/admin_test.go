@@ -122,7 +122,6 @@ func adminRouter(t *testing.T, token string, workers ...*adminWorker) *Router {
 	rt, err := New(Config{
 		Backends:       backends,
 		Policy:         PolicyAffinity,
-		Attempts:       len(backends),
 		AttemptTimeout: 2 * time.Second,
 		Probe:          fastProbe(),
 		AdminToken:     token,

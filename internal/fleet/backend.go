@@ -112,12 +112,12 @@ func ParseBackends(specs []string) ([]*Backend, error) {
 // InFlight returns the router-side outstanding request count.
 func (b *Backend) InFlight() int64 { return b.inflight.Load() }
 
-// Load is the signal least-loaded routing and bounded-load spill order
-// by: the router's own in-flight count (fresh, but blind to other
-// routers) plus the worker's last-probed queue depth (staler, but global
-// — it sees every router's and direct client's traffic). The sum double
-// counts this router's already-admitted requests; that bias is uniform
-// across backends, so the ordering it induces is still the right one.
+// Load is the signal bounded-load spill orders by: the router's own
+// in-flight count (fresh, but blind to other routers) plus the worker's
+// last-probed queue depth (staler, but global — it sees every router's
+// and direct client's traffic). The sum double counts this router's
+// already-admitted requests; that bias is uniform across backends, so the
+// ordering it induces is still the right one.
 func (b *Backend) Load() int64 {
 	b.mu.Lock()
 	depth := b.probe.QueueDepth

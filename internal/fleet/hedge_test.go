@@ -68,7 +68,6 @@ func hedgeRouter(t *testing.T, budget float64, workers ...*hedgeWorker) *Router 
 	rt, err := New(Config{
 		Backends:       backends,
 		Policy:         PolicyAffinity,
-		Attempts:       len(backends),
 		AttemptTimeout: 10 * time.Second,
 		// Hedging, not ejection, is under test: a probe that a loaded race
 		// run delays past fastProbe's 40ms must not eject a healthy worker.

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"parma/internal/obs"
@@ -24,28 +23,20 @@ type Policy interface {
 
 // Policy names accepted by NewPolicy (and parma-router -policy).
 const (
-	PolicyRoundRobin  = "roundrobin"
-	PolicyLeastLoaded = "leastloaded"
-	PolicyAffinity    = "affinity"
+	PolicyRoundRobin = "roundrobin"
+	PolicyAffinity   = "affinity"
 )
 
-// NewPolicy builds the named policy. spillFactor is only consulted by the
-// affinity policy; spillFactor <= 1 selects the default (1.25, the classic
-// bounded-load consistent-hashing c).
-func NewPolicy(name string, spillFactor float64) (Policy, error) {
+// NewPolicy builds the named policy.
+func NewPolicy(name string) (Policy, error) {
 	switch name {
-	case PolicyRoundRobin, "":
+	case PolicyRoundRobin:
 		return &roundRobin{}, nil
-	case PolicyLeastLoaded:
-		return leastLoaded{}, nil
 	case PolicyAffinity:
-		if spillFactor <= 1 {
-			spillFactor = 1.25
-		}
-		return affinity{factor: spillFactor}, nil
+		return affinity{}, nil
 	}
-	return nil, fmt.Errorf("fleet: unknown policy %q (want %s, %s, or %s)",
-		name, PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity)
+	return nil, fmt.Errorf("fleet: unknown policy %q (want %s or %s)",
+		name, PolicyAffinity, PolicyRoundRobin)
 }
 
 // roundRobin rotates the starting backend per request, ignoring the key.
@@ -71,36 +62,13 @@ func (p *roundRobin) Candidates(_ string, _ *Ring, routable []*Backend) []*Backe
 	return out
 }
 
-// leastLoaded orders backends by Backend.Load (router in-flight + probed
-// queue depth), name-tiebroken for determinism. It needs the /healthz
-// load fields the serving tier exports — Prometheus text was the only
-// place queue depth lived before, far too expensive to parse per request.
-type leastLoaded struct{}
-
-func (leastLoaded) Name() string { return PolicyLeastLoaded }
-
-func (leastLoaded) Candidates(_ string, _ *Ring, routable []*Backend) []*Backend {
-	out := append([]*Backend(nil), routable...)
-	loads := make(map[*Backend]int64, len(out))
-	for _, b := range out {
-		loads[b] = b.Load() // snapshot once so the sort comparator is consistent
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if loads[out[i]] != loads[out[j]] {
-			return loads[out[i]] < loads[out[j]]
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
 // affinity consistent-hashes the geometry key onto the ring and prefers
 // the owner, then its ring successors — so each geometry's factorization
 // and warm-start caches stay hot on one worker, and a dead worker's keys
 // re-home to the same successor from every router instance.
 //
 // Bounded-load spill keeps one hot geometry from melting its owner: when
-// the owner's load exceeds ceil(factor × (total+1) / n) — the
+// the owner's load exceeds ceil(spillFactor × (total+1) / n) — the
 // Mirrokni/Thorup/Zadimoghaddam capacity bound — the request spills to
 // the first ring successor under the bound, trading one cold solve for
 // tail latency. Spills are counted on fleet/spill_total.
@@ -109,13 +77,15 @@ func (leastLoaded) Candidates(_ string, _ *Ring, routable []*Backend) []*Backend
 // recomputed on every request: nothing is remembered, so a spilled key is
 // back on its owner the moment the owner is under the bound, and a
 // membership or health transition has no policy state to repair.
-type affinity struct {
-	factor float64
-}
+type affinity struct{}
+
+// spillFactor is the bounded-load constant c, the classic bounded-load
+// consistent-hashing value.
+const spillFactor = 1.25
 
 func (affinity) Name() string { return PolicyAffinity }
 
-func (p affinity) Candidates(key string, ring *Ring, routable []*Backend) []*Backend {
+func (affinity) Candidates(key string, ring *Ring, routable []*Backend) []*Backend {
 	out := ringOrder(ring, key, routable)
 	if len(out) == 0 {
 		return nil
@@ -124,7 +94,7 @@ func (p affinity) Candidates(key string, ring *Ring, routable []*Backend) []*Bac
 	for _, b := range out {
 		total += b.Load()
 	}
-	capacity := int64(math.Ceil(p.factor * float64(total+1) / float64(len(out))))
+	capacity := int64(math.Ceil(spillFactor * float64(total+1) / float64(len(out))))
 	if out[0].Load() >= capacity {
 		for i := 1; i < len(out); i++ {
 			if out[i].Load() < capacity {
@@ -136,7 +106,7 @@ func (p affinity) Candidates(key string, ring *Ring, routable []*Backend) []*Bac
 			}
 		}
 		// No backend under the bound: everyone is equally saturated, so
-		// the owner keeps the request and admission control does its job.
+		// the owner keeps the request and its admission queue decides.
 	}
 	return out
 }

@@ -24,7 +24,7 @@ func namesOf(bs []*Backend) []string {
 
 func TestRoundRobinRotates(t *testing.T) {
 	bs := testBackends("a", "b", "c")
-	p, err := NewPolicy(PolicyRoundRobin, 0)
+	p, err := NewPolicy(PolicyRoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,38 +43,10 @@ func TestRoundRobinRotates(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedOrdersByLoad(t *testing.T) {
-	bs := testBackends("a", "b", "c")
-	bs[0].setProbe(ProbeState{Alive: true, QueueDepth: 7})
-	bs[1].setProbe(ProbeState{Alive: true, QueueDepth: 0})
-	bs[2].setProbe(ProbeState{Alive: true, QueueDepth: 3})
-	p, err := NewPolicy(PolicyLeastLoaded, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := namesOf(p.Candidates("8x8", nil, bs))
-	want := []string{"b", "c", "a"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-	// Ties break by name for determinism.
-	bs[0].setProbe(ProbeState{Alive: true})
-	bs[2].setProbe(ProbeState{Alive: true})
-	got = namesOf(p.Candidates("8x8", nil, bs))
-	want = []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tie order = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestAffinityFollowsRing(t *testing.T) {
 	bs := testBackends("a", "b", "c", "d")
 	ring := NewRing(namesOf(bs), 0)
-	p, err := NewPolicy(PolicyAffinity, 0)
+	p, err := NewPolicy(PolicyAffinity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +67,7 @@ func TestAffinityFollowsRing(t *testing.T) {
 func TestAffinitySkipsDeadOwner(t *testing.T) {
 	bs := testBackends("a", "b", "c", "d")
 	ring := NewRing(namesOf(bs), 0)
-	p, _ := NewPolicy(PolicyAffinity, 0)
+	p, _ := NewPolicy(PolicyAffinity)
 	key := "8x8"
 	owner := ring.Owner(key)
 
@@ -126,7 +98,7 @@ func TestAffinitySkipsDeadOwner(t *testing.T) {
 func TestAffinityBoundedLoadSpill(t *testing.T) {
 	bs := testBackends("a", "b", "c", "d")
 	ring := NewRing(namesOf(bs), 0)
-	p, _ := NewPolicy(PolicyAffinity, 1.25)
+	p, _ := NewPolicy(PolicyAffinity)
 	key := "8x8"
 	owner := ring.Owner(key)
 
@@ -183,15 +155,27 @@ func TestAffinityBoundedLoadSpill(t *testing.T) {
 }
 
 func TestNewPolicyUnknown(t *testing.T) {
-	if _, err := NewPolicy("bogus", 0); err == nil {
+	if _, err := NewPolicy("bogus"); err == nil {
 		t.Fatal("want error for unknown policy")
+	}
+}
+
+// TestZeroPolicyIsAffinity: a Config that names no policy routes the way
+// parma-router does by default.
+func TestZeroPolicyIsAffinity(t *testing.T) {
+	rt, err := New(Config{Backends: testBackends("a", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.policy.Name(); got != PolicyAffinity {
+		t.Fatalf("zero Config.Policy selects %q, want %q", got, PolicyAffinity)
 	}
 }
 
 func TestPoliciesEmptyRoutable(t *testing.T) {
 	ring := NewRing([]string{"a"}, 0)
-	for _, name := range []string{PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity} {
-		p, err := NewPolicy(name, 0)
+	for _, name := range []string{PolicyRoundRobin, PolicyAffinity} {
+		p, err := NewPolicy(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,11 +203,11 @@ func TestAffinityIsPure(t *testing.T) {
 		setLoads(fixed)
 		want := map[string][]string{}
 		for _, k := range keys {
-			fresh, _ := NewPolicy(PolicyAffinity, 1.25)
+			fresh, _ := NewPolicy(PolicyAffinity)
 			want[k] = namesOf(fresh.Candidates(k, ring, bs))
 		}
 
-		p, _ := NewPolicy(PolicyAffinity, 1.25)
+		p, _ := NewPolicy(PolicyAffinity)
 		for round, k := range keys {
 			// Churn: every other key under a different load picture, on the
 			// full set and with one backend out.

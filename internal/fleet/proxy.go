@@ -7,12 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parma/internal/obs"
@@ -26,19 +24,9 @@ type Config struct {
 	// dynamic after construction: the authenticated /admin/backends API
 	// adds and removes members at runtime with an atomic ring swap.
 	Backends []*Backend
-	// Policy is one of PolicyRoundRobin, PolicyLeastLoaded,
-	// PolicyAffinity. Empty selects round-robin.
+	// Policy is PolicyAffinity or PolicyRoundRobin. Empty selects
+	// affinity, as parma-router does.
 	Policy string
-	// Vnodes is the ring's virtual-node count per backend (affinity
-	// policy and /fleet ownership reporting). Zero selects DefaultVnodes.
-	Vnodes int
-	// SpillFactor is the bounded-load constant c for affinity spill:
-	// a request spills off its owner when the owner's load exceeds
-	// ceil(c × (total+1) / n). Values <= 1 select 1.25.
-	SpillFactor float64
-	// Attempts bounds how many backends one request may try. Zero selects
-	// min(3, len(Backends)).
-	Attempts int
 	// AttemptTimeout is the per-attempt deadline (context deadline on the
 	// outbound request). Zero selects 30s.
 	AttemptTimeout time.Duration
@@ -49,23 +37,12 @@ type Config struct {
 	// shed window before a half-open probe; zero selects 2s.
 	BreakerThreshold int
 	BreakerOpenFor   time.Duration
-	// RetryAfter is the backoff hint attached to router-generated sheds
-	// (no live backend, every candidate refused). Zero selects 1s.
-	RetryAfter time.Duration
 	// MaxBody bounds proxied request bodies — which the router buffers in
 	// full for idempotent replay across failover attempts, so this is a
 	// per-request memory bound, not just a validation limit. Oversize
 	// bodies answer 413. Zero selects 1 MiB (a 64×64 float64 matrix in
 	// JSON sits well under it).
 	MaxBody int64
-	// MaxInFlight bounds concurrently proxied requests router-wide; past
-	// it new requests shed with 429 + Retry-After instead of queueing
-	// into timeouts. Zero disables the bound.
-	MaxInFlight int
-	// MaxPerBackend bounds this router's outstanding requests to any one
-	// backend; candidates at the cap are skipped (and a request every
-	// candidate skips sheds with 429). Zero disables the bound.
-	MaxPerBackend int
 	// HedgeBudget enables hedged /v1/recover requests: after a
 	// rolling-p95 delay a second attempt launches at the ring successor,
 	// first response wins, the loser is context-cancelled. The value is
@@ -90,12 +67,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
-		c.Policy = PolicyRoundRobin
-	}
-	if c.Attempts <= 0 {
-		// Not clamped to the backend count: membership is dynamic, so the
-		// per-request candidate list is what bounds actual attempts.
-		c.Attempts = 3
+		c.Policy = PolicyAffinity
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 30 * time.Second
@@ -106,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerOpenFor <= 0 {
 		c.BreakerOpenFor = 2 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
 	}
@@ -118,10 +87,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxAttempts bounds how many backends one request may try. It is not
+// clamped to the backend count: membership is dynamic, so the
+// per-request candidate list is what bounds actual attempts.
+const maxAttempts = 3
+
 // Router fronts a parmad fleet: it owns the ring, the policy, the health
 // prober, and one circuit breaker per backend, and proxies the compute
-// endpoints with candidate failover, admission control, and hedged
-// recover attempts. Create with New, serve via Handler, launch the
+// endpoints with candidate failover and hedged recover attempts.
+// Admission is the workers' own: each bounds its queue and answers 429,
+// which the router relays. Create with New, serve via Handler, launch the
 // health loop with Start, stop with Close. Membership is mutable at
 // runtime (admin API): mu guards the backends slice and the ring, which
 // swap together atomically; each Ring value stays immutable.
@@ -141,7 +116,6 @@ type Router struct {
 	prober   *Prober
 	client   *http.Client
 	hedger   *hedger
-	inflight atomic.Int64 // router-wide admission counter
 	start    time.Time
 }
 
@@ -156,11 +130,11 @@ func New(cfg Config) (*Router, error) {
 	for i, b := range cfg.Backends {
 		names[i] = b.Name
 	}
-	ring := NewRing(names, cfg.Vnodes)
+	ring := NewRing(names, DefaultVnodes)
 	if ring.Len() != len(cfg.Backends) {
 		return nil, fmt.Errorf("fleet: backend names must be unique")
 	}
-	policy, err := NewPolicy(cfg.Policy, cfg.SpillFactor)
+	policy, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -319,14 +293,6 @@ func routable(backends []*Backend) []*Backend {
 	return out
 }
 
-// overCap reports whether the per-backend outstanding bound would be
-// exceeded by one more request to b. The check-then-send is racy by a
-// request or two under concurrency — it is a soft cap ordering the shed
-// decision, not an accounting invariant.
-func (rt *Router) overCap(b *Backend) bool {
-	return rt.cfg.MaxPerBackend > 0 && b.InFlight() >= int64(rt.cfg.MaxPerBackend)
-}
-
 // seenKeys returns the seen set, sorted.
 func (rt *Router) seenKeys() []string {
 	var keys []string
@@ -346,16 +312,6 @@ func (rt *Router) seenKeys() []string {
 // successor, first response wins. The body was fully buffered (bounded by
 // MaxBody) before the first attempt, so replays are byte-identical.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string) {
-	if max := rt.cfg.MaxInFlight; max > 0 {
-		if n := rt.inflight.Add(1); n > int64(max) {
-			rt.inflight.Add(-1)
-			obs.Add("fleet/admission_shed_total", 1)
-			rt.shed(w, http.StatusTooManyRequests,
-				fmt.Errorf("fleet: router at its in-flight bound (%d)", max))
-			return
-		}
-		defer rt.inflight.Add(-1)
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -381,8 +337,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 
 	backends, ring := rt.membership()
 	candidates := rt.policy.Candidates(key, ring, routable(backends))
-	if len(candidates) > rt.cfg.Attempts {
-		candidates = candidates[:rt.cfg.Attempts]
+	if len(candidates) > maxAttempts {
+		candidates = candidates[:maxAttempts]
 	}
 	if len(candidates) == 0 {
 		obs.Add("fleet/no_backend_total", 1)
@@ -402,16 +358,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 
 	ctx := r.Context()
 	attempts := 0
-	capSkipped := 0
 	hedged := false
 	var last *attemptResult
 	for i := 0; i < len(candidates); i++ {
 		b := candidates[i]
-		if rt.overCap(b) {
-			obs.Add("fleet/backend_cap_skip_total", 1)
-			capSkipped++
-			continue
-		}
 		if !rt.breakers.Allow(b.Name) {
 			obs.Add("fleet/breaker_skip_total", 1)
 			continue
@@ -480,12 +430,6 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 		rt.relay(w, last, attempts, hedged)
 		return
 	}
-	if attempts == 0 && capSkipped > 0 {
-		obs.Add("fleet/admission_shed_total", 1)
-		rt.shed(w, http.StatusTooManyRequests,
-			fmt.Errorf("fleet: all %d candidate backend(s) for geometry %s at their outstanding cap", capSkipped, key))
-		return
-	}
 	obs.Add("fleet/exhausted_total", 1)
 	rt.shed(w, http.StatusServiceUnavailable,
 		fmt.Errorf("fleet: all %d candidate backend(s) for geometry %s failed", attempts, key))
@@ -535,7 +479,7 @@ func (rt *Router) hedgedAttempt(ctx context.Context, primary, secondary *Backend
 			// hedge if the successor is takeable and the budget admits it.
 			// A breaker claim refused by the budget is settled as Refused so
 			// a half-open probe slot is never leaked.
-			if launched || rt.overCap(secondary) {
+			if launched {
 				continue
 			}
 			if !rt.breakers.Allow(secondary.Name) {
@@ -651,14 +595,12 @@ func (rt *Router) relay(w http.ResponseWriter, res *attemptResult, attempts int,
 	_, _ = w.Write(res.body)
 }
 
-// shed refuses a request with backpressure semantics, mirroring the
-// serving tier: Retry-After tells well-behaved clients when to come back.
+// shed refuses a request the router itself cannot place (no live
+// backend, every candidate failed) with backpressure semantics, mirroring
+// the serving tier: Retry-After tells well-behaved clients to come back in
+// a second.
 func (rt *Router) shed(w http.ResponseWriter, status int, err error) {
-	secs := int(math.Ceil(rt.cfg.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", "1")
 	obs.Add("fleet/shed_total", 1)
 	writeErr(w, status, err)
 }

@@ -21,6 +21,7 @@ type computeWorker struct {
 	srv  *httptest.Server
 	hits atomic.Int64
 	shed atomic.Bool  // answer 503 to compute requests
+	full atomic.Bool  // answer 429 (admission queue full) to compute requests
 	down atomic.Bool  // fail /healthz; connection failures are simulated via srv.Close instead
 	seen atomic.Value // last traceparent header
 }
@@ -45,6 +46,12 @@ func newComputeWorker(t *testing.T, name string) *computeWorker {
 			_ = json.NewEncoder(rw).Encode(serve.ErrorResponse{Error: "queue full"})
 			return
 		}
+		if w.full.Load() {
+			rw.Header().Set("Retry-After", "3")
+			rw.WriteHeader(http.StatusTooManyRequests)
+			_ = json.NewEncoder(rw).Encode(serve.ErrorResponse{Error: "admission queue full"})
+			return
+		}
 		w.hits.Add(1)
 		rw.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(rw, `{"worker":%q}`, w.name)
@@ -63,10 +70,8 @@ func newTestRouter(t *testing.T, policy string, workers ...*computeWorker) (*Rou
 	rt, err := New(Config{
 		Backends:       backends,
 		Policy:         policy,
-		Attempts:       len(backends),
 		AttemptTimeout: 2 * time.Second,
 		Probe:          fastProbe(),
-		RetryAfter:     time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +183,36 @@ func TestProxyFailsOverOnConnectError(t *testing.T) {
 	_ = backends
 }
 
+// TestProxyRelaysWorker429: admission is the worker's. A 429 from the
+// affinity owner goes back to the client as it came — status and
+// Retry-After — after one attempt: the router neither retries it on
+// another worker nor counts it against the owner's breaker.
+func TestProxyRelaysWorker429(t *testing.T) {
+	w0 := newComputeWorker(t, "w0")
+	w1 := newComputeWorker(t, "w1")
+	rt, _ := newTestRouter(t, PolicyAffinity, w0, w1)
+	var rows, cols int
+	fmt.Sscanf(keyOwnedBy(t, rt, "w0"), "%dx%d", &rows, &cols)
+	w0.full.Store(true)
+
+	rec := doRecover(t, rt.Handler(), recoverBody(rows, cols))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want the worker's 429; body %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Header().Get("Retry-After"); got != "3" {
+		t.Errorf("Retry-After = %q, want the worker's %q", got, "3")
+	}
+	if got := rec.Header().Get("X-Parma-Attempts"); got != "1" {
+		t.Errorf("X-Parma-Attempts = %q, want 1", got)
+	}
+	if n := w1.hits.Load(); n != 0 {
+		t.Errorf("the 429 was retried: w1 answered %d request(s)", n)
+	}
+	if got := rt.breakers.State("w0"); got != "closed" {
+		t.Errorf("w0 breaker = %q after a 429, want closed", got)
+	}
+}
+
 func TestProxyNoLiveBackends(t *testing.T) {
 	w0 := newComputeWorker(t, "w0")
 	// The only backend fails its health checks from the start, so the
@@ -222,7 +257,6 @@ func TestProxyBreakerShortCircuits(t *testing.T) {
 	rt, err := New(Config{
 		Backends:         backends,
 		Policy:           PolicyRoundRobin,
-		Attempts:         2,
 		AttemptTimeout:   2 * time.Second,
 		Probe:            fastProbe(),
 		BreakerThreshold: 3,

@@ -16,8 +16,8 @@
 //
 //   - Ring: a deterministic consistent-hash ring with virtual nodes
 //     (this file).
-//   - Policy: round-robin, least-loaded, and geometry-affinity candidate
-//     ordering (policy.go).
+//   - Policy: geometry-affinity and round-robin candidate ordering
+//     (policy.go).
 //   - Prober: the /healthz heartbeat loop that ejects silent workers and
 //     readmits recovered ones, with the same beacon-period /
 //     suspect-window semantics as internal/mpi's reliable-transport

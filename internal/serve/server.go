@@ -117,7 +117,7 @@ type Server struct {
 	depth    atomic.Int64
 	// running counts tasks a worker is actively executing right now, as
 	// opposed to depth, which also includes tasks still queued. Both are
-	// exported through /healthz so a fleet router's least-loaded policy can
+	// exported through /healthz so a fleet router's bounded-load spill can
 	// read live load without scraping and parsing the full Prometheus
 	// exposition.
 	running atomic.Int64
@@ -549,8 +549,8 @@ func cacheLabel(hit bool) string {
 // handleHealthz is the machine-readable load and liveness probe. It is
 // deliberately cheap — atomic loads, one cache-stats mutex, one breaker
 // mutex — because a fleet router polls it on its heartbeat interval and
-// feeds the numbers straight into least-loaded routing and bounded-load
-// spill decisions. See docs/serving.md for the field contract.
+// feeds the numbers straight into bounded-load spill decisions. See
+// docs/serving.md for the field contract.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.admitMu.RLock()
 	draining := s.draining
