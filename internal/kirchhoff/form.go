@@ -54,13 +54,36 @@ func primeIndex(k, skip int) int {
 	return k - 1
 }
 
-// termBuf returns buf emptied when it can hold n terms, else a fresh slice
-// that can.
+// wireIndex is primeIndex's inverse: the wire whose primed index is kp.
+func wireIndex(kp, skip int) int {
+	if kp < skip {
+		return kp
+	}
+	return kp + 1
+}
+
+// termBuf returns buf resliced to n terms when it has room for them, else
+// a fresh slice of n terms. Every builder fills the slots as one template
+// over a primed index: slot 0 holds the equation's own branch, and slot
+// 1+k' the branch through wire wireIndex(k', skip), where skip is the wire
+// the equation leaves out. It writes every field of every slot, so
+// whatever buf held before is overwritten.
 func termBuf(buf []Term, n int) []Term {
 	if cap(buf) < n {
-		return make([]Term, 0, n)
+		return make([]Term, n)
 	}
-	return buf[:0]
+	return buf[:n]
+}
+
+// set overwrites every field of the slot. The builders fill slots in place
+// through it rather than appending Term literals: a literal is assembled
+// in a stack temporary with narrow stores and then copied out with wide
+// loads, which stall on store-to-load forwarding once per term.
+func (x *Term) set(sign int8, plus, minus VoltRef, ri, rj int) {
+	x.Sign = sign
+	x.Plus = plus
+	x.Minus = minus
+	x.RI, x.RJ = int16(ri), int16(rj)
 }
 
 // FormSource builds the single source equation of pair (i, j):
@@ -70,49 +93,34 @@ func termBuf(buf []Term, n int) []Term {
 // Like every Form* builder it writes the terms into buf, reusing its
 // backing array when it has room for them, so the result aliases buf.
 func (p *Problem) FormSource(i, j int, buf []Term) Equation {
-	n := p.Array.Cols()
-	eq := Equation{
+	t := termBuf(buf, p.Array.Cols())
+	t[0].set(1, VoltRef{Kind: VoltU}, VoltRef{}, i, j)
+	rest := t[1:]
+	for kp := range rest {
+		rest[kp].set(1, VoltRef{Kind: VoltU}, VoltRef{Kind: VoltUa, Idx: int32(kp)}, i, wireIndex(kp, j))
+	}
+	return Equation{
 		PairI: i, PairJ: j, Cat: CatSource,
 		Flow:  p.SourceU / p.Z.At(i, j),
-		Terms: termBuf(buf, n),
+		Terms: t,
 	}
-	eq.Terms = append(eq.Terms, Term{Sign: 1, Plus: VoltRef{Kind: VoltU}, RI: int16(i), RJ: int16(j)})
-	for k := 0; k < n; k++ {
-		if k == j {
-			continue
-		}
-		eq.Terms = append(eq.Terms, Term{
-			Sign:  1,
-			Plus:  VoltRef{Kind: VoltU},
-			Minus: VoltRef{Kind: VoltUa, Idx: int32(primeIndex(k, j))},
-			RI:    int16(i), RJ: int16(k),
-		})
-	}
-	return eq
 }
 
 // FormDest builds the single destination equation of pair (i, j):
 //
 //	U/R_ij + Σ_{m≠i} Ub_m'/R_mj = U/Z_ij.
 func (p *Problem) FormDest(i, j int, buf []Term) Equation {
-	m := p.Array.Rows()
-	eq := Equation{
+	t := termBuf(buf, p.Array.Rows())
+	t[0].set(1, VoltRef{Kind: VoltU}, VoltRef{}, i, j)
+	rest := t[1:]
+	for mp := range rest {
+		rest[mp].set(1, VoltRef{Kind: VoltUb, Idx: int32(mp)}, VoltRef{}, wireIndex(mp, i), j)
+	}
+	return Equation{
 		PairI: i, PairJ: j, Cat: CatDest,
 		Flow:  p.SourceU / p.Z.At(i, j),
-		Terms: termBuf(buf, m),
+		Terms: t,
 	}
-	eq.Terms = append(eq.Terms, Term{Sign: 1, Plus: VoltRef{Kind: VoltU}, RI: int16(i), RJ: int16(j)})
-	for mm := 0; mm < m; mm++ {
-		if mm == i {
-			continue
-		}
-		eq.Terms = append(eq.Terms, Term{
-			Sign: 1,
-			Plus: VoltRef{Kind: VoltUb, Idx: int32(primeIndex(mm, i))},
-			RI:   int16(mm), RJ: int16(j),
-		})
-	}
-	return eq
 }
 
 // FormUa builds the intermediate equation at vertical wire k (k ≠ j):
@@ -122,28 +130,15 @@ func (p *Problem) FormUa(i, j, k int, buf []Term) Equation {
 	if k == j {
 		panic(fmt.Sprintf("kirchhoff: FormUa at the destination wire k=%d", k))
 	}
-	m := p.Array.Rows()
 	kp := primeIndex(k, j)
-	eq := Equation{
-		PairI: i, PairJ: j, Cat: CatUa, Layer: kp,
-		Terms: termBuf(buf, m),
-	}
 	ua := VoltRef{Kind: VoltUa, Idx: int32(kp)}
-	eq.Terms = append(eq.Terms, Term{
-		Sign: 1, Plus: VoltRef{Kind: VoltU}, Minus: ua,
-		RI: int16(i), RJ: int16(k),
-	})
-	for mm := 0; mm < m; mm++ {
-		if mm == i {
-			continue
-		}
-		eq.Terms = append(eq.Terms, Term{
-			Sign: -1, Plus: ua,
-			Minus: VoltRef{Kind: VoltUb, Idx: int32(primeIndex(mm, i))},
-			RI:    int16(mm), RJ: int16(k),
-		})
+	t := termBuf(buf, p.Array.Rows())
+	t[0].set(1, VoltRef{Kind: VoltU}, ua, i, k)
+	rest := t[1:]
+	for mp := range rest {
+		rest[mp].set(-1, ua, VoltRef{Kind: VoltUb, Idx: int32(mp)}, wireIndex(mp, i), k)
 	}
-	return eq
+	return Equation{PairI: i, PairJ: j, Cat: CatUa, Layer: kp, Terms: t}
 }
 
 // FormUb builds the intermediate equation at horizontal wire m (m ≠ i):
@@ -153,29 +148,15 @@ func (p *Problem) FormUb(i, j, m int, buf []Term) Equation {
 	if m == i {
 		panic(fmt.Sprintf("kirchhoff: FormUb at the source wire m=%d", m))
 	}
-	n := p.Array.Cols()
 	mp := primeIndex(m, i)
-	eq := Equation{
-		PairI: i, PairJ: j, Cat: CatUb, Layer: mp,
-		Terms: termBuf(buf, n),
-	}
 	ub := VoltRef{Kind: VoltUb, Idx: int32(mp)}
-	eq.Terms = append(eq.Terms, Term{
-		Sign: 1, Plus: ub,
-		RI: int16(m), RJ: int16(j),
-	})
-	for k := 0; k < n; k++ {
-		if k == j {
-			continue
-		}
-		eq.Terms = append(eq.Terms, Term{
-			Sign:  -1,
-			Plus:  VoltRef{Kind: VoltUa, Idx: int32(primeIndex(k, j))},
-			Minus: ub,
-			RI:    int16(m), RJ: int16(k),
-		})
+	t := termBuf(buf, p.Array.Cols())
+	t[0].set(1, ub, VoltRef{}, m, j)
+	rest := t[1:]
+	for kp := range rest {
+		rest[kp].set(-1, VoltRef{Kind: VoltUa, Idx: int32(kp)}, ub, m, wireIndex(kp, j))
 	}
-	return eq
+	return Equation{PairI: i, PairJ: j, Cat: CatUb, Layer: mp, Terms: t}
 }
 
 // pairBuf allocates a term buffer that holds the longest equation of any
@@ -302,19 +283,9 @@ func (p *Problem) EquationAt(idx int, buf []Term) Equation {
 	case off == 1:
 		return p.FormDest(i, j, buf)
 	case off < 2+(n-1):
-		kp := off - 2
-		k := kp
-		if k >= j {
-			k++ // undo the primed-index collapse
-		}
-		return p.FormUa(i, j, k, buf)
+		return p.FormUa(i, j, wireIndex(off-2, j), buf)
 	default:
-		mp := off - 2 - (n - 1)
-		mm := mp
-		if mm >= i {
-			mm++
-		}
-		return p.FormUb(i, j, mm, buf)
+		return p.FormUb(i, j, wireIndex(off-2-(n-1), i), buf)
 	}
 }
 

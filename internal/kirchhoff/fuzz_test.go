@@ -1,6 +1,7 @@
 package kirchhoff
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,53 @@ func FuzzParseEquation(f *testing.F) {
 		for i := range eqs {
 			if eqs[i].String() != again[i].String() {
 				t.Fatalf("round trip changed equation:\n%s\n%s", eqs[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzAppendEquation checks the serializer against the reference rendering
+// over arbitrary field values: e.String() plus a newline, after the prefix
+// the caller's slice already held. One equation carries two terms, so both
+// the table path and its fallback, and a switch between them, are reached.
+func FuzzAppendEquation(f *testing.F) {
+	f.Add(2, 3, uint8(CatUa), 1, 0.0, int8(-1), uint8(VoltUa), int32(1), uint8(VoltUb), int32(0), int16(0), int16(0), uint8(VoltU), int32(0), int16(2), int16(0))
+	f.Add(9999, 10000, uint8(CatSource), 9999, 2.5, int8(1), uint8(VoltUa), int32(9999), uint8(VoltUb), int32(9999), int16(9999), int16(9999), uint8(VoltUa), int32(10000), int16(10000), int16(9999))
+	f.Add(-1, -10000, uint8(CatDest), -9999, -0.0, int8(0), uint8(VoltUb), int32(-1), uint8(VoltNone), int32(-1), int16(-1), int16(-9999), uint8(VoltNone), int32(0), int16(0), int16(-1))
+	f.Add(math.MaxInt, math.MinInt, uint8(CatUb), math.MaxInt, math.Inf(-1), int8(math.MinInt8), uint8(VoltUa), int32(math.MaxInt32), uint8(VoltUb), int32(math.MinInt32), int16(math.MaxInt16), int16(math.MinInt16), uint8(VoltUa), int32(math.MinInt32), int16(math.MinInt16), int16(math.MaxInt16))
+	f.Add(0, 0, uint8(9), 0, math.NaN(), int8(math.MaxInt8), uint8(VoltUa), int32(0), uint8(7), int32(0), int16(0), int16(0), uint8(VoltUb), int32(10000), int16(0), int16(0))
+	f.Fuzz(func(t *testing.T, pi, pj int, cat uint8, layer int, flow float64,
+		sign int8, plusKind uint8, plusIdx int32, minusKind uint8, minusIdx int32, ri, rj int16,
+		kind2 uint8, idx2 int32, ri2, rj2 int16) {
+		e := Equation{
+			PairI: pi, PairJ: pj, Cat: Category(cat), Layer: layer, Flow: flow,
+			Terms: []Term{
+				{
+					Sign:  sign,
+					Plus:  VoltRef{Kind: VoltKind(plusKind), Idx: plusIdx},
+					Minus: VoltRef{Kind: VoltKind(minusKind), Idx: minusIdx},
+					RI:    ri, RJ: rj,
+				},
+				{
+					Sign: -sign,
+					Plus: VoltRef{Kind: VoltKind(kind2), Idx: idx2},
+					RI:   ri2, RJ: rj2,
+				},
+			},
+		}
+		const prefix = "# kept\n"
+		got := string(AppendEquation([]byte(prefix), e))
+		if want := prefix + e.String() + "\n"; got != want {
+			t.Fatalf("AppendEquation:\n%q\nwant\n%q", got, want)
+		}
+		// putTerm must stay inside termMax: a slice with no byte to spare
+		// panics on any store past it.
+		for _, term := range e.Terms {
+			if term.tabled() {
+				w := make([]byte, termMax)
+				if n := putTerm(w, 0, &term); string(w[:n]) != " "+term.String() {
+					t.Fatalf("putTerm wrote %q, want %q", w[:n], " "+term.String())
+				}
 			}
 		}
 	})

@@ -32,6 +32,24 @@ func testProblem(t *testing.T, m, n int, seed int64) (*Problem, *grid.Field) {
 	return p, r
 }
 
+// syntheticProblem builds an m×n problem with a synthetic positive Z.
+// Formation and serialization read Z only through U/Z, so sizes the
+// forward simulator would take long over need not run it.
+func syntheticProblem(tb testing.TB, m, n int) *Problem {
+	tb.Helper()
+	z := grid.NewField(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			z.Set(i, j, 1000+float64(37*i+11*j))
+		}
+	}
+	p, err := NewProblem(grid.New(m, n), z, 5.0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func TestSystemCensusMatchesPaper(t *testing.T) {
 	// The paper: 2n³ equations, (2n−1)·n² unknowns for square arrays.
 	for _, n := range []int{2, 3, 10, 100} {

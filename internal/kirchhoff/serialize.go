@@ -2,8 +2,11 @@ package kirchhoff
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 )
 
@@ -34,56 +37,146 @@ func (sw *Writer) WriteEquation(e Equation) error {
 // AppendEquation appends the text form of e — one line, newline included —
 // to b and returns the extended slice. It is the one serializer: Writer
 // calls it, and so does anything that renders equations straight into a
-// byte slice of its own.
+// byte slice of its own. The line is e.String() plus "\n", byte for byte.
+//
+// The terms are the bulk of every line. b grows once for all of them, by
+// termMax per term, and putTerm writes each at a running offset with
+// fixed-width stores. A store may write up to three bytes past the text it
+// advances over; what is written next overwrites them. Reserving the
+// widest table-rendered term, rather than the widest term at all, keeps
+// the slack a fraction of the line, so a caller that sizes a block from
+// one pair's text (WritePipelined) is not made to regrow it near its end.
 func AppendEquation(b []byte, e Equation) []byte {
 	b = append(b, "eq p=("...)
-	b = strconv.AppendInt(b, int64(e.PairI), 10)
+	b = appendIndex(b, e.PairI)
 	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(e.PairJ), 10)
+	b = appendIndex(b, e.PairJ)
 	b = append(b, ") "...)
 	b = append(b, e.Cat.String()...)
 	b = append(b, '[')
-	b = strconv.AppendInt(b, int64(e.Layer), 10)
+	b = appendIndex(b, e.Layer)
 	b = append(b, "]:"...)
-	for _, t := range e.Terms {
-		if t.Sign >= 0 {
-			b = append(b, " + "...)
-		} else {
-			b = append(b, " - "...)
+
+	b = slices.Grow(b, len(e.Terms)*termMax)
+	w, off := b[:cap(b)], len(b)
+	for i := range e.Terms {
+		t := &e.Terms[i]
+		if t.tabled() {
+			off = putTerm(w, off, t)
+			continue
 		}
-		if t.Minus.Kind == VoltNone {
-			b = appendVolt(b, t.Plus)
-		} else {
-			b = append(b, '(')
-			b = appendVolt(b, t.Plus)
-			b = append(b, " - "...)
-			b = appendVolt(b, t.Minus)
-			b = append(b, ')')
-		}
-		b = append(b, "/R["...)
-		b = strconv.AppendInt(b, int64(t.RI), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(t.RJ), 10)
-		b = append(b, ']')
+		// No formed system has such a term: render it the reference way
+		// and regrow for the rest.
+		w = append(w[:off], ' ')
+		w = append(w, t.String()...)
+		w = slices.Grow(w, (len(e.Terms)-1-i)*termMax)
+		w, off = w[:cap(w)], len(w)
 	}
-	b = append(b, " = "...)
-	b = strconv.AppendFloat(b, e.Flow, 'g', 12, 64)
+
+	b = append(w[:off], " = "...)
+	if math.Float64bits(e.Flow) == 0 {
+		b = append(b, '0') // the intermediate layers' +0: skip the float formatter
+	} else {
+		b = strconv.AppendFloat(b, e.Flow, 'g', 12, 64)
+	}
 	return append(b, '\n')
 }
 
-func appendVolt(b []byte, v VoltRef) []byte {
-	switch v.Kind {
-	case VoltU:
-		return append(b, 'U')
-	case VoltUa:
-		b = append(b, "Ua["...)
-	case VoltUb:
-		b = append(b, "Ub["...)
-	default:
-		return append(b, '0')
+const (
+	// termMax is the widest term putTerm writes:
+	// " - (Ua[9999] - Ub[9999])/R[9999,9999]". No store of putTerm's
+	// reaches past that width from where the term starts.
+	termMax = 37
+
+	// digitLimit bounds the indices digitTable renders: every index of an
+	// array up to 10⁴ wires on a side.
+	digitLimit = 10000
+
+	// The 4-byte literal words putTerm stores, little-endian.
+	wordPlus  = ' ' | '+'<<8 | ' '<<16 | '('<<24 // " + (", or " + " advancing 3
+	wordMinus = ' ' | '-'<<8 | ' '<<16 | '('<<24 // " - (", or " - " advancing 3
+	wordUa    = 'U' | 'a'<<8 | '['<<16           // "Ua["; +1<<8 makes "Ub["
+	wordR     = '/' | 'R'<<8 | '['<<16           // "/R["
+)
+
+// digitTable[v] holds the decimal text of v, 0 ≤ v < digitLimit, as a
+// little-endian word in its low 32 bits (first digit lowest) and the digit
+// count above them. It is built once, at package init.
+var digitTable = func() (t [digitLimit]uint64) {
+	for v := range t {
+		var word [4]byte
+		n := len(strconv.AppendInt(word[:0], int64(v), 10))
+		t[v] = uint64(binary.LittleEndian.Uint32(word[:])) | uint64(n)<<32
 	}
-	b = strconv.AppendInt(b, int64(v.Idx), 10)
-	return append(b, ']')
+	return t
+}()
+
+// putDigits writes the decimal text of v < digitLimit at w[off:] with one
+// 4-byte store and returns the offset past it.
+func putDigits(w []byte, off int, v uint) int {
+	d := digitTable[v]
+	binary.LittleEndian.PutUint32(w[off:], uint32(d))
+	return off + int(d>>32)
+}
+
+// appendIndex appends the decimal text of v to b, through digitTable when
+// v is in its range and through strconv otherwise.
+func appendIndex(b []byte, v int) []byte {
+	if uint(v) >= digitLimit {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	b = slices.Grow(b, 4)
+	return b[:putDigits(b[:cap(b)], len(b), uint(v))]
+}
+
+// tabled reports whether putTerm can render t: every index is in
+// digitTable's range and both voltage kinds are known.
+func (t *Term) tabled() bool {
+	return uint32(t.Plus.Idx) < digitLimit && uint32(t.Minus.Idx) < digitLimit &&
+		uint16(t.RI) < digitLimit && uint16(t.RJ) < digitLimit &&
+		t.Plus.Kind <= VoltUb && t.Minus.Kind <= VoltUb
+}
+
+// putTerm writes a tabled term at w[off:] and returns the offset past it:
+// " ± Plus/R[i,j]", or " ± (Plus - Minus)/R[i,j]" when Minus is set.
+func putTerm(w []byte, off int, t *Term) int {
+	word := uint32(wordPlus)
+	if t.Sign < 0 {
+		word = wordMinus
+	}
+	binary.LittleEndian.PutUint32(w[off:], word)
+	if t.Minus.Kind == VoltNone {
+		off = putVolt(w, off+3, t.Plus)
+	} else {
+		off = putVolt(w, off+4, t.Plus)
+		binary.LittleEndian.PutUint32(w[off:], wordMinus)
+		off = putVolt(w, off+3, t.Minus)
+		w[off] = ')'
+		off++
+	}
+	binary.LittleEndian.PutUint32(w[off:], wordR)
+	off = putDigits(w, off+3, uint(t.RI))
+	w[off] = ','
+	off = putDigits(w, off+1, uint(t.RJ))
+	w[off] = ']'
+	return off + 1
+}
+
+// putVolt writes a known voltage symbol at w[off:] — U, Ua[k'], Ub[m'], or
+// 0 for an absent one — and returns the offset past it.
+func putVolt(w []byte, off int, v VoltRef) int {
+	switch v.Kind {
+	case VoltNone:
+		w[off] = '0'
+		return off + 1
+	case VoltU:
+		w[off] = 'U'
+		return off + 1
+	}
+	binary.LittleEndian.PutUint32(w[off:], wordUa+uint32(v.Kind-VoltUa)<<8)
+	off = putDigits(w, off+3, uint(v.Idx))
+	w[off] = ']'
+	return off + 1
 }
 
 // Flush drains the buffer to the underlying writer.
@@ -108,6 +201,16 @@ func WriteSystem(w io.Writer, eqs []Equation) (int64, error) {
 
 // Checksum folds an equation into a running FNV-style hash. Benchmarks use
 // it to keep formation work observable without retaining equations.
+//
+// It digests the pair, the category, the layer, and each term's resistor
+// indices and voltage kinds and indices. It does not digest a term's Sign
+// or the equation's Flow, so equal hashes cannot tell a sign error or a
+// wrong right-hand side. Those are carried by the byte-identity tests:
+// AppendEquation against String (TestAppendEquationMatchesString,
+// FuzzAppendEquation), builders against a dirty buffer
+// (TestEquationAtOverwritesDirtyBuffer, which also compares each Sign),
+// and package parallel's pipelined output against the serial text.
+// The digest is kept as it is: recorded serial hashes depend on it.
 func Checksum(h uint64, e Equation) uint64 {
 	const prime = 1099511628211
 	h = (h ^ uint64(e.PairI)) * prime
