@@ -79,7 +79,7 @@ serve-smoke:
 # trace-smoke proves distributed tracing end to end in both deployment
 # shapes: a traced parmad load whose responses carry trace ids and latency
 # breakdowns and whose Chrome trace forms connected per-request span trees
-# from the HTTP handler down to the MPI ranks, then a multi-process
+# from the HTTP handler down to the solver, then a multi-process
 # parma-mpi run whose per-rank traces merge into one connected job tree.
 # See docs/observability.md.
 trace-smoke:

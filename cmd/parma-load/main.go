@@ -61,7 +61,6 @@ type result struct {
 	timings    *serve.Timings
 	traceID    string
 	backend    string
-	hedged     bool
 	err        error
 }
 
@@ -89,14 +88,11 @@ func run(argv []string) error {
 	checkMetrics := fs.Bool("check-metrics", false, "scrape /metrics afterwards and require queue-depth, stage-latency, and RED series")
 	checkTimings := fs.Bool("check-timings", false, "require every OK response's timings stages to sum to within 10% (+2ms) of its total_ms")
 	checkTraces := fs.Bool("check-traces", false, "require every OK response to carry a trace_id")
-	checkSLO := fs.Bool("check-slo", false, "require SLO burn-rate gauges in /metrics (server must run with -slo)")
 	expectAffinity := fs.Bool("expect-affinity", false, "exit 1 unless responses span >=2 backends overall while each geometry stays pinned (<=2 backends, majority on one); needs a router setting X-Parma-Backend")
 	allowShed := fs.Bool("allow-shed", false, "treat 429/503 sheds as expected backpressure instead of failures (each must carry Retry-After)")
 	expectShed := fs.Bool("expect-shed", false, "exit 1 unless at least one request was shed with Retry-After (implies -allow-shed)")
 	expectDegraded := fs.Bool("expect-degraded", false, "exit 1 unless at least one request was served degraded from the stale cache")
-	hedgeReport := fs.Bool("hedge-report", false, "scrape the router's hedge counters afterwards and exit 1 unless at least one hedge launched (router must run with -hedge-budget > 0)")
 	expectPrewarmHit := fs.Bool("expect-prewarm-hit", false, "exit 1 unless the first OK /v1/recover for every geometry (in send order) was a warm-start cache hit — the warm-handoff assertion")
-	latencyOut := fs.String("latency-out", "", "write OK-response latency percentiles as JSON to this file (machine-readable, for smoke-test comparisons)")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -177,15 +173,8 @@ func run(argv []string) error {
 		failures++
 	}
 	hitRate := float64(hits) / float64(len(results))
-	if *checkMetrics || *checkSLO {
-		want := []string{}
-		if *checkMetrics {
-			want = append(want, "parma_serve_queue_depth", "parma_serve_stage_solve_ms",
-				"parma_serve_red_")
-		}
-		if *checkSLO {
-			want = append(want, "parma_slo_objective_ms", "burn_rate_5m", "burn_rate_1h")
-		}
+	if *checkMetrics {
+		want := []string{"parma_serve_queue_depth", "parma_serve_stage_solve_ms", "parma_serve_red_"}
 		if err := verifyMetrics(client, bases[0], want); err != nil {
 			return err
 		}
@@ -196,16 +185,6 @@ func run(argv []string) error {
 			return err
 		}
 		fmt.Println("affinity: per-geometry pinning confirmed")
-	}
-	if *latencyOut != "" {
-		if err := writeLatencyFile(*latencyOut, results); err != nil {
-			return err
-		}
-	}
-	if *hedgeReport {
-		if err := reportHedging(client, bases[0], results); err != nil {
-			return err
-		}
 	}
 	if *expectPrewarmHit {
 		if err := checkPrewarmHits(items, results); err != nil {
@@ -333,7 +312,6 @@ func fire(client *http.Client, base, path string, body []byte) result {
 	res := result{status: resp.StatusCode, latency: time.Since(start),
 		cache: meta.Cache, degraded: meta.Degraded,
 		timings: meta.Timings, traceID: meta.TraceID, backend: backend,
-		hedged:     resp.Header.Get("X-Parma-Hedged") == "1",
 		retryAfter: resp.Header.Get("Retry-After")}
 	if resp.StatusCode != http.StatusOK {
 		res.err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, meta.Error)
@@ -477,61 +455,6 @@ func timingsAddUp(tm *serve.Timings) bool {
 	return diff <= 0.1*tm.TotalMS+2
 }
 
-// writeLatencyFile dumps OK-response latency percentiles as JSON so a
-// smoke test can compare two runs numerically (hedged vs unhedged p99).
-// Sheds and failures are excluded: a fast 429 would flatter the tail.
-func writeLatencyFile(path string, results []result) error {
-	lat := make([]time.Duration, 0, len(results))
-	for _, r := range results {
-		if r.err == nil && r.status == http.StatusOK {
-			lat = append(lat, r.latency)
-		}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	q := func(p float64) float64 {
-		if len(lat) == 0 {
-			return 0
-		}
-		return float64(lat[int(p*float64(len(lat)-1))]) / float64(time.Millisecond)
-	}
-	out, err := json.Marshal(struct {
-		N     int     `json:"n"`
-		P50MS float64 `json:"p50_ms"`
-		P95MS float64 `json:"p95_ms"`
-		P99MS float64 `json:"p99_ms"`
-		MaxMS float64 `json:"max_ms"`
-	}{len(lat), q(0.50), q(0.95), q(0.99), q(1.0)})
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// reportHedging scrapes the router's hedge counters, reports them next to
-// the client-side X-Parma-Hedged count, and fails when hedging never fired
-// — the smoke-test teeth for -hedge-budget configurations.
-func reportHedging(client *http.Client, base string, results []result) error {
-	hedgedSeen := 0
-	for _, r := range results {
-		if r.hedged {
-			hedgedSeen++
-		}
-	}
-	text, err := scrapeMetrics(client, base)
-	if err != nil {
-		return err
-	}
-	launched := counterValue(text, "parma_fleet_hedge_launched_total")
-	won := counterValue(text, "parma_fleet_hedge_won_total")
-	exhausted := counterValue(text, "parma_fleet_hedge_budget_exhausted_total")
-	fmt.Printf("hedging:    launched=%.0f won=%.0f budget_exhausted=%.0f hedged_responses=%d\n",
-		launched, won, exhausted, hedgedSeen)
-	if launched == 0 {
-		return fmt.Errorf("hedge report: router launched no hedged attempts")
-	}
-	return nil
-}
-
 // checkPrewarmHits asserts warm handoff worked: the first OK /v1/recover
 // for every geometry, in send order, must report a warm-start cache hit.
 // On a cold worker that first request would be a miss, so a pass means
@@ -556,39 +479,18 @@ func checkPrewarmHits(items []workItem, results []result) error {
 	return nil
 }
 
-// scrapeMetrics fetches the Prometheus exposition from base.
-func scrapeMetrics(client *http.Client, base string) ([]byte, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil, fmt.Errorf("scraping /metrics: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics returned HTTP %d", resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// counterValue extracts an unlabelled counter's value from exposition
-// text; absent series read as 0.
-func counterValue(text []byte, name string) float64 {
-	for _, line := range strings.Split(string(text), "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		var v float64
-		if _, err := fmt.Sscanf(rest, "%g", &v); err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
 // verifyMetrics scrapes /metrics and requires each of the wanted series
 // substrings to be present.
 func verifyMetrics(client *http.Client, base string, want []string) error {
-	text, err := scrapeMetrics(client, base)
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		return fmt.Errorf("scraping /metrics: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/metrics returned HTTP %d", resp.StatusCode)
+	}
+	text, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}

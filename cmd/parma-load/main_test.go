@@ -29,6 +29,10 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"degenerate geometry", []string{"-geoms", "1x8"}, `invalid geometry "1x8"`},
 		{"unparsable count", []string{"-n", "many"}, "invalid value"},
 		{"unknown flag", []string{"-policy", "affinity"}, "flag provided but not defined"},
+		// SLO burn rates and hedged recovers are gone.
+		{"check-slo", []string{"-check-slo"}, "flag provided but not defined"},
+		{"hedge-report", []string{"-hedge-report"}, "flag provided but not defined"},
+		{"latency-out", []string{"-latency-out", "lat.json"}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			argv := append([]string{"-target", target.URL, "-n", "1", "-geoms", "4x4"}, tc.argv...)

@@ -1,12 +1,12 @@
 // Command parma-router fronts a fleet of parmad workers: a reverse proxy
-// with geometry-affinity routing (round-robin as the baseline),
-// health-checked failover, and hedged recovers (internal/fleet). It
-// admits nothing itself: each worker bounds its own queue, and its 429
-// and Retry-After reach the client unchanged.
+// with geometry-affinity routing (round-robin as the baseline) and
+// health-checked failover (internal/fleet). It admits nothing itself: each
+// worker bounds its own queue, and its 429 and Retry-After reach the
+// client unchanged.
 //
 // Endpoints:
 //
-//	POST   /v1/recover            proxied to a worker chosen by -policy (hedged when -hedge-budget > 0)
+//	POST   /v1/recover            proxied to a worker chosen by -policy
 //	POST   /v1/measure            proxied likewise
 //	GET    /healthz               fleet liveness + per-backend detail
 //	GET    /fleet                 ring ownership (add ?key=RxC for one geometry)
@@ -64,9 +64,6 @@ func run(argv []string) error {
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that open a backend's circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 2*time.Second, "how long an open breaker skips its backend before a half-open probe")
 	maxBody := fs.Int64("max-body", 1<<20, "max proxied request body bytes (bodies are buffered for idempotent replay; oversize answers 413)")
-	hedgeBudget := fs.Float64("hedge-budget", 0, "max fraction of /v1/recover requests that may launch a hedged second attempt (0 disables hedging)")
-	hedgeDelayMin := fs.Duration("hedge-delay-min", time.Millisecond, "lower clamp on the rolling-p95 hedge delay")
-	hedgeDelayMax := fs.Duration("hedge-delay-max", 500*time.Millisecond, "upper clamp on the rolling-p95 hedge delay")
 	adminToken := fs.String("admin-token", "", "token authenticating the /admin/backends membership API (empty disables it)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a coordinated removal waits for the departing backend's in-flight requests")
 	compactEvery := fs.Duration("compact-interval", 10*time.Second, "fold span events into rollups on this interval (bounds memory)")
@@ -117,9 +114,6 @@ func run(argv []string) error {
 		BreakerThreshold: *breakerThreshold,
 		BreakerOpenFor:   *breakerOpenFor,
 		MaxBody:          *maxBody,
-		HedgeBudget:      *hedgeBudget,
-		HedgeDelayMin:    *hedgeDelayMin,
-		HedgeDelayMax:    *hedgeDelayMax,
 		AdminToken:       *adminToken,
 		DrainTimeout:     *drainTimeout,
 		Recorder:         rec,
@@ -127,6 +121,12 @@ func run(argv []string) error {
 	if err != nil {
 		return err
 	}
+
+	// Take over SIGINT/SIGTERM before the address is published: a
+	// supervisor may signal as soon as -addr-file appears, and Go's
+	// default handler would kill the process without a drain.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -146,8 +146,6 @@ func run(argv []string) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	router.Start(ctx)
 	defer router.Close()
 
@@ -164,7 +162,7 @@ func run(argv []string) error {
 	}
 	logger.Info("routing", "addr", bound, "policy", *policy, "backends", names,
 		"probe_every", (*probeEvery).String(), "suspect_after", (*suspectAfter).String(),
-		"hedge_budget", *hedgeBudget, "admin_api", *adminToken != "")
+		"admin_api", *adminToken != "")
 
 	select {
 	case err := <-errc:

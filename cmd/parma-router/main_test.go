@@ -29,6 +29,10 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"spill-factor", []string{"-spill-factor", "2"}, "flag provided but not defined"},
 		{"attempts", []string{"-attempts", "5"}, "flag provided but not defined"},
 		{"retry-after", []string{"-retry-after", "2s"}, "flag provided but not defined"},
+		// Hedged recovers are gone.
+		{"hedge-budget", []string{"-hedge-budget", "0.1"}, "flag provided but not defined"},
+		{"hedge-delay-min", []string{"-hedge-delay-min", "1ms"}, "flag provided but not defined"},
+		{"hedge-delay-max", []string{"-hedge-delay-max", "500ms"}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.argv)

@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -59,10 +58,7 @@ func run(argv []string) error {
 	compactEvery := fs.Duration("compact-interval", 10*time.Second, "fold span events into rollups on this interval (bounds memory)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
-	sloSpec := fs.String("slo", "", `latency SLO, e.g. "p99=250ms": exports per-endpoint burn-rate gauges at /metrics`)
 	traceFile := fs.String("trace", "", "write a Chrome trace of recorded spans to this file on shutdown")
-	validateRanks := fs.Int("validate-ranks", 0, "cross-check each recovery's equation census across this many in-process MPI ranks (0 = off)")
-	injectDelay := fs.Duration("inject-delay", 0, "testing: sleep this long before serving each POST /v1/* request (health probes unaffected)")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -72,15 +68,6 @@ func run(argv []string) error {
 		return err
 	}
 	obs.SetLogger(logger)
-
-	var slo *obs.SLOMonitor
-	if *sloSpec != "" {
-		obj, err := obs.ParseSLO(*sloSpec)
-		if err != nil {
-			return err
-		}
-		slo = obs.NewSLOMonitor(obj)
-	}
 
 	rec := obs.NewRecorder()
 	obs.Enable(rec)
@@ -117,9 +104,13 @@ func run(argv []string) error {
 		BreakerOpenFor:   *breakerOpenFor,
 		EnablePprof:      *pprofOn,
 		Recorder:         rec,
-		SLO:              slo,
-		ValidateRanks:    *validateRanks,
 	})
+
+	// Take over SIGINT/SIGTERM before the address is published: a
+	// supervisor may signal as soon as -addr-file appears, and Go's
+	// default handler would kill the process without a drain.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -132,35 +123,12 @@ func run(argv []string) error {
 		}
 	}
 
-	handler := srv.Handler()
-	if *injectDelay > 0 {
-		// Fault-injection middleware for fleet testing: slow the compute
-		// endpoints so hedging has a tail to cut, but leave /healthz fast so
-		// the router keeps this worker routable instead of ejecting it.
-		logger.Info("injecting latency", "delay", (*injectDelay).String())
-		inner := handler
-		delay := *injectDelay
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/") {
-				select {
-				case <-time.After(delay):
-				case <-r.Context().Done():
-					return
-				}
-			}
-			inner.ServeHTTP(w, r)
-		})
-	}
-
 	httpSrv := &http.Server{
-		Handler:           handler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	errc := make(chan error, 1)
 	go func() {
@@ -170,7 +138,7 @@ func run(argv []string) error {
 	}()
 
 	logger.Info("listening", "addr", bound, "workers", *workers, "queue", *queueDepth,
-		"cache", *cacheEntries, "slo", *sloSpec, "validate_ranks", *validateRanks)
+		"cache", *cacheEntries)
 
 	select {
 	case err := <-errc:

@@ -63,7 +63,7 @@ type Analyzer struct {
 
 // analyzers returns the full suite in output order.
 func analyzers() []*Analyzer {
-	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, retryboundAnalyzer, ctxspanAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer, hedgecancelAnalyzer}
+	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, retryboundAnalyzer, ctxspanAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer}
 }
 
 // allowRE matches the directive form only — the comment must BEGIN with
@@ -240,13 +240,4 @@ func errorResultIndexes(info *types.Info, call *ast.CallExpr) []int {
 func isErrorType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj() != nil && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// inScope builds an Applies predicate matching any of the import paths.
-func inScope(paths ...string) func(string) bool {
-	set := map[string]bool{}
-	for _, p := range paths {
-		set[p] = true
-	}
-	return func(pkgPath string) bool { return set[pkgPath] }
 }

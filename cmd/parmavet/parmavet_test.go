@@ -76,7 +76,6 @@ var goldenCases = []struct {
 	{"ctxflow", []string{"ctxflow"}},
 	{"atomicmix", []string{"atomicmix"}},
 	{"densealloc", []string{"densealloc"}},
-	{"hedgecancel", []string{"hedgecancel"}},
 	{"xchain", []string{"xchain", "xchain/inner"}},
 }
 

@@ -163,7 +163,6 @@ func (p *Prober) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, b := range p.snapshot() {
 		wg.Add(1)
-		//parmavet:allow hedgecancel -- per-peer liveness fan-out, not a duplicated request: every goroutine probes a different backend and each probe is bounded by fetch's per-probe WithTimeout, so there is no loser to cancel.
 		go func(b *Backend) {
 			defer wg.Done()
 			p.probeOne(ctx, b)

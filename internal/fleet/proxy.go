@@ -43,17 +43,6 @@ type Config struct {
 	// bodies answer 413. Zero selects 1 MiB (a 64×64 float64 matrix in
 	// JSON sits well under it).
 	MaxBody int64
-	// HedgeBudget enables hedged /v1/recover requests: after a
-	// rolling-p95 delay a second attempt launches at the ring successor,
-	// first response wins, the loser is context-cancelled. The value is
-	// the budget — the max fraction of recover requests that may hedge —
-	// so hedging can never exceed HedgeBudget × traffic. Zero disables
-	// hedging.
-	HedgeBudget float64
-	// HedgeDelayMin/HedgeDelayMax clamp the rolling-p95 hedge delay.
-	// Zeros select 1ms and 500ms.
-	HedgeDelayMin time.Duration
-	HedgeDelayMax time.Duration
 	// AdminToken authenticates the /admin/backends API (constant-time
 	// compare against X-Parma-Admin-Token or a bearer token). Empty
 	// disables the admin API entirely.
@@ -94,7 +83,7 @@ const maxAttempts = 3
 
 // Router fronts a parmad fleet: it owns the ring, the policy, the health
 // prober, and one circuit breaker per backend, and proxies the compute
-// endpoints with candidate failover and hedged recover attempts.
+// endpoints with candidate failover.
 // Admission is the workers' own: each bounds its queue and answers 429,
 // which the router relays. Create with New, serve via Handler, launch the
 // health loop with Start, stop with Close. Membership is mutable at
@@ -115,7 +104,6 @@ type Router struct {
 	breakers *serve.BreakerSet
 	prober   *Prober
 	client   *http.Client
-	hedger   *hedger
 	start    time.Time
 }
 
@@ -145,7 +133,6 @@ func New(cfg Config) (*Router, error) {
 		policy:   policy,
 		breakers: serve.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerOpenFor, "fleet"),
 		prober:   NewProber(cfg.Backends, cfg.Probe),
-		hedger:   newHedger(cfg.HedgeBudget, cfg.HedgeDelayMin, cfg.HedgeDelayMax),
 		// The client timeout backstops the per-attempt context deadline:
 		// both are always set, so a wedged worker can pin neither an
 		// attempt nor the connection pool.
@@ -307,10 +294,9 @@ func (rt *Router) seenKeys() []string {
 // proxy forwards one compute request. Both compute endpoints are
 // idempotent — a recovery or measurement is a pure function of the
 // request body — so a failed attempt (connect error, mid-response crash,
-// or a 503 shed) retries on the policy's next candidate, and /v1/recover
-// may additionally hedge: race a delayed second attempt at the ring
-// successor, first response wins. The body was fully buffered (bounded by
-// MaxBody) before the first attempt, so replays are byte-identical.
+// or a 503 shed) retries on the policy's next candidate. The body was
+// fully buffered (bounded by MaxBody) before the first attempt, so replays
+// are byte-identical.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
 	if err != nil {
@@ -347,21 +333,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 		return
 	}
 
-	// Only recover requests hedge: they are idempotent AND their latency
-	// is dominated by the solve, where a second opinion at the successor
-	// actually helps. Each eligible request counts into the budget
-	// denominator whether or not it ends up hedging.
-	hedgeable := endpoint == "recover" && rt.hedger.enabled()
-	if hedgeable {
-		rt.hedger.sawRequest()
-	}
-
 	ctx := r.Context()
 	attempts := 0
-	hedged := false
 	var last *attemptResult
-	for i := 0; i < len(candidates); i++ {
-		b := candidates[i]
+	for _, b := range candidates {
 		if !rt.breakers.Allow(b.Name) {
 			obs.Add("fleet/breaker_skip_total", 1)
 			continue
@@ -371,26 +346,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 			obs.Add("fleet/failover_total", 1)
 		}
 
-		var res *attemptResult
-		settled := false // breaker/latency feedback already applied?
-		if hedgeable && !hedged && i+1 < len(candidates) {
-			var launched bool
-			res, launched = rt.hedgedAttempt(ctx, b, candidates[i+1], r.URL.Path, body)
-			settled = true
-			if launched {
-				hedged = true
-				attempts++
-				i++ // the hedge consumed the next candidate
-			}
-		} else {
-			res = rt.attempt(ctx, b, r.URL.Path, body)
-		}
-
+		res := rt.attempt(ctx, b, r.URL.Path, body)
 		if res.err != nil {
-			if !settled {
-				rt.breakers.Failure(b.Name)
-				obs.Add(b.mErrors, 1)
-			}
+			rt.breakers.Failure(b.Name)
+			obs.Add(b.mErrors, 1)
 			obs.Log().Warn("fleet: attempt failed",
 				"backend", b.Name, "endpoint", endpoint, "err", res.err.Error())
 			if ctx.Err() != nil {
@@ -403,19 +362,12 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 			// Feed the breaker and try the next candidate; keep the reply so
 			// an all-shed fleet relays the worker's own Retry-After rather
 			// than inventing a router error.
-			if !settled {
-				rt.breakers.Failure(b.Name)
-				obs.Add(b.mErrors, 1)
-			}
+			rt.breakers.Failure(b.Name)
+			obs.Add(b.mErrors, 1)
 			last = res
 			continue
 		}
-		if !settled {
-			rt.breakers.Success(b.Name)
-			if hedgeable {
-				rt.hedger.observe(res.durationMS)
-			}
-		}
+		rt.breakers.Success(b.Name)
 		// Only an answered geometry is worth handing off, and only the
 		// affinity policy places by the ring that handoff follows. A 4xx
 		// must not get in: workers reject a whole /v1/warmstate or
@@ -423,11 +375,11 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 		if res.status/100 == 2 && rt.cfg.Policy == PolicyAffinity {
 			rt.seen.LoadOrStore(key, struct{}{})
 		}
-		rt.relay(w, res, attempts, hedged)
+		rt.relay(w, res, attempts)
 		return
 	}
 	if last != nil {
-		rt.relay(w, last, attempts, hedged)
+		rt.relay(w, last, attempts)
 		return
 	}
 	obs.Add("fleet/exhausted_total", 1)
@@ -435,89 +387,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, endpoint string)
 		fmt.Errorf("fleet: all %d candidate backend(s) for geometry %s failed", attempts, key))
 }
 
-// hedgedAttempt races one attempt at primary against a second attempt at
-// the ring successor, launched only after the hedger's rolling-p95 delay
-// and only if the hedge budget admits it. Both attempts derive from one
-// cancellable parent context; the first good reply wins and cancel()
-// reels the loser in, so a hedge costs at most one duplicated in-flight
-// solve, never a dangling one. Breaker and latency feedback for both
-// attempts is applied here (on each attempt's own goroutine — the caller
-// may return before the loser finishes, and a loser cancelled by us must
-// not count as a backend failure).
-func (rt *Router) hedgedAttempt(ctx context.Context, primary, secondary *Backend, path string, body []byte) (res *attemptResult, launched bool) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan *attemptResult, 2)
-	run := func(b *Backend) {
-		go func() {
-			r := rt.attempt(hctx, b, path, body)
-			switch {
-			case r.err != nil:
-				if hctx.Err() == nil { // a real failure, not our cancellation
-					rt.breakers.Failure(b.Name)
-					obs.Add(b.mErrors, 1)
-				}
-			case r.status == http.StatusServiceUnavailable:
-				rt.breakers.Failure(b.Name)
-				obs.Add(b.mErrors, 1)
-			default:
-				rt.breakers.Success(b.Name)
-				rt.hedger.observe(r.durationMS)
-			}
-			results <- r
-		}()
-	}
-	run(primary)
-	outstanding := 1
-	timer := time.NewTimer(rt.hedger.delay())
-	defer timer.Stop()
-	var best *attemptResult
-	for outstanding > 0 {
-		select {
-		case <-timer.C:
-			// The primary is still out past the hedge delay: launch the
-			// hedge if the successor is takeable and the budget admits it.
-			// A breaker claim refused by the budget is settled as Refused so
-			// a half-open probe slot is never leaked.
-			if launched {
-				continue
-			}
-			if !rt.breakers.Allow(secondary.Name) {
-				continue
-			}
-			if !rt.hedger.tryHedge() {
-				rt.breakers.Refused(secondary.Name)
-				continue
-			}
-			launched = true
-			obs.Add("fleet/hedge_launched_total", 1)
-			run(secondary)
-			outstanding++
-		case r := <-results:
-			outstanding--
-			if r.err == nil && r.status != http.StatusServiceUnavailable {
-				if launched && r.backend == secondary {
-					obs.Add("fleet/hedge_won_total", 1)
-				}
-				cancel() // the loser stops burning its backend now, not at defer
-				return r, launched
-			}
-			if best == nil || (best.err != nil && r.err == nil) {
-				best = r // prefer a relayable 503 over a transport error
-			}
-		}
-	}
-	return best, launched
-}
-
 // attemptResult is one backend's reply (or transport failure).
 type attemptResult struct {
-	backend    *Backend
-	status     int
-	body       []byte
-	header     http.Header
-	durationMS float64
-	err        error
+	backend *Backend
+	status  int
+	body    []byte
+	header  http.Header
+	err     error
 }
 
 // attempt forwards the buffered body to one backend under a per-attempt
@@ -532,14 +408,13 @@ func (rt *Router) attempt(ctx context.Context, b *Backend, path string, body []b
 	start := time.Now()
 	res := &attemptResult{backend: b}
 	defer func() {
-		res.durationMS = float64(time.Since(start)) / float64(time.Millisecond)
 		status := res.status
 		if res.err != nil {
 			status = -1
 		}
 		sp.End(obs.S("backend", b.Name), obs.I("status", status))
 		obs.Add(b.mRequests, 1)
-		obs.Observe(b.mLatency, res.durationMS)
+		obs.Observe(b.mLatency, float64(time.Since(start))/float64(time.Millisecond))
 	}()
 
 	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, b.URL+path, bytes.NewReader(body))
@@ -576,9 +451,8 @@ func (rt *Router) attempt(ctx context.Context, b *Backend, path string, body []b
 }
 
 // relay writes one backend reply to the client, labelling which backend
-// answered, how many attempts the request took, and whether a hedge was
-// in flight.
-func (rt *Router) relay(w http.ResponseWriter, res *attemptResult, attempts int, hedged bool) {
+// answered and how many attempts the request took.
+func (rt *Router) relay(w http.ResponseWriter, res *attemptResult, attempts int) {
 	h := w.Header()
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)
@@ -588,9 +462,6 @@ func (rt *Router) relay(w http.ResponseWriter, res *attemptResult, attempts int,
 	}
 	h.Set("X-Parma-Backend", res.backend.Name)
 	h.Set("X-Parma-Attempts", strconv.Itoa(attempts))
-	if hedged {
-		h.Set("X-Parma-Hedged", "1")
-	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }

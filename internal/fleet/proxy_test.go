@@ -76,11 +76,31 @@ func newTestRouter(t *testing.T, policy string, workers ...*computeWorker) (*Rou
 	if err != nil {
 		t.Fatal(err)
 	}
+	startRouter(t, rt)
+	return rt, backends
+}
+
+// startRouter starts rt with a test-scoped lifecycle.
+func startRouter(t *testing.T, rt *Router) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	rt.Start(ctx)
 	t.Cleanup(rt.Close)
-	return rt, backends
+}
+
+// keyOwnedBy finds a geometry key whose ring owner is name, so a test can
+// aim traffic at a specific primary deterministically.
+func keyOwnedBy(t *testing.T, rt *Router, name string) string {
+	t.Helper()
+	for n := 2; n < 200; n++ {
+		key := fmt.Sprintf("%dx%d", n, n)
+		if rt.Ring().Owner(key) == name {
+			return key
+		}
+	}
+	t.Fatalf("no geometry key owned by %s in 2x2..199x199", name)
+	return ""
 }
 
 func recoverBody(rows, cols int) []byte {
@@ -338,7 +358,9 @@ func TestRouterHealthzAndFleet(t *testing.T) {
 		t.Fatalf("/fleet reply = %+v", fr)
 	}
 
-	// All dead → /healthz reports down with 503.
+	// All dead → /healthz reports down with 503. Stop the prober first so
+	// a probe in flight cannot readmit a worker behind the test's back.
+	rt.Close()
 	for _, b := range backends {
 		b.setProbe(ProbeState{Alive: false})
 	}

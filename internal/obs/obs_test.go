@@ -190,3 +190,71 @@ func TestRuntimeSampler(t *testing.T) {
 		t.Fatal("heap histogram never sampled")
 	}
 }
+
+func TestHistogramQuantile(t *testing.T) {
+	h := &Histogram{}
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram quantile should be 0")
+	}
+	// 90 fast observations in the 10–100 decade, 10 slow in 100–1000.
+	for i := 0; i < 90; i++ {
+		h.Observe(20)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(500)
+	}
+	p50 := h.Quantile(0.5)
+	if p50 < 10 || p50 >= 100 {
+		t.Fatalf("p50 = %g, want within the fast decade [10, 100)", p50)
+	}
+	p99 := h.Quantile(0.99)
+	if p99 < 100 || p99 > 500 {
+		t.Fatalf("p99 = %g, want within the slow decade (clamped at max 500)", p99)
+	}
+	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+		t.Fatal("extreme quantiles should clamp to min/max")
+	}
+	if p50 > p99 {
+		t.Fatalf("quantiles not monotone: p50 %g > p99 %g", p50, p99)
+	}
+	var nilH *Histogram
+	if nilH.Quantile(0.5) != 0 {
+		t.Fatal("nil histogram quantile should be 0")
+	}
+}
+
+func TestPrometheusQuantileLines(t *testing.T) {
+	r := NewRecorder()
+	h := r.Registry().Histogram("serve/latency_ms")
+	for i := 0; i < 99; i++ {
+		h.Observe(15)
+	}
+	h.Observe(700)
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"# TYPE parma_serve_latency_ms summary",
+		"parma_serve_latency_ms_count 100",
+		`parma_serve_latency_ms{quantile="0.5"}`,
+		`parma_serve_latency_ms{quantile="0.9"}`,
+		`parma_serve_latency_ms{quantile="0.99"}`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, out)
+		}
+	}
+	// An empty histogram must not emit quantile lines (NaN-free output).
+	r2 := NewRecorder()
+	r2.Registry().Histogram("empty")
+	buf.Reset()
+	if err := r2.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `parma_empty{quantile`) {
+		t.Fatalf("empty histogram emitted quantiles:\n%s", buf.String())
+	}
+}

@@ -151,7 +151,7 @@ func (h *Histogram) Max() float64 {
 // counts: it finds the bucket where the cumulative count crosses q·n and
 // interpolates log-linearly within that decade, clamped to the observed
 // min/max. Decade-bucket resolution is coarse but monotone, which is all
-// SLO burn-rate math and the /metrics summary lines need.
+// the /metrics summary lines need.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0

@@ -42,7 +42,7 @@ type RecoverRequest struct {
 // request's wall time went, stage by stage. queue_ms is admission to worker
 // pickup, factor_ms is time spent factorizing grounded Laplacians inside
 // the solve, and solve_ms is the remaining solver time. The three stages
-// sum to within jitter of total_ms, so a client (or an SLO dashboard) can
+// sum to within jitter of total_ms, so a client (or a latency dashboard) can
 // see at a glance whether a slow request burned its budget queueing or
 // computing.
 type Timings struct {

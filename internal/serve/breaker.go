@@ -51,6 +51,9 @@ type BreakerSet struct {
 	threshold int
 	openFor   time.Duration
 	m         map[string]*breaker
+	// now reads the clock for open windows: time.Now, except in tests
+	// that step it forward instead of sleeping.
+	now func() time.Time
 
 	// Precomputed event counter names: the request path must not
 	// concatenate strings per state transition.
@@ -65,6 +68,7 @@ func NewBreakerSet(threshold int, openFor time.Duration, metricPrefix string) *B
 		threshold: threshold,
 		openFor:   openFor,
 		m:         map[string]*breaker{},
+		now:       time.Now,
 		mHalfOpen: metricPrefix + "/breaker_half_open",
 		mClosed:   metricPrefix + "/breaker_closed",
 		mReopened: metricPrefix + "/breaker_reopened",
@@ -87,7 +91,7 @@ func (s *BreakerSet) Allow(key string) bool {
 	case bClosed:
 		return true
 	case bOpen:
-		if time.Since(b.openedAt) < s.openFor {
+		if s.now().Sub(b.openedAt) < s.openFor {
 			return false
 		}
 		b.state = bHalfOpen
@@ -134,7 +138,7 @@ func (s *BreakerSet) Refused(key string) {
 		return
 	}
 	b.state = bOpen
-	b.openedAt = time.Now()
+	b.openedAt = s.now()
 	b.probing = false
 	obs.Add(s.mReopened, 1)
 }
@@ -154,14 +158,14 @@ func (s *BreakerSet) Failure(key string) {
 	switch b.state {
 	case bHalfOpen:
 		b.state = bOpen
-		b.openedAt = time.Now()
+		b.openedAt = s.now()
 		b.probing = false
 		obs.Add(s.mReopened, 1)
 	case bClosed:
 		b.failures++
 		if b.failures >= s.threshold {
 			b.state = bOpen
-			b.openedAt = time.Now()
+			b.openedAt = s.now()
 			obs.Add(s.mOpened, 1)
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,6 +138,16 @@ func TestStaleFallbackUnderSaturation(t *testing.T) {
 	}
 }
 
+// stepBreakerClock freezes s's breaker clock and returns the function
+// that moves it forward, so a test waits out an open window without
+// sleeping. Install it before the first request.
+func stepBreakerClock(s *Server) (advance func(time.Duration)) {
+	base := time.Now()
+	var elapsed atomic.Int64
+	s.breakers.now = func() time.Time { return base.Add(time.Duration(elapsed.Load())) }
+	return func(d time.Duration) { elapsed.Add(int64(d)) }
+}
+
 // TestBreakerOpensShedsAndRecovers walks one geometry keyspace through
 // the full breaker lifecycle: consecutive deadline failures open it, an
 // open breaker sheds (with Retry-After) when the cache is cold and serves
@@ -148,6 +160,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 		BreakerOpenFor:   300 * time.Millisecond,
 	})
 	gateWorkers(t, s, false)
+	advance := stepBreakerClock(s)
 	truth, z := workload(t, 5)
 	doomed := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z), DeadlineMS: 1}
 	healthy := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z)}
@@ -183,7 +196,7 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 
 	// After the open window a probe goes through the real pipeline and its
 	// success closes the breaker for good.
-	time.Sleep(350 * time.Millisecond)
+	advance(350 * time.Millisecond)
 	for i := 0; i < 2; i++ {
 		resp, body = postJSON(t, hs.Client(), hs.URL+"/v1/recover", healthy)
 		if resp.StatusCode != http.StatusOK {
@@ -212,6 +225,7 @@ func TestBreakerProbeSettlesOnAdmissionFailure(t *testing.T) {
 		BreakerOpenFor:   150 * time.Millisecond,
 	})
 	release := gateWorkers(t, s, true)
+	advance := stepBreakerClock(s)
 	_, z5 := workload(t, 5)
 	doomed := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z5), DeadlineMS: 1}
 	healthy := RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z5)}
@@ -223,7 +237,7 @@ func TestBreakerProbeSettlesOnAdmissionFailure(t *testing.T) {
 			t.Fatalf("doomed request %d: status %d, want 503: %s", i, resp.StatusCode, body)
 		}
 	}
-	time.Sleep(200 * time.Millisecond) // open window elapses: next request probes
+	advance(200 * time.Millisecond) // open window elapses: next request probes
 
 	// Saturate the queue with a different geometry so the 5x5 probe is
 	// refused at admission, not by its own breaker.
@@ -241,11 +255,19 @@ func TestBreakerProbeSettlesOnAdmissionFailure(t *testing.T) {
 		t.Fatalf("refused probe: status %d, want 429: %s", resp.StatusCode, body)
 	}
 	release()
-	wg.Wait() // queue drains
+	wg.Wait()
+	// The 4x4 reply is written before its worker frees the queue slot.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth stuck at %d after the 4x4 request finished", s.QueueDepth())
+		}
+		runtime.Gosched()
+	}
 
 	// The refused probe re-opened the breaker; after another open window a
 	// fresh probe must be admitted and close it for good.
-	time.Sleep(200 * time.Millisecond)
+	advance(200 * time.Millisecond)
 	resp, body = postJSON(t, hs.Client(), hs.URL+"/v1/recover", healthy)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("probe after requeue window: status %d, want 200: %s", resp.StatusCode, body)

@@ -53,15 +53,6 @@ type Config struct {
 	// Recorder, when set, is served by GET /metrics. (Installing it as the
 	// global obs recorder is the caller's choice; see cmd/parmad.)
 	Recorder *obs.Recorder
-	// SLO, when set, tracks per-endpoint burn rates against a latency
-	// objective; /metrics publishes the multi-window gauges at scrape time.
-	SLO *obs.SLOMonitor
-	// ValidateRanks, when positive, cross-checks every recover request's
-	// constraint system by running a distributed formation across that many
-	// in-process MPI ranks (under the request's trace) and comparing the
-	// equation total against the analytic census. A mismatch fails the
-	// request with 500. Zero disables the check.
-	ValidateRanks int
 }
 
 func (c Config) withDefaults() Config {
@@ -243,13 +234,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/warmstate", s.instrument("warmstate", "serve/http/warmstate", s.handleWarmState))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", "serve/http/healthz", s.handleHealthz))
 	if s.cfg.Recorder != nil {
-		metrics := obs.MetricsHandler(s.cfg.Recorder)
-		mux.Handle("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// Burn rates are computed at scrape time so the gauges are as
-			// fresh as the scrape, not as stale as the last request.
-			s.cfg.SLO.Publish(s.cfg.Recorder.Registry())
-			metrics.ServeHTTP(w, r)
-		}))
+		mux.Handle("GET /metrics", obs.MetricsHandler(s.cfg.Recorder))
 	}
 	if s.cfg.EnablePprof {
 		mux.Handle("/debug/pprof/", obs.PprofMux())
@@ -263,7 +248,7 @@ type redNames struct {
 	requests, errors, latency string
 }
 
-// statusWriter captures the response status for RED and SLO accounting.
+// statusWriter captures the response status for RED accounting.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -276,11 +261,10 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // instrument wraps an endpoint with the observability stack: traceparent
 // adoption (or a fresh trace), a request-scoped span the whole pipeline
-// parents under, RED metrics, and SLO burn accounting. A request counts as
-// failed for error-rate and SLO purposes when it was shed (429) or the
-// server broke (5xx) — client-data 4xxes are the client's problem, not
-// budget burn. With recording disabled and no SLO configured the wrapper
-// is two loads and a nil check: the hot path allocates nothing.
+// parents under, and RED metrics. A request counts as failed for the
+// error rate when it was shed (429) or the server broke (5xx) —
+// client-data 4xxes are the client's problem. With recording disabled the
+// wrapper is one load and a call: the hot path allocates nothing.
 func (s *Server) instrument(endpoint, spanName string, h http.HandlerFunc) http.HandlerFunc {
 	names := redNames{
 		requests: "serve/red/" + endpoint + "/requests",
@@ -288,7 +272,7 @@ func (s *Server) instrument(endpoint, spanName string, h http.HandlerFunc) http.
 		latency:  "serve/red/" + endpoint + "/latency_ms",
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !obs.Enabled() && s.cfg.SLO == nil {
+		if !obs.Enabled() {
 			h(w, r)
 			return
 		}
@@ -307,15 +291,11 @@ func (s *Server) instrument(endpoint, spanName string, h http.HandlerFunc) http.
 		h(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
 		sp.End(obs.I("status", sw.status))
-		failed := sw.status >= 500 || sw.status == http.StatusTooManyRequests
 		obs.Add(names.requests, 1)
-		if failed {
+		if sw.status >= 500 || sw.status == http.StatusTooManyRequests {
 			obs.Add(names.errors, 1)
 		}
 		obs.Observe(names.latency, float64(elapsed)/float64(time.Millisecond))
-		if s.cfg.SLO != nil {
-			s.cfg.SLO.Observe(endpoint, elapsed, failed)
-		}
 	}
 }
 

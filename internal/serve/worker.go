@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"parma/internal/grid"
-	"parma/internal/kirchhoff"
-	"parma/internal/mpi"
 	"parma/internal/obs"
 	"parma/internal/solver"
 )
@@ -94,18 +92,19 @@ func (s *Server) worker() {
 }
 
 // runTask executes one admitted task and always delivers exactly one
-// result (the queue-depth decrement lives in finish's caller, admitDone).
+// result. The task leaves the in-flight count and frees its queue slot
+// before the result is delivered, so a client holding its reply never
+// meets its own finished request in /healthz or in admission.
 func (s *Server) runTask(t *task) {
-	defer s.admitDone()
 	if err := t.ctx.Err(); err != nil {
 		obs.Add("serve/abandoned_in_queue", 1)
+		s.admitDone()
 		t.finish(taskResult{status: http.StatusServiceUnavailable,
 			err: fmt.Errorf("abandoned while queued: %w", err)})
 		return
 	}
 	t.run = time.Now()
 	s.running.Add(1)
-	defer s.running.Add(-1)
 	var res taskResult
 	switch t.kind {
 	case kindRecover:
@@ -125,6 +124,8 @@ func (s *Server) runTask(t *task) {
 		}
 		obs.Observe("serve/red/geom/"+gk+"/latency_ms", ms(time.Since(t.enq)))
 	}
+	s.running.Add(-1)
+	s.admitDone()
 	t.finish(res)
 }
 
@@ -135,12 +136,6 @@ func (s *Server) runTask(t *task) {
 func (s *Server) runRecover(t *task) taskResult {
 	ctx, sp := obs.StartSpanCtx(t.ctx, "serve/recover")
 	defer sp.End(obs.S("key", geomKey(t.arr)))
-	if s.cfg.ValidateRanks > 0 {
-		if err := s.validateFormation(ctx, t); err != nil {
-			return taskResult{status: http.StatusInternalServerError,
-				err: fmt.Errorf("rank validation failed: %w", err)}
-		}
-	}
 	opts := solver.RecoverOptions{Tol: t.tol, MaxIter: t.maxIter}
 	warmUsed := false
 	if t.warm {
@@ -169,44 +164,6 @@ func (s *Server) runRecover(t *task) taskResult {
 	return taskResult{field: res.R, iterations: res.Iterations,
 		residual: res.Residual, cacheHit: warmUsed, factor: factor}
 }
-
-// validateFormation cross-checks the request geometry's equation census
-// against an actual distributed formation across cfg.ValidateRanks
-// in-process MPI ranks. It runs under the request's context, so every
-// rank's spans parent into the request trace — this is the paranoia knob
-// for deployments that want each recovery's constraint system witnessed by
-// the parallel formation path, and the natural producer of cross-rank
-// traces for parma tracecheck -distributed.
-func (s *Server) validateFormation(ctx context.Context, t *task) error {
-	p, err := kirchhoff.NewProblem(t.arr, t.field, validateSourceU)
-	if err != nil {
-		return fmt.Errorf("building validation problem: %w", err)
-	}
-	want := kirchhoff.SystemCensus(t.arr).Equations
-	totals := make([]int, s.cfg.ValidateRanks)
-	errs := mpi.NewWorld(s.cfg.ValidateRanks, mpi.CostModel{}).RunCtx(ctx,
-		func(_ context.Context, c *mpi.Comm) error {
-			fr, err := mpi.DistributedFormation(c, p)
-			if err != nil {
-				return err
-			}
-			totals[c.Rank()] = fr.TotalEquations
-			return nil
-		})
-	if err := mpi.FirstError(errs); err != nil {
-		return fmt.Errorf("distributed formation: %w", err)
-	}
-	for r, total := range totals {
-		if total != want {
-			return fmt.Errorf("rank %d saw %d equations, census says %d", r, total, want)
-		}
-	}
-	return nil
-}
-
-// validateSourceU is the applied voltage for validation formations (the
-// paper's 5 V); the equation count being checked is voltage-independent.
-const validateSourceU = 5
 
 // runMeasure runs the forward simulator over a (possibly cached)
 // factorization, honouring cancellation between rows.
