@@ -6,9 +6,12 @@ package main
 // (serve, solver, circuit) a densification silently turns the sparse
 // large-n recovery back into the dense-memory regime it was built to
 // escape, and at n=128 that is a quarter-million-entry allocation per
-// call. Those packages must stay on the CSR kernels (MulVecTo, RowVals);
-// a deliberate small-problem densification needs an explicit
-// `//parmavet:allow densealloc` with the size bound that justifies it.
+// call. The solver's recovery step holds no CSR at all (it stores the
+// Jacobian as the cross's dense blocks, m·n·(m+n) values, in
+// internal/solver/cross.go); a CSR anywhere in these packages stays on its
+// kernels (MulVecTo, RowVals), and a deliberate small-problem densification
+// needs an explicit `//parmavet:allow densealloc` with the size bound that
+// justifies it.
 
 import (
 	"go/ast"

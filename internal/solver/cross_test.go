@@ -1,0 +1,157 @@
+package solver
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"parma/internal/circuit"
+	"parma/internal/grid"
+	"parma/internal/mat"
+	"parma/internal/sparse"
+)
+
+// csrOnPlan is the cross blocks' oracle: S as a CSR on NewPlan's pattern,
+// filled entry by entry with the drop formula, read from fwd's inverse.
+func csrOnPlan(m, n int, fwd *circuit.Solver) *sparse.CSR {
+	p := NewPlan(m, n)
+	s := sparse.FromPattern(m*n, m*n, p.rowPtr, p.colIdx)
+	for pq := 0; pq < m*n; pq++ {
+		gu, gv := fwd.Green(pq/n), fwd.Green(m+pq%n)
+		cols, vals := s.RowVals(pq)
+		for i, kl := range cols {
+			k, l := kl/n, m+kl%n
+			drop := (gu[k] + gv[l]) - (gv[k] + gu[l])
+			vals[i] = drop * drop
+		}
+	}
+	return s
+}
+
+// relDiff is ‖got − want‖/‖want‖.
+func relDiff(got, want mat.Vector) float64 {
+	d := got.Clone()
+	d.AddScaled(-1, want)
+	return d.Norm2() / want.Norm2()
+}
+
+// TestCrossBlocksMatchCSR holds the block storage of S to the CSR form on
+// NewPlan's pattern, both filled from one forward model: every value the
+// blocks store is the CSR's value at the same (pq, kl), bit for bit, the
+// blocks hold nothing else but the zero B diagonal, and S·x, Jᵀ·res and
+// diag(JᵀJ) agree to 1e-13 at either pool width. The shapes include the
+// single-wire strips (m = 1 leaves every B_q a lone zero) and the
+// rectangular geometries the series traffic sends.
+func TestCrossBlocksMatchCSR(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {4, 7}, {7, 4}, {16, 16}, {32, 31}} {
+		m, n := g[0], g[1]
+		u := m * n
+		r := testField(m, n)
+		fwd, err := circuit.NewSolver(grid.New(m, n), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr := csrOnPlan(m, n, fwd)
+		res, x := mat.NewVector(u), mat.NewVector(u)
+		for i := range res {
+			res[i], x[i] = float64(i%5)-2, 1+float64(i%7)
+		}
+		wantSx := csr.MulVec(x)
+		wantJtr, wantDiag := csr.MulVec(res), mat.NewVector(u)
+		for d, v := range r.Values() {
+			wantJtr[d] /= v
+			_, vals := csr.RowVals(d)
+			var s float64
+			for _, e := range vals {
+				s += e * e
+			}
+			wantDiag[d] = s/(v*v) + 1e-12
+		}
+		for _, workers := range []int{1, 3} {
+			prev := mat.Parallelism(workers)
+			st := newSparseStepper(m, n, false)
+			st.prepare(ctx, fwd, r, res)
+			gotSx := mat.NewVector(u)
+			st.s.mulVec(gotSx, x)
+			mat.Parallelism(prev)
+
+			blocks := st.s.(*crossBlocks)
+			for pq := 0; pq < u; pq++ {
+				p, q := pq/n, pq%n
+				cols, vals := csr.RowVals(pq)
+				for i, kl := range cols {
+					got := blocks.bRow(p, q)[kl/n]
+					if kl/n == p {
+						got = blocks.aRow(pq)[kl%n]
+					}
+					if math.Float64bits(got) != math.Float64bits(vals[i]) {
+						t.Fatalf("%dx%d workers=%d: S[%d,%d] is %x in the blocks, %x in the CSR", m, n, workers,
+							pq, kl, math.Float64bits(got), math.Float64bits(vals[i]))
+					}
+				}
+			}
+			if got := len(blocks.a) + len(blocks.b) - u; got != csr.NNZ() || st.s.nnz() != csr.NNZ() {
+				t.Fatalf("%dx%d: blocks hold %d off-diagonal-B values and report nnz %d, CSR has %d",
+					m, n, got, st.s.nnz(), csr.NNZ())
+			}
+			for name, pair := range map[string][2]mat.Vector{"S·x": {gotSx, wantSx}, "Jᵀ·res": {st.jtr, wantJtr}, "diag": {st.diag, wantDiag}} {
+				if rel := relDiff(pair[0], pair[1]); rel > 1e-13 {
+					t.Errorf("%dx%d workers=%d: %s differs from the CSR's by %g relative", m, n, workers, name, rel)
+				}
+			}
+		}
+	}
+}
+
+// TestCrossApplyAllocatesNothing: an 8×8 cross product is one pool chunk, so
+// the CG operator runs without the pool's closure and serve's small
+// recoveries iterate allocation-free.
+func TestCrossApplyAllocatesNothing(t *testing.T) {
+	st, fwd, r, res := refreshFixture(t, 8)
+	st.prepare(context.Background(), fwd, r, res)
+	if chunks := ceilDiv(8, crossGrain(8, 8)); chunks != 1 {
+		t.Fatalf("8x8 cross product splits into %d chunks, want one", chunks)
+	}
+	dst, x := mat.NewVector(64), mat.NewVector(64)
+	x.Fill(1)
+	if allocs := testing.AllocsPerRun(20, func() { st.Apply(dst, x) }); allocs != 0 {
+		t.Fatalf("Apply allocates %v times at 8x8", allocs)
+	}
+}
+
+// ceilDiv is the number of grain-wide chunks covering n.
+func ceilDiv(n, grain int) int { return (n + grain - 1) / grain }
+
+// BenchmarkCrossMulVec times one S·x at n×n on the cross blocks and, as the
+// reference, on the CSR form the blocks replaced. Run it with -cpu 1,2 for
+// the table in docs/performance.md.
+func BenchmarkCrossMulVec(b *testing.B) {
+	for _, n := range []int{32, 64, 100} {
+		r := testField(n, n)
+		fwd, err := circuit.NewSolver(grid.NewSquare(n), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks := newCrossBlocks(n, n)
+		for pq := 0; pq < n*n; pq++ {
+			blocks.fillRow(fwd, pq)
+		}
+		csr := csrOnPlan(n, n, fwd)
+		x, y := mat.NewVector(n*n), mat.NewVector(n*n)
+		for i := range x {
+			x[i] = 1 + float64(i%7)
+		}
+		for _, form := range []struct {
+			name string
+			mul  func(y, x mat.Vector)
+		}{{"blocks", blocks.mulVec}, {"csr", csr.MulVecTo}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, form.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					form.mul(y, x)
+				}
+			})
+		}
+	}
+}

@@ -57,35 +57,50 @@ func TestParallelJacobianMatchesSerial(t *testing.T) {
 // TestRecoverInvariantUnderParallelism asserts the whole recovery is
 // bit-stable across pool widths: every parallel write is to disjoint
 // memory and every reduction keeps its serial order, so parallelism may
-// change wall-clock only, never the iterate sequence.
+// change wall-clock only, never the iterate sequence. At 6×6 every kernel is
+// one chunk. At 48×40 the test lowers the cross product's grain to an eighth
+// of a 64×64 product, which splits it into at least three chunks, so the
+// parallel S·x is what the rectangular case pins — the recovered field bit
+// for bit, and the LM and CG iteration counts exactly.
 func TestRecoverInvariantUnderParallelism(t *testing.T) {
-	a := grid.New(6, 6)
-	truth := testField(6, 6)
-	z, err := circuit.MeasureAll(a, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) RecoverResult {
-		prev := mat.Parallelism(workers)
-		defer mat.Parallelism(prev)
-		res, err := Recover(context.Background(), a, z, RecoverOptions{Tol: 1e-9})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	defer func(flops int) { crossGrainFlops = flops }(crossGrainFlops)
+	for _, g := range []struct{ m, n, grainFlops, minChunks int }{
+		{6, 6, crossGrainFlops, 1},
+		{48, 40, 1 << 17, 3},
+	} {
+		m, n := g.m, g.n
+		crossGrainFlops = g.grainFlops
+		if chunks := ceilDiv(m, crossGrain(m, n)); chunks < g.minChunks {
+			t.Fatalf("%dx%d: the cross product splits into %d chunks, want at least %d", m, n, chunks, g.minChunks)
 		}
-		return res
-	}
-	serial := run(1)
-	parallel := run(8)
-	if serial.Iterations != parallel.Iterations {
-		t.Errorf("iterations differ: serial %d vs parallel %d", serial.Iterations, parallel.Iterations)
-	}
-	if d := math.Abs(serial.Residual - parallel.Residual); d > 1e-12 {
-		t.Errorf("residuals differ by %g: serial %g vs parallel %g", d, serial.Residual, parallel.Residual)
-	}
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if d := math.Abs(serial.R.At(i, j) - parallel.R.At(i, j)); d > 1e-9*serial.R.At(i, j) {
-				t.Fatalf("recovered fields differ at (%d,%d): %g vs %g", i, j, serial.R.At(i, j), parallel.R.At(i, j))
+		a := grid.New(m, n)
+		z, err := circuit.MeasureAll(a, testField(m, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(workers int) RecoverResult {
+			prev := mat.Parallelism(workers)
+			defer mat.Parallelism(prev)
+			res, err := Recover(context.Background(), a, z, RecoverOptions{Tol: 1e-9})
+			if err != nil {
+				t.Fatalf("%dx%d workers=%d: %v", m, n, workers, err)
+			}
+			return res
+		}
+		serial := run(1)
+		for _, workers := range []int{2, 3, 8} {
+			par := run(workers)
+			if par.Iterations != serial.Iterations || par.CGIterations != serial.CGIterations {
+				t.Errorf("%dx%d workers=%d: %d LM / %d CG iterations, serial %d / %d", m, n, workers,
+					par.Iterations, par.CGIterations, serial.Iterations, serial.CGIterations)
+			}
+			if math.Float64bits(par.Residual) != math.Float64bits(serial.Residual) {
+				t.Errorf("%dx%d workers=%d: residual %g, serial %g", m, n, workers, par.Residual, serial.Residual)
+			}
+			for d, v := range serial.R.Values() {
+				if w := par.R.Values()[d]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%dx%d workers=%d: recovered fields differ at %d: %g vs serial %g", m, n, workers, d, w, v)
+				}
 			}
 		}
 	}

@@ -11,9 +11,12 @@ package solver
 // nothing about it depends on the field or the iterate. It is structurally
 // symmetric, and the values the stepper stores on it are symmetric too
 // (recover_sparse.go), so one matrix serves the Jacobian and its transpose.
-// Building it is one pass over its m·n·(m+n−1) indices — 0.2 ms at 32×32,
-// 1.3 ms at 64×64, under 0.6 % of a recovery — so every recovery builds its
-// own.
+//
+// A recovery builds no Plan: it holds the cross as m + n dense blocks whose
+// layout is the pattern (cross.go), with no index arrays at all. Plan is
+// the same pattern in CSR index form, kept as the blocks' oracle
+// (TestCrossBlocksMatchCSR) and for the benchmark's solver.plan64_ms and
+// sparse.* probes.
 
 import "fmt"
 
@@ -43,22 +46,6 @@ func NewPlan(m, n int) *Plan {
 			}
 		}
 		p.rowPtr[pq+1] = len(p.colIdx)
-	}
-	return p
-}
-
-// newFullPlan is the exact-mode oracle's plan: every pair's row holds all
-// m·n unknowns, which makes the sparse step the dense step solved
-// iteratively. It is quadratic in the unknowns, so only the golden test asks
-// for it (RecoverOptions.exact).
-func newFullPlan(m, n int) *Plan {
-	u := m * n
-	p := &Plan{rowPtr: make([]int, u+1), colIdx: make([]int, u*u)}
-	for pq := 0; pq < u; pq++ {
-		for kl := 0; kl < u; kl++ {
-			p.colIdx[pq*u+kl] = kl
-		}
-		p.rowPtr[pq+1] = (pq + 1) * u
 	}
 	return p
 }

@@ -51,10 +51,10 @@ type RecoverOptions struct {
 	// caller runs; MethodDense is the materialized reference.
 	Method Method
 
-	// exact runs the sparse path as the dense-equivalent oracle: the full
-	// u×u pattern in place of the cross and a 1e-13 inner CG tolerance, so it
-	// must retrace the dense backend's trajectory. Only the in-package golden
-	// test (TestRecoverSparseMatchesDenseExact) can set it.
+	// exact runs the sparse path as the dense-equivalent oracle: all of S as
+	// one dense u×u matrix in place of the cross blocks and a 1e-13 inner CG
+	// tolerance, so it must retrace the dense backend's trajectory. Only the
+	// in-package golden test (TestRecoverSparseMatchesDenseExact) can set it.
 	exact bool
 }
 
@@ -85,16 +85,20 @@ type RecoverResult struct {
 // Each iteration costs one grounded-Laplacian inverse per trial field
 // (circuit.NewSolver), from which residuals and Jacobian entries are
 // lookups, and a damped normal-equation solve. The default backend stores
-// the Jacobian on the cross pattern and solves matrix-free by
-// preconditioned CG at every geometry (docs/performance.md tabulates it
-// against the dense reference); MethodDense materializes JᵀJ and factors it
-// by Cholesky with a pivoted-LU fallback.
+// the Jacobian on the cross pattern as m + n dense blocks, with no index
+// arrays, and solves matrix-free by preconditioned CG at every geometry
+// (docs/performance.md tabulates it against the dense reference);
+// MethodDense materializes JᵀJ and factors it by Cholesky with a pivoted-LU
+// fallback.
 //
 // The hot path runs on the parallel kernel layer in internal/mat: the m·n
 // Jacobian rows fan out across the shared worker pool (each pair owns one
-// row, so no locks). mat.Parallelism bounds the fan-out; a
-// serving layer running many concurrent recoveries sets it so request-level
-// and kernel-level parallelism multiply out to GOMAXPROCS, not beyond.
+// row, so no locks), and so do the row blocks of every product with the
+// Jacobian inside CG that carries more arithmetic than a 64×64 one
+// (smaller ones are one chunk, see crossGrainFlops). mat.Parallelism
+// bounds the fan-out; a serving layer running many concurrent recoveries
+// sets it so request-level and kernel-level parallelism multiply out to
+// GOMAXPROCS, not beyond.
 // Results are bit-identical at any parallelism setting: every parallel
 // write targets disjoint memory and every reduction keeps its serial order.
 //

@@ -1,14 +1,15 @@
 package solver
 
 // The sparse Gauss-Newton backend of Recover: the linearization held as one
-// symmetric CSR matrix on the per-geometry cross pattern, the damped normal
-// equations solved matrix-free by preconditioned conjugate gradient — two
-// SpMVs and a diagonal Levenberg shift per CG iteration instead of a dense
-// SYRK and Cholesky — and numeric-only per-iteration refresh. The pattern is
-// the Plan's, a function of the geometry alone; what the cross leaves out
-// (TestSparsityRationale measures it) can cost iterations but never corrupt
-// the recovered field, because the outer LM loop accepts a step only when the
-// exact forward residual decreases.
+// symmetric matrix on the per-geometry cross pattern, stored as m + n dense
+// blocks (cross.go), the damped normal equations solved matrix-free by
+// preconditioned conjugate gradient — two S·x products and a diagonal
+// Levenberg shift per CG iteration instead of a dense SYRK and Cholesky — and
+// numeric-only per-iteration refresh. The pattern is a function of the
+// geometry alone; what the cross leaves out (TestSparsityRationale measures
+// it) can cost iterations but never corrupt the recovered field, because the
+// outer LM loop accepts a step only when the exact forward residual
+// decreases.
 //
 // One matrix is enough because the forward model is reciprocal: the drop
 // pair (p,q)'s unit current puts across resistor (k,l) is
@@ -32,20 +33,20 @@ import (
 // Relative residual targets of each damped normal-equation CG solve.
 const (
 	// defaultCGTol is tight enough that accepted LM steps track the dense
-	// Cholesky steps, loose enough not to burn SpMVs polishing a direction
-	// the damping ladder may reject anyway.
+	// Cholesky steps, loose enough not to burn S·x products polishing a
+	// direction the damping ladder may reject anyway.
 	defaultCGTol = 1e-10
 	// exactCGTol is the oracle's (RecoverOptions.exact): the iterative solve
 	// has to agree with Cholesky to the golden test's 1e-9.
 	exactCGTol = 1e-13
 )
 
-// sparseStepper solves the damped Gauss-Newton normal equations on one CSR
-// matrix. One stepper serves one recovery; it is also the sparse.Operator its
-// CG solves run on.
+// sparseStepper solves the damped Gauss-Newton normal equations on one
+// symmetric matrix S (cross.go). One stepper serves one recovery; it is also
+// the sparse.Operator its CG solves run on.
 type sparseStepper struct {
-	s     *sparse.CSR // S[pq,kl] = drop², bit-symmetric after prepare
-	invR  mat.Vector  // D⁻¹: J = S·D⁻¹, Jᵀ = D⁻¹·S
+	s     stepMatrix // S[pq,kl] = drop², bit-symmetric after prepare
+	invR  mat.Vector // D⁻¹: J = S·D⁻¹, Jᵀ = D⁻¹·S
 	cgTol float64
 
 	// Iteration-scoped numeric state, refreshed by prepare.
@@ -62,14 +63,14 @@ type sparseStepper struct {
 }
 
 func newSparseStepper(m, n int, exact bool) *sparseStepper {
-	build, cgTol := NewPlan, defaultCGTol
+	var s stepMatrix = newCrossBlocks(m, n)
+	cgTol := defaultCGTol
 	if exact {
-		build, cgTol = newFullPlan, exactCGTol
+		s, cgTol = newFullS(m, n), exactCGTol
 	}
 	u := m * n
-	p := build(m, n)
 	return &sparseStepper{
-		s:     sparse.FromPattern(u, u, p.rowPtr, p.colIdx),
+		s:     s,
 		invR:  mat.NewVector(u),
 		cgTol: cgTol,
 		jtr:   mat.NewVector(u), diag: mat.NewVector(u),
@@ -78,68 +79,48 @@ func newSparseStepper(m, n int, exact bool) *sparseStepper {
 	}
 }
 
-func (st *sparseStepper) stats() (int, int) { return st.cgIters, st.s.NNZ() }
+func (st *sparseStepper) stats() (int, int) { return st.cgIters, st.s.nnz() }
 
 // prepare assembles the linearization at the current iterate: numeric refresh
-// of S on the plan's pattern, 1/R, the right-hand side D⁻¹·(S·res), and the
-// normal-matrix diagonal.
+// of S, 1/R, the right-hand side D⁻¹·(S·res), and the normal-matrix diagonal.
 func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *grid.Field, res mat.Vector) {
-	m, n := r.Rows(), r.Cols()
 	sp := obs.StartSpanIn(ctx, "solver/jacobian_sparse")
 	for d, v := range r.Values() {
 		st.invR[d] = 1 / v
 	}
-	// Each pair owns one row; workers write disjoint slots and the per-slot
-	// arithmetic is order-free, so the refresh is deterministic at any pool
-	// width. The drop is jacobianRow's, read from the same two rows of the
-	// forward model's inverse, but summed so that swapping the pair and the
-	// resistor only commutes the two additions: with G bitwise symmetric
-	// (TestGreenSymmetricAndGrounded), S[pq,kl] and S[kl,pq] are the same bits.
-	mat.ParallelFor(m*n, rowGrain, func(lo, hi int) {
-		for pq := lo; pq < hi; pq++ {
-			gu, gv := fwd.Green(pq/n), fwd.Green(m+pq%n)
-			cols, vals := st.s.RowVals(pq)
-			for s, kl := range cols {
-				k, l := kl/n, m+kl%n
-				drop := (gu[k] + gv[l]) - (gv[k] + gu[l])
-				vals[s] = drop * drop
-			}
-		}
-	})
-	st.s.MulVecTo(st.jtr, res)
+	// Each pair owns one row of S and the one diagonal entry it feeds:
 	// diag(JᵀJ)[d] = Σ_pq (S[pq,d]/R_d)² is, by symmetry, the squared norm of
-	// S's row d over R_d² — one worker per chunk of unknowns, accumulated in
-	// index order, deterministic. The 1e-12 floor matches the dense path's
-	// buildDamped.
-	mat.ParallelFor(m*n, 64, func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			w := st.invR[d]
-			st.jtr[d] *= w
-			_, sv := st.s.RowVals(d)
-			var s float64
-			for _, v := range sv {
-				s += v * v
-			}
-			st.diag[d] = s*w*w + 1e-12
+	// S's row d over R_d². Workers write disjoint slots and each row is summed
+	// in a fixed order, so the refresh is deterministic at any pool width. The
+	// drop is jacobianRow's, read from the same two rows of the forward
+	// model's inverse. The 1e-12 floor matches the dense path's buildDamped.
+	mat.ParallelFor(len(st.invR), rowGrain, func(lo, hi int) {
+		for pq := lo; pq < hi; pq++ {
+			w := st.invR[pq]
+			st.diag[pq] = st.s.fillRow(fwd, pq)*w*w + 1e-12
 		}
 	})
-	if sp.Active() {
-		sp.End(obs.I("pairs", m*n), obs.I("nnz", st.s.NNZ()))
+	st.s.mulVec(st.jtr, res)
+	for d, w := range st.invR {
+		st.jtr[d] *= w
 	}
-	obs.Add("sparse/flops", int64(4*st.s.NNZ()))
+	if sp.Active() {
+		sp.End(obs.I("pairs", len(st.invR)), obs.I("nnz", st.s.nnz()))
+	}
+	obs.Add("sparse/flops", int64(4*st.s.nnz()))
 }
 
-func (st *sparseStepper) Dim() int { return st.s.Rows() }
+func (st *sparseStepper) Dim() int { return len(st.invR) }
 
 // Apply is the matrix-free damped normal operator
-// (JᵀJ + λ·diag)·x = D⁻¹·S·(S·(D⁻¹·x)) + λ·diag∘x: two SpMVs on the one
+// (JᵀJ + λ·diag)·x = D⁻¹·S·(S·(D⁻¹·x)) + λ·diag∘x: two products with the one
 // matrix. dst doubles as scratch: sparse.Operator promises it never aliases x.
 func (st *sparseStepper) Apply(dst, x mat.Vector) {
 	for i, w := range st.invR {
 		dst[i] = w * x[i]
 	}
-	st.s.MulVecTo(st.apScr, dst)
-	st.s.MulVecTo(dst, st.apScr)
+	st.s.mulVec(st.apScr, dst)
+	st.s.mulVec(dst, st.apScr)
 	for i, w := range st.invR {
 		dst[i] = w*dst[i] + st.shifted[i]*x[i]
 	}
@@ -162,7 +143,7 @@ func (st *sparseStepper) solve(ctx context.Context, step mat.Vector, lambda floa
 	sp := obs.StartSpanIn(ctx, "solver/sparse_step")
 	x, stats, err := sparse.CGOp(ctx, &st.ws, st, st.jtr, pre, sparse.CGOptions{Tol: st.cgTol})
 	st.cgIters += stats.Iterations
-	obs.Add("sparse/flops", int64(stats.Iterations)*int64(8*st.s.NNZ()+6*len(st.jtr)))
+	obs.Add("sparse/flops", int64(stats.Iterations)*int64(8*st.s.nnz()+6*len(st.jtr)))
 	if sp.Active() {
 		sp.End(obs.I("cg_iters", stats.Iterations), obs.F("cg_residual", stats.Residual),
 			obs.F("lambda", lambda))

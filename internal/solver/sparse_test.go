@@ -15,6 +15,7 @@ import (
 	"parma/internal/gen"
 	"parma/internal/grid"
 	"parma/internal/mat"
+	"parma/internal/sparse"
 )
 
 // TestPlanCrossPattern pins the symbolic layer: row (p, q) of the plan holds
@@ -58,12 +59,13 @@ func TestPlanCrossPattern(t *testing.T) {
 }
 
 // TestRecoverSparseMatchesDenseExact is the golden equivalence test: in
-// exact mode (the full u×u pattern) the sparse path solves the same damped
-// normal equations as dense Cholesky, just iteratively, so the two backends
-// must take the same Levenberg-Marquardt trajectory — same iteration count,
-// same residual, recovered fields identical to 1e-9 — at every kernel pool
-// width, with the same CG iteration count at each. Rectangular and
-// warm-started inputs are where diagonal preconditioning works hardest.
+// exact mode (all of S as one dense u×u matrix) the sparse path solves the
+// same damped normal equations as dense Cholesky, just iteratively, so the
+// two backends must take the same Levenberg-Marquardt trajectory — same
+// iteration count, same residual, recovered fields identical to 1e-9 — at
+// every kernel pool width, with the same CG iteration count at each.
+// Rectangular and warm-started inputs are where diagonal preconditioning
+// works hardest.
 func TestRecoverSparseMatchesDenseExact(t *testing.T) {
 	for _, g := range [][2]int{{16, 16}, {9, 14}, {14, 9}} {
 		m, n := g[0], g[1]
@@ -268,15 +270,17 @@ func TestSparsityRationale(t *testing.T) {
 
 // TestSparseStepperIsOneSymmetricMatrix pins the identity the sparse step is
 // built on, J = S·D⁻¹ with S symmetric: after a refresh on a rough
-// 2,000–11,000 kΩ field every stored S[pq,kl] is the same bits as S[kl,pq]
-// (cross and full pattern, either pool width); in exact mode the right-hand
-// side D⁻¹·S·res and the operator D⁻¹·S·S·D⁻¹ + λ·diag agree with the dense
-// stepper's Jᵀ·res and (JᵀJ + λ·diag)·x, which are assembled entry by entry
-// through jacEntry and share none of this code; and the stepper holds one
-// matrix of plan.NNZ() values, not a second copy for the transpose.
+// 2,000–11,000 kΩ field every block is bit-symmetric — A_p[q,l] ≡ A_p[l,q],
+// B_q[p,k] ≡ B_q[k,p] with a zero B diagonal, and S[pq,kl] ≡ S[kl,pq] on the
+// exact mode's full matrix — at either pool width; in exact mode the
+// right-hand side D⁻¹·S·res and the operator D⁻¹·S·S·D⁻¹ + λ·diag agree with
+// the dense stepper's Jᵀ·res and (JᵀJ + λ·diag)·x, which are assembled entry
+// by entry through jacEntry and share none of this code; and the stepper
+// holds no CSR (TestCrossBlocksMatchCSR counts the values the blocks hold).
 func TestSparseStepperIsOneSymmetricMatrix(t *testing.T) {
 	ctx := context.Background()
 	const lambda = 1e-3
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	for _, g := range [][2]int{{6, 6}, {5, 7}, {7, 4}, {16, 16}} {
 		m, n := g[0], g[1]
 		u := m * n
@@ -306,33 +310,47 @@ func TestSparseStepperIsOneSymmetricMatrix(t *testing.T) {
 			exact.Apply(gotOp, x)
 			mat.Parallelism(prev)
 
-			for name, st := range map[string]*sparseStepper{"cross": cross, "exact": exact} {
-				for pq := 0; pq < u; pq++ {
-					cols, vals := st.s.RowVals(pq)
-					for i, kl := range cols {
-						if back := st.s.At(kl, pq); math.Float64bits(back) != math.Float64bits(vals[i]) {
-							t.Fatalf("%dx%d workers=%d %s: S[%d,%d] = %x but S[%d,%d] = %x", m, n, workers, name,
-								pq, kl, math.Float64bits(vals[i]), kl, pq, math.Float64bits(back))
+			blocks := cross.s.(*crossBlocks)
+			for p := 0; p < m; p++ {
+				for q := 0; q < n; q++ {
+					for l := 0; l < n; l++ {
+						if v, back := blocks.aRow(p*n + q)[l], blocks.aRow(p*n + l)[q]; !same(v, back) {
+							t.Fatalf("%dx%d workers=%d: A_%d[%d,%d] = %x but A_%d[%d,%d] = %x", m, n, workers,
+								p, q, l, math.Float64bits(v), p, l, q, math.Float64bits(back))
 						}
+					}
+					for k := 0; k < m; k++ {
+						if v, back := blocks.bRow(p, q)[k], blocks.bRow(k, q)[p]; !same(v, back) {
+							t.Fatalf("%dx%d workers=%d: B_%d[%d,%d] = %x but B_%d[%d,%d] = %x", m, n, workers,
+								q, p, k, math.Float64bits(v), q, k, p, math.Float64bits(back))
+						}
+					}
+					if v := blocks.bRow(p, q)[p]; !same(v, 0) {
+						t.Fatalf("%dx%d workers=%d: B_%d[%d,%d] = %g, want a zero diagonal", m, n, workers, q, p, p, v)
+					}
+				}
+			}
+			full := exact.s.(fullS).s
+			for pq := 0; pq < u; pq++ {
+				for kl := 0; kl < u; kl++ {
+					if v, back := full.At(pq, kl), full.At(kl, pq); !same(v, back) {
+						t.Fatalf("%dx%d workers=%d exact: S[%d,%d] = %x but S[%d,%d] = %x", m, n, workers,
+							pq, kl, math.Float64bits(v), kl, pq, math.Float64bits(back))
 					}
 				}
 			}
 			for name, pair := range map[string][2]mat.Vector{"Jᵀ·res": {exact.jtr, dense.jtr}, "(JᵀJ+λ·diag)·x": {gotOp, wantOp}} {
-				got, want := pair[0].Clone(), pair[1]
-				got.AddScaled(-1, want)
-				if rel := got.Norm2() / want.Norm2(); rel > 1e-12 {
+				if rel := relDiff(pair[0], pair[1]); rel > 1e-12 {
 					t.Errorf("%dx%d workers=%d: %s differs from the dense stepper's by %g relative", m, n, workers, name, rel)
 				}
 			}
-			matrices := 0
-			for f, v := 0, reflect.ValueOf(*cross); f < v.NumField(); f++ {
-				if v.Field(f).Type() == reflect.TypeOf(cross.s) {
-					matrices++
+		}
+		st := newSparseStepper(m, n, false)
+		for _, v := range []reflect.Value{reflect.ValueOf(*st), reflect.ValueOf(*st.s.(*crossBlocks))} {
+			for f := 0; f < v.NumField(); f++ {
+				if v.Field(f).Type() == reflect.TypeOf((*sparse.CSR)(nil)) {
+					t.Errorf("%dx%d: %s.%s is a CSR", m, n, v.Type().Name(), v.Type().Field(f).Name)
 				}
-			}
-			if matrices != 1 || len(cross.s.Values()) != NewPlan(m, n).NNZ() {
-				t.Errorf("%dx%d: stepper holds %d matrices, the first with %d values; want one of %d",
-					m, n, matrices, len(cross.s.Values()), NewPlan(m, n).NNZ())
 			}
 		}
 	}
@@ -432,9 +450,9 @@ func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *gri
 
 // TestJacobianRefreshAllocationsIndependentOfSize: the refresh reads every
 // entry out of the forward model's inverse in place, so what it allocates is
-// the pool fan-out of its three kernels and nothing per pair; and constructing
-// a stepper adds a fixed set of buffers — the pattern's two index arrays, one
-// values array, seven vectors — however many pairs there are. Both bounds hold
+// the pool fan-out of its two kernels and nothing per pair; and constructing
+// a stepper adds a fixed set of buffers — the two block arrays, seven
+// vectors — however many pairs there are. Both bounds hold
 // unchanged when the pair count grows sixteenfold.
 func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
 	prev := mat.Parallelism(2)

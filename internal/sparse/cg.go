@@ -26,7 +26,8 @@ type CGOptions struct {
 
 // Operator is a square linear operator applied matrix-free. The sparse
 // Gauss-Newton step solves JᵀJ + λD systems without materializing the
-// product: its operator runs two SpMVs and a diagonal shift per Apply.
+// product: its operator runs two products with the Jacobian's cross blocks
+// and a diagonal shift per Apply.
 type Operator interface {
 	// Dim is the operator's (square) dimension.
 	Dim() int

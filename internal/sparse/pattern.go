@@ -1,10 +1,14 @@
 package sparse
 
-// Symbolic-pattern support for the solver's sparse Gauss-Newton path: a CSR
-// whose index structure is a function of the geometry alone, while its values
-// slice is refreshed in place every iteration. FromPattern builds such a
-// matrix; Values and RowVals are the refresh's view of it. TransposePlan,
-// Gather and NormalInto are what the benchmark's probes still link.
+// Symbolic-pattern support: a CSR whose index structure is a function of
+// the geometry alone, while its values slice is refreshed in place.
+// FromPattern builds such a matrix; Values and RowVals are the refresh's view
+// of it. No production code calls this file: the solver's sparse
+// Gauss-Newton step stores its cross pattern as dense blocks with no index
+// arrays (internal/solver/cross.go). FromPattern and RowVals are the oracle
+// those blocks are tested against (solver's TestCrossBlocksMatchCSR), and
+// TransposePlan, Gather and NormalInto are what the benchmark's probes still
+// link.
 
 import (
 	"fmt"
