@@ -191,6 +191,8 @@ func TestValidation(t *testing.T) {
 		{"ragged", `{"rows":2,"cols":2,"z":[[1,2],[3]]}`},
 		{"non-positive", `{"rows":1,"cols":1,"z":[[0]]}`},
 		{"non-finite", `{"rows":1,"cols":1,"z":[[1e999]]}`},
+		{"negative tol", `{"rows":1,"cols":1,"z":[[5]],"tol":-1}`},
+		{"negative max_iter", `{"rows":1,"cols":1,"z":[[5]],"max_iter":-5}`},
 	}
 	for _, tc := range cases {
 		resp, err := hs.Client().Post(hs.URL+"/v1/recover", "application/json",

@@ -439,6 +439,12 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	// JSON carries no NaN or infinity, so the sign is all left to check.
+	if req.Tol < 0 || req.MaxIter < 0 {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("tol %g and max_iter %d must not be negative", req.Tol, req.MaxIter))
+		return
+	}
 	z, err := fieldFromRows(req.Rows, req.Cols, s.cfg.MaxDim, req.Z, true)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid z field: %w", err))

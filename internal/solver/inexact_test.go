@@ -1,0 +1,108 @@
+package solver
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"parma/internal/gen"
+	"parma/internal/grid"
+	"parma/internal/mat"
+	"parma/internal/obs"
+)
+
+// maxRelErr is the largest per-cell |R − truth|/truth.
+func maxRelErr(r, truth *grid.Field) float64 {
+	worst := 0.0
+	rv := r.Values()
+	for d, tv := range truth.Values() {
+		worst = math.Max(worst, math.Abs(rv[d]-tv)/tv)
+	}
+	return worst
+}
+
+// TestInexactStepsKeepLMTrajectory pins defaultCGTol's measurement: stopping
+// each damped CG solve at the loose production tolerance instead of 1e-10
+// takes the same number of LM steps to the same tolerance and recovers the
+// hidden field as well, in at most 0.6× the CG iterations.
+func TestInexactStepsKeepLMTrajectory(t *testing.T) {
+	for _, c := range []struct {
+		m, n int
+		tol  float64
+	}{{16, 16, 1e-8}, {24, 40, 1e-8}, {32, 32, 1e-8}, {32, 32, 1e-12}} {
+		t.Run(fmt.Sprintf("%dx%d/tol=%g", c.m, c.n, c.tol), func(t *testing.T) {
+			truth, z, err := gen.Measurements(gen.Config{
+				Rows: c.m, Cols: c.n, Seed: 2022,
+				Anomalies: []gen.Anomaly{{CenterI: float64(c.m) / 3, CenterJ: float64(c.n) / 2, RadiusI: 3, RadiusJ: 3, Factor: 4}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := grid.New(c.m, c.n)
+			run := func(cgTol float64) RecoverResult {
+				defer func(prev float64) { defaultCGTol = prev }(defaultCGTol)
+				defaultCGTol = cgTol
+				res, err := Recover(context.Background(), a, z, RecoverOptions{Tol: c.tol})
+				if err != nil {
+					t.Fatalf("CG tol %g: %v (residual %g after %d iterations)", cgTol, err, res.Residual, res.Iterations)
+				}
+				if res.Residual > c.tol {
+					t.Fatalf("CG tol %g: residual %g above %g", cgTol, res.Residual, c.tol)
+				}
+				if e := maxRelErr(res.R, truth); e > 1e-4 {
+					t.Fatalf("CG tol %g: max relative error %g against the hidden field", cgTol, e)
+				}
+				return res
+			}
+			loose, tight := run(defaultCGTol), run(1e-10)
+			t.Logf("LM %d / %d, CG %d / %d", loose.Iterations, tight.Iterations, loose.CGIterations, tight.CGIterations)
+			if loose.Iterations != tight.Iterations {
+				t.Errorf("LM iterations %d, want the tight solve's %d", loose.Iterations, tight.Iterations)
+			}
+			if float64(loose.CGIterations) > 0.6*float64(tight.CGIterations) {
+				t.Errorf("CG iterations %d, want at most 0.6× the tight solve's %d", loose.CGIterations, tight.CGIterations)
+			}
+		})
+	}
+}
+
+// TestSolveUsesUnconvergedCGStep pins the inexact-step fallback: a CG that
+// exhausts its budget still hands back its best iterate as the step, counts
+// solver/cg_noconv once, and that iterate is the converged step to 1e-6.
+// The fixture is 4×4 because CG's 10·u budget (160 iterations) runs out there
+// before its recursive residual underflows; from 6×6 up, a CG run that far past
+// convergence reports a breakdown (pᵀAp = 0 or NaN) instead.
+func TestSolveUsesUnconvergedCGStep(t *testing.T) {
+	ctx := context.Background()
+	st, fwd, r, res := refreshFixture(t, 4)
+	st.prepare(ctx, fwd, r, res)
+	const lambda = 1e-3
+	want := mat.NewVector(st.Dim())
+	st.cgTol = 1e-10
+	if ok, err := st.solve(ctx, want, lambda); !ok || err != nil {
+		t.Fatalf("converged solve: ok=%v err=%v", ok, err)
+	}
+
+	obs.Enable(obs.NewRecorder())
+	defer obs.Disable()
+	st.cgTol = -1 // below any reachable residual: CG runs out its budget
+	got := mat.NewVector(st.Dim())
+	ok, err := st.solve(ctx, got, lambda)
+	if !ok || err != nil {
+		t.Fatalf("unconverged solve: ok=%v err=%v, want a usable step", ok, err)
+	}
+	if n := obs.GetCounter("solver/cg_noconv").Value(); n != 1 {
+		t.Fatalf("solver/cg_noconv = %d, want 1", n)
+	}
+	diff := mat.NewVector(len(got))
+	for i := range got {
+		if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
+			t.Fatalf("step[%d] = %g", i, got[i])
+		}
+		diff[i] = got[i] - want[i]
+	}
+	if rel := diff.Norm2() / want.Norm2(); rel > 1e-6 {
+		t.Fatalf("unconverged step differs from the converged one by %g (relative)", rel)
+	}
+}

@@ -40,8 +40,10 @@ func canceled(ctx context.Context) error {
 // RecoverOptions configures resistance-field recovery.
 type RecoverOptions struct {
 	// Tol is the target relative residual ‖Z(R)−Z‖/‖Z‖; zero selects 1e-8.
+	// A negative, NaN or infinite Tol is rejected.
 	Tol float64
-	// MaxIter bounds Levenberg-Marquardt iterations; zero selects 60.
+	// MaxIter bounds Levenberg-Marquardt iterations; zero selects 60. A
+	// negative MaxIter is rejected.
 	MaxIter int
 	// Initial optionally seeds the iteration; nil derives a uniform guess
 	// from the mean measurement.
@@ -61,8 +63,8 @@ type RecoverOptions struct {
 // RecoverResult reports a recovery run.
 type RecoverResult struct {
 	R          *grid.Field // the recovered resistance field
-	Iterations int
-	Residual   float64 // final relative residual
+	Iterations int         // accepted LM steps
+	Residual   float64     // final relative residual
 	// FactorTime is the cumulative time spent factorizing grounded
 	// Laplacians (circuit.NewSolver) across every forward solve, the
 	// dominant per-iteration cost the serving layer attributes separately
@@ -86,8 +88,10 @@ type RecoverResult struct {
 // (circuit.NewSolver), from which residuals and Jacobian entries are
 // lookups, and a damped normal-equation solve. The default backend stores
 // the Jacobian on the cross pattern as m + n dense blocks, with no index
-// arrays, and solves matrix-free by preconditioned CG at every geometry
-// (docs/performance.md tabulates it against the dense reference);
+// arrays, and solves matrix-free by preconditioned CG to a 1e-4 relative
+// residual at every geometry — an inexact step the LM accept test judges
+// against the exact forward residual (docs/performance.md tabulates it
+// against the dense reference);
 // MethodDense materializes JᵀJ and factors it by Cholesky with a pivoted-LU
 // fallback.
 //
@@ -111,6 +115,12 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	if z.Rows() != a.Rows() || z.Cols() != a.Cols() {
 		return RecoverResult{}, fmt.Errorf("solver: Z is %dx%d but array is %dx%d",
 			z.Rows(), z.Cols(), a.Rows(), a.Cols())
+	}
+	if t := opts.Tol; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return RecoverResult{}, fmt.Errorf("solver: Tol %g is not a finite non-negative number", t)
+	}
+	if opts.MaxIter < 0 {
+		return RecoverResult{}, fmt.Errorf("solver: MaxIter %d is negative", opts.MaxIter)
 	}
 	tol := opts.Tol
 	if tol == 0 { //parmavet:allow floateq -- zero is the "unset option" sentinel, assigned not computed
@@ -267,6 +277,7 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 			return result, ErrDiverged
 		}
 	}
+	result.Iterations = maxIter
 	result.Residual = cost / zNorm
 	if result.Residual <= tol {
 		return result, nil

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -113,5 +114,52 @@ func TestRecoverWithProvidedInitial(t *testing.T) {
 	}
 	if rel := res.R.MaxAbsDiff(truth) / 4000; rel > 1e-5 {
 		t.Fatalf("relative error %g", rel)
+	}
+}
+
+// TestRecoverRejectsBadOptions: a negative, NaN or infinite Tol and a
+// negative MaxIter are caller errors, reported before any forward solve and
+// not as ErrDiverged.
+func TestRecoverRejectsBadOptions(t *testing.T) {
+	_, z, err := gen.Measurements(gen.Config{Rows: 12, Cols: 12, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := grid.NewSquare(12)
+	for _, opts := range []RecoverOptions{
+		{Tol: -1}, {Tol: math.NaN()}, {Tol: math.Inf(1)}, {Tol: math.Inf(-1)}, {MaxIter: -5},
+	} {
+		res, err := Recover(context.Background(), a, z, opts)
+		if err == nil || errors.Is(err, ErrDiverged) {
+			t.Errorf("Tol %g MaxIter %d: err = %v, want a validation error", opts.Tol, opts.MaxIter, err)
+		}
+		if res.Iterations != 0 || res.CGIterations != 0 {
+			t.Errorf("Tol %g MaxIter %d: ran %d LM / %d CG iterations before rejecting",
+				opts.Tol, opts.MaxIter, res.Iterations, res.CGIterations)
+		}
+	}
+}
+
+// TestRecoverReportsMaxIterSteps: a recovery cut by its MaxIter budget took
+// exactly MaxIter accepted steps and reports that many.
+func TestRecoverReportsMaxIterSteps(t *testing.T) {
+	_, z, err := gen.Measurements(gen.Config{Rows: 12, Cols: 12, Seed: 7,
+		Anomalies: []gen.Anomaly{{CenterI: 4, CenterJ: 6, RadiusI: 2, RadiusJ: 2, Factor: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := grid.NewSquare(12)
+	full, err := Recover(context.Background(), a, z, RecoverOptions{})
+	if err != nil || full.Iterations <= 3 {
+		t.Fatalf("medium converges in %d steps (err %v), want more than 3", full.Iterations, err)
+	}
+	for maxIter := 1; maxIter <= 3; maxIter++ {
+		res, err := Recover(context.Background(), a, z, RecoverOptions{MaxIter: maxIter})
+		if !errors.Is(err, ErrDiverged) {
+			t.Fatalf("MaxIter %d: err = %v, want ErrDiverged", maxIter, err)
+		}
+		if res.Iterations != maxIter {
+			t.Errorf("MaxIter %d: reports %d iterations", maxIter, res.Iterations)
+		}
 	}
 }
