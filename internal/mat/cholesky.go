@@ -9,9 +9,9 @@ import (
 )
 
 // ErrNotSPD is returned when a Cholesky factorization encounters a matrix
-// that is not positive definite to working precision. For the damped
-// normal equations this signals numerical breakdown, not a bug — callers
-// fall back to pivoted LU (see solver.Recover).
+// that is not positive definite to working precision. For a damped
+// Gauss-Newton system this signals numerical breakdown, not a bug — the
+// caller raises the damping and tries again (see solver.Recover).
 var ErrNotSPD = errors.New("mat: matrix is not positive definite to working precision")
 
 // Cholesky holds the lower-triangular factor L with A = L·Lᵀ of a symmetric

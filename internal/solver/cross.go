@@ -28,9 +28,9 @@ import (
 // stepMatrix is S in the storage one recovery uses: the cross blocks in
 // production, the whole u×u matrix in exact mode.
 type stepMatrix interface {
-	// fillRow refreshes row pq of S from fwd's inverse and returns the row's
-	// squared norm. Rows are independent: workers may fill disjoint rows
-	// concurrently.
+	// fillRow refreshes row pq of S from fwd's inverse and returns its
+	// diagonal entry S[pq,pq]. Rows are independent: workers may fill
+	// disjoint rows concurrently.
 	fillRow(fwd *circuit.Solver, pq int) float64
 	// mulVec computes y = S·x. y never aliases x. Every output is summed by
 	// one worker in a fixed order, so the result is bit-identical at any
@@ -97,23 +97,18 @@ func (c *crossBlocks) fillRow(fwd *circuit.Solver, pq int) float64 {
 	m, n := c.m, c.n
 	p, q := pq/n, pq%n
 	gu, gv := fwd.Green(p), fwd.Green(m+q)
-	var s float64
 	ar := c.aRow(pq)
 	for l := range ar {
-		v := dropSq(gu, gv, p, m+l)
-		ar[l] = v
-		s += v * v
+		ar[l] = dropSq(gu, gv, p, m+l)
 	}
 	br := c.bRow(p, q)
 	for k := range br {
 		if k == p {
 			continue // B's diagonal stays zero: S[(p,q),(p,q)] is A_p[q,q]
 		}
-		v := dropSq(gu, gv, k, m+q)
-		br[k] = v
-		s += v * v
+		br[k] = dropSq(gu, gv, k, m+q)
 	}
-	return s
+	return ar[q]
 }
 
 func (c *crossBlocks) mulVec(y, x mat.Vector) {
@@ -167,8 +162,8 @@ func dot(a, b []float64) float64 {
 }
 
 // fullS holds all of S as one dense u×u matrix: the exact-mode oracle
-// (RecoverOptions.exact), which makes the sparse step the dense step solved
-// iteratively. It is quadratic in the unknowns, so only the golden test
+// (RecoverOptions.exact), which makes the sparse step the dense square step
+// solved iteratively. It is quadratic in the unknowns, so only the golden test
 // asks for it.
 type fullS struct {
 	m, n int
@@ -181,14 +176,11 @@ func (f fullS) nnz() int { return f.s.Rows() * f.s.Cols() }
 
 func (f fullS) fillRow(fwd *circuit.Solver, pq int) float64 {
 	gu, gv := fwd.Green(pq/f.n), fwd.Green(f.m+pq%f.n)
-	var s float64
 	row := f.s.Row(pq)
 	for kl := range row {
-		v := dropSq(gu, gv, kl/f.n, f.m+kl%f.n)
-		row[kl] = v
-		s += v * v
+		row[kl] = dropSq(gu, gv, kl/f.n, f.m+kl%f.n)
 	}
-	return s
+	return row[pq]
 }
 
 func (f fullS) mulVec(y, x mat.Vector) { f.s.MulVecTo(y, x) }

@@ -39,8 +39,9 @@ func relDiff(got, want mat.Vector) float64 {
 // TestCrossBlocksMatchCSR holds the block storage of S to the CSR form on
 // NewPlan's pattern, both filled from one forward model: every value the
 // blocks store is the CSR's value at the same (pq, kl), bit for bit, the
-// blocks hold nothing else but the zero B diagonal, and S·x, Jᵀ·res and
-// diag(JᵀJ) agree to 1e-13 at either pool width. The shapes include the
+// blocks hold nothing else but the zero B diagonal, S·x agrees to 1e-13 at
+// either pool width, Λ is S's diagonal plus the 1e-12 floor bit for bit,
+// and the right-hand side is the residual itself. The shapes include the
 // single-wire strips (m = 1 leaves every B_q a lone zero) and the
 // rectangular geometries the series traffic sends.
 func TestCrossBlocksMatchCSR(t *testing.T) {
@@ -59,16 +60,6 @@ func TestCrossBlocksMatchCSR(t *testing.T) {
 			res[i], x[i] = float64(i%5)-2, 1+float64(i%7)
 		}
 		wantSx := csr.MulVec(x)
-		wantJtr, wantDiag := csr.MulVec(res), mat.NewVector(u)
-		for d, v := range r.Values() {
-			wantJtr[d] /= v
-			_, vals := csr.RowVals(d)
-			var s float64
-			for _, e := range vals {
-				s += e * e
-			}
-			wantDiag[d] = s/(v*v) + 1e-12
-		}
 		for _, workers := range []int{1, 3} {
 			prev := mat.Parallelism(workers)
 			st := newSparseStepper(m, n, false)
@@ -96,10 +87,16 @@ func TestCrossBlocksMatchCSR(t *testing.T) {
 				t.Fatalf("%dx%d: blocks hold %d off-diagonal-B values and report nnz %d, CSR has %d",
 					m, n, got, st.s.nnz(), csr.NNZ())
 			}
-			for name, pair := range map[string][2]mat.Vector{"S·x": {gotSx, wantSx}, "Jᵀ·res": {st.jtr, wantJtr}, "diag": {st.diag, wantDiag}} {
-				if rel := relDiff(pair[0], pair[1]); rel > 1e-13 {
-					t.Errorf("%dx%d workers=%d: %s differs from the CSR's by %g relative", m, n, workers, name, rel)
+			if rel := relDiff(gotSx, wantSx); rel > 1e-13 {
+				t.Errorf("%dx%d workers=%d: S·x differs from the CSR's by %g relative", m, n, workers, rel)
+			}
+			for d, got := range st.diag {
+				if want := csr.At(d, d) + 1e-12; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d workers=%d: Λ[%d] = %g, want S[%d,%d] + 1e-12 = %g", m, n, workers, d, got, d, d, want)
 				}
+			}
+			if &st.res[0] != &res[0] {
+				t.Fatalf("%dx%d workers=%d: the right-hand side is not the residual", m, n, workers)
 			}
 		}
 	}

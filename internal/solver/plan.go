@@ -58,13 +58,12 @@ type Method uint8
 
 const (
 	// MethodSparse (the zero value, and the only production backend) stores
-	// the Jacobian on the cross pattern and solves the damped normal
-	// equations matrix-free by Jacobi-preconditioned CG — per-iteration cost
-	// scales with nnz = m·n·(m+n−1), not (m·n)³.
+	// S (J = S·D⁻¹) on the cross pattern and solves the damped square system
+	// matrix-free by Jacobi-preconditioned CG — per-iteration cost scales
+	// with nnz = m·n·(m+n−1), not (m·n)³.
 	MethodSparse Method = iota
-	// MethodDense materializes the Jacobian, forms JᵀJ with the one-pass
-	// SYRK kernel, and solves the damped normal equations by Cholesky. It is
-	// the reference the exact-mode golden test holds the sparse step to;
-	// O(n⁶) per iteration on squares.
+	// MethodDense materializes all of S and solves the damped square system
+	// by Cholesky. It is the reference the exact-mode golden test holds the
+	// sparse step to; O(n⁶) per iteration on squares.
 	MethodDense
 )

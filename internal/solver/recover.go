@@ -71,10 +71,10 @@ type RecoverResult struct {
 	// from the rest of the solve.
 	FactorTime time.Duration
 	// CGIterations is the cumulative inner CG iteration count across the
-	// recovery (zero for MethodDense).
+	// recovery, one S·x product each (zero for MethodDense).
 	CGIterations int
-	// NNZ is the sparse Jacobian's entry count, m·n·(m+n−1) on the cross
-	// (zero for MethodDense).
+	// NNZ is the number of entries of S the step stores, m·n·(m+n−1) on
+	// the cross (zero for MethodDense).
 	NNZ int
 }
 
@@ -86,19 +86,22 @@ type RecoverResult struct {
 //
 // Each iteration costs one grounded-Laplacian inverse per trial field
 // (circuit.NewSolver), from which residuals and Jacobian entries are
-// lookups, and a damped normal-equation solve. The default backend stores
-// the Jacobian on the cross pattern as m + n dense blocks, with no index
-// arrays, and solves matrix-free by preconditioned CG to a 1e-4 relative
-// residual at every geometry — an inexact step the LM accept test judges
-// against the exact forward residual (docs/performance.md tabulates it
-// against the dense reference);
-// MethodDense materializes JᵀJ and factors it by Cholesky with a pivoted-LU
-// fallback.
+// lookups, and a damped Gauss-Newton solve. The crossbar measures as many
+// pairs as it has resistors, so the log-space Jacobian J = S·D⁻¹ is square,
+// with S symmetric positive semidefinite and D = diag(R), and the step
+// solves (S + λ·diag S)·y = res with step = D·y (recover_sparse.go). The
+// default backend stores S on the cross pattern as m + n dense blocks, with
+// no index arrays, and solves matrix-free by preconditioned CG, one S·x
+// product per iteration, to a 1e-4 relative residual at every geometry — an
+// inexact step the LM accept test judges against the exact forward residual
+// (docs/performance.md tabulates it against the dense reference);
+// MethodDense materializes all of S and factors the damped system by
+// Cholesky.
 //
 // The hot path runs on the parallel kernel layer in internal/mat: the m·n
-// Jacobian rows fan out across the shared worker pool (each pair owns one
-// row, so no locks), and so do the row blocks of every product with the
-// Jacobian inside CG that carries more arithmetic than a 64×64 one
+// rows of S fan out across the shared worker pool (each pair owns one
+// row, so no locks), and so do the row blocks of every product with S
+// inside CG that carries more arithmetic than a 64×64 one
 // (smaller ones are one chunk, see crossGrainFlops). mat.Parallelism
 // bounds the fan-out; a serving layer running many concurrent recoveries
 // sets it so request-level and kernel-level parallelism multiply out to
@@ -183,7 +186,7 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	lambda := 1e-3
 
 	// The Gauss-Newton backend owns every iteration-scoped linearization
-	// buffer (Jacobian, normal equations, factorization scratch), reused
+	// buffer (S, its diagonal, factorization scratch), reused
 	// across iterations and damping retries; only the trial field/residual
 	// that ping-pong with the accepted ones live here.
 	var st gnStepper
@@ -291,45 +294,62 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 const rowGrain = 16
 
 // gnStepper is the Gauss-Newton linear-algebra backend behind one recovery:
-// prepare linearizes at the accepted iterate (Jacobian, normal-equation
-// state, right-hand side Jᵀ·res) and solve produces the damped step for one
-// λ on the ladder. solve reports false to escalate damping (factorization
-// or CG breakdown) and an error only for cancellation; stats feeds the
-// result's backend-specific counters.
+// prepare linearizes at the accepted iterate (S, its diagonal, R and the
+// residual, which stays the right-hand side until the next prepare) and
+// solve produces the damped step for one λ on the ladder. solve reports
+// false to escalate damping (factorization or CG breakdown) and an error
+// only for cancellation; stats feeds the result's backend-specific
+// counters.
 type gnStepper interface {
 	prepare(ctx context.Context, fwd *circuit.Solver, r *grid.Field, res mat.Vector)
 	solve(ctx context.Context, step mat.Vector, lambda float64) (bool, error)
 	stats() (cgIters, nnz int)
 }
 
-// denseStepper is the materialized backend: full Jacobian, one-pass SYRK
-// JᵀJ, Cholesky on the damped copy with pivoted-LU fallback. Unbeatable at
-// the paper's 16×16 reference size; O((mn)³) per solve.
+// denseStepper is the materialized backend: all of S as one u×u matrix,
+// assembled entry by entry through jacEntry as J·D, and the damped square
+// system (S + λ·Λ)·y = res solved by Cholesky. It is the reference the
+// exact-mode sparse step is held to; O((mn)³) per solve.
 type denseStepper struct {
-	jac, jtj, aug *mat.Matrix
-	jtr           mat.Vector
+	s, aug *mat.Matrix
+	d, res mat.Vector // R, and the residual as prepare saw it
 }
 
 func newDenseStepper(m, n int) *denseStepper {
 	u := m * n
-	return &denseStepper{
-		jac: mat.NewMatrix(u, u), jtj: mat.NewMatrix(u, u),
-		aug: mat.NewMatrix(u, u), jtr: mat.NewVector(u),
-	}
+	return &denseStepper{s: mat.NewMatrix(u, u), aug: mat.NewMatrix(u, u), d: mat.NewVector(u)}
 }
 
 func (st *denseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *grid.Field, res mat.Vector) {
-	assembleJacobian(ctx, st.jac, fwd, r)
-	st.jac.ATAInto(st.jtj)
-	st.jac.MulTVecTo(st.jtr, res)
+	assembleJacobian(ctx, st.s, fwd, r)
+	copy(st.d, r.Values())
+	for pq := range st.d {
+		row := st.s.Row(pq)
+		for kl, v := range st.d {
+			row[kl] *= v
+		}
+	}
+	st.res = res
 }
 
+// solve factors aug = S + λ·(diag S + 1e-12) in the reusable scratch matrix,
+// an O((mn)²) copy and no allocation per retry. S is positive semidefinite,
+// so aug is SPD in exact arithmetic; a factorization that breaks down
+// anyway reports false, which sends the caller up the damping ladder.
 func (st *denseStepper) solve(_ context.Context, step mat.Vector, lambda float64) (bool, error) {
-	// Damp in the reusable scratch matrix: aug = jtj + λ·diag. The in-place
-	// Cholesky destroys aug, which is fine — it is rebuilt from jtj on the
-	// next retry (an O((mn)²) copy, not an allocation).
-	buildDamped(st.aug, st.jtj, lambda)
-	return solveDamped(st.aug, st.jtj, st.jtr, step, lambda), nil
+	st.aug.CopyFrom(st.s)
+	for d := range st.d {
+		st.aug.Add(d, d, lambda*(st.s.At(d, d)+1e-12))
+	}
+	chol, err := mat.CholeskyInPlace(st.aug)
+	if err != nil {
+		return false, nil
+	}
+	chol.SolveTo(step, st.res)
+	for i, v := range st.d {
+		step[i] *= v
+	}
+	return true, nil
 }
 
 func (st *denseStepper) stats() (int, int) { return 0, 0 }
@@ -376,34 +396,6 @@ func assembleJacobian(ctx context.Context, jac *mat.Matrix, fwd *circuit.Solver,
 	if sp.Active() {
 		sp.End(obs.I("pairs", m*n))
 	}
-}
-
-// buildDamped sets aug = jtj + λ·(diag(jtj) + 1e-12·I).
-func buildDamped(aug, jtj *mat.Matrix, lambda float64) {
-	aug.CopyFrom(jtj)
-	for d := 0; d < jtj.Rows(); d++ {
-		aug.Add(d, d, lambda*(jtj.At(d, d)+1e-12))
-	}
-}
-
-// solveDamped solves aug·step = jtr into step. The damped normal equations
-// are SPD by construction, so Cholesky (half the arithmetic of pivoted LU,
-// no pivot search) is the primary path; on numerical breakdown aug is
-// rebuilt and pivoted LU has the final word. It reports whether a step was
-// produced — false sends the caller up the damping ladder.
-func solveDamped(aug, jtj *mat.Matrix, jtr, step mat.Vector, lambda float64) bool {
-	if chol, err := mat.CholeskyInPlace(aug); err == nil {
-		chol.SolveTo(step, jtr)
-		return true
-	}
-	obs.Add("solver/cholesky_fallbacks", 1)
-	buildDamped(aug, jtj, lambda) // the failed factorization clobbered aug
-	lu, err := mat.Factorize(aug)
-	if err != nil {
-		return false
-	}
-	copy(step, lu.Solve(jtr))
-	return true
 }
 
 // clamp limits |x| to bound, preserving sign — a trust region on log steps.

@@ -60,7 +60,7 @@ func TestPlanCrossPattern(t *testing.T) {
 
 // TestRecoverSparseMatchesDenseExact is the golden equivalence test: in
 // exact mode (all of S as one dense u×u matrix) the sparse path solves the
-// same damped normal equations as dense Cholesky, just iteratively, so the
+// same damped square system as dense Cholesky, just iteratively, so the
 // two backends must take the same Levenberg-Marquardt trajectory — same
 // iteration count, same residual, recovered fields identical to 1e-9 — at
 // every kernel pool width, with the same CG iteration count at each.
@@ -272,11 +272,11 @@ func TestSparsityRationale(t *testing.T) {
 // built on, J = S·D⁻¹ with S symmetric: after a refresh on a rough
 // 2,000–11,000 kΩ field every block is bit-symmetric — A_p[q,l] ≡ A_p[l,q],
 // B_q[p,k] ≡ B_q[k,p] with a zero B diagonal, and S[pq,kl] ≡ S[kl,pq] on the
-// exact mode's full matrix — at either pool width; in exact mode the
-// right-hand side D⁻¹·S·res and the operator D⁻¹·S·S·D⁻¹ + λ·diag agree with
-// the dense stepper's Jᵀ·res and (JᵀJ + λ·diag)·x, which are assembled entry
-// by entry through jacEntry and share none of this code; and the stepper
-// holds no CSR (TestCrossBlocksMatchCSR counts the values the blocks hold).
+// exact mode's full matrix — at either pool width; in exact mode the damped
+// square operator (S + λ·Λ)·x and the diagonal Λ agree with the dense
+// stepper's, whose S = J·D is assembled entry by entry through jacEntry and
+// shares none of this code; and the stepper holds no CSR
+// (TestCrossBlocksMatchCSR counts the values the blocks hold).
 func TestSparseStepperIsOneSymmetricMatrix(t *testing.T) {
 	ctx := context.Background()
 	const lambda = 1e-3
@@ -295,8 +295,11 @@ func TestSparseStepperIsOneSymmetricMatrix(t *testing.T) {
 		}
 		dense := newDenseStepper(m, n)
 		dense.prepare(ctx, fwd, r, res)
-		buildDamped(dense.aug, dense.jtj, lambda)
-		wantOp := dense.aug.MulVec(x)
+		wantOp, wantDiag := dense.s.MulVec(x), mat.NewVector(u)
+		for d := range wantDiag {
+			wantDiag[d] = dense.s.At(d, d) + 1e-12
+			wantOp[d] += lambda * wantDiag[d] * x[d]
+		}
 
 		for _, workers := range []int{1, 3} {
 			prev := mat.Parallelism(workers)
@@ -339,7 +342,7 @@ func TestSparseStepperIsOneSymmetricMatrix(t *testing.T) {
 					}
 				}
 			}
-			for name, pair := range map[string][2]mat.Vector{"Jᵀ·res": {exact.jtr, dense.jtr}, "(JᵀJ+λ·diag)·x": {gotOp, wantOp}} {
+			for name, pair := range map[string][2]mat.Vector{"Λ": {exact.diag, wantDiag}, "(S+λ·Λ)·x": {gotOp, wantOp}} {
 				if rel := relDiff(pair[0], pair[1]); rel > 1e-12 {
 					t.Errorf("%dx%d workers=%d: %s differs from the dense stepper's by %g relative", m, n, workers, name, rel)
 				}
@@ -451,7 +454,7 @@ func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *gri
 // TestJacobianRefreshAllocationsIndependentOfSize: the refresh reads every
 // entry out of the forward model's inverse in place, so what it allocates is
 // the pool fan-out of its two kernels and nothing per pair; and constructing
-// a stepper adds a fixed set of buffers — the two block arrays, seven
+// a stepper adds a fixed set of buffers — the two block arrays, five
 // vectors — however many pairs there are. Both bounds hold
 // unchanged when the pair count grows sixteenfold.
 func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
@@ -486,14 +489,21 @@ func BenchmarkJacobianRefresh64(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverSeries32 times one sparse 32×32 recovery of the wet-lab
-// time series (three media × the 0/6/12/24 h points, one growing 4× anomaly
-// each) from three starting fields: cold is the closed-form uniform guess,
-// near the previous time point's field, far the same hour of another medium.
-// The hidden fields stand in for recovered ones (they agree to 1e-5). It is
-// the record behind ROADMAP's "warm start that pays" numbers; run it with
-// -benchtime 36x to visit every case equally often.
-func BenchmarkRecoverSeries32(b *testing.B) {
+// seriesJob is one recovery of the 32×32 series: a measurement and the
+// starting field (nil: the closed-form guess).
+type seriesJob struct{ z, initial *grid.Field }
+
+// seriesStarts are the three starting fields of the 32×32 series jobs.
+var seriesStarts = []string{"cold", "near", "far"}
+
+// series32Jobs builds the wet-lab time series behind BenchmarkRecoverSeries32
+// and TestRecoverSeries32CountsPinned — three media × the 0/6/12/24 h points,
+// one growing 4× anomaly each — and its jobs by start: cold is the
+// closed-form uniform guess, near the previous time point's field, far the
+// same hour of another medium. The hidden fields stand in for recovered ones
+// (they agree to 1e-5).
+func series32Jobs(tb testing.TB) (grid.Array, map[string][]seriesJob) {
+	tb.Helper()
 	const n, media = 32, 3
 	a := grid.NewSquare(n)
 	type timePoint struct{ r, z *grid.Field }
@@ -504,23 +514,31 @@ func BenchmarkRecoverSeries32(b *testing.B) {
 			Anomalies: []gen.Anomaly{{CenterI: float64(8 + 6*k), CenterJ: float64(20 - 5*k), RadiusI: 3, RadiusJ: 4}}}, 0.03) {
 			z, err := circuit.MeasureAll(a, r)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			series[k][h] = timePoint{r, z}
 		}
 	}
-	type job struct{ z, initial *grid.Field }
-	jobs := map[string][]job{}
+	jobs := map[string][]seriesJob{}
 	for k := range series {
 		for i, h := range gen.SampleHours {
-			jobs["cold"] = append(jobs["cold"], job{z: series[k][h].z})
+			jobs["cold"] = append(jobs["cold"], seriesJob{z: series[k][h].z})
 			if i > 0 {
-				jobs["near"] = append(jobs["near"], job{series[k][h].z, series[k][gen.SampleHours[i-1]].r})
-				jobs["far"] = append(jobs["far"], job{series[k][h].z, series[(k+1)%media][h].r})
+				jobs["near"] = append(jobs["near"], seriesJob{series[k][h].z, series[k][gen.SampleHours[i-1]].r})
+				jobs["far"] = append(jobs["far"], seriesJob{series[k][h].z, series[(k+1)%media][h].r})
 			}
 		}
 	}
-	for _, start := range []string{"cold", "near", "far"} {
+	return a, jobs
+}
+
+// BenchmarkRecoverSeries32 times one sparse 32×32 recovery of the series
+// jobs (series32Jobs) from each of the three starting fields. It is the
+// record behind ROADMAP's "warm start that pays" numbers; run it with
+// -benchtime 36x to visit every case equally often.
+func BenchmarkRecoverSeries32(b *testing.B) {
+	a, jobs := series32Jobs(b)
+	for _, start := range seriesStarts {
 		b.Run(start, func(b *testing.B) {
 			b.ReportAllocs()
 			var lm, cg int

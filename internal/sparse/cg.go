@@ -25,9 +25,9 @@ type CGOptions struct {
 }
 
 // Operator is a square linear operator applied matrix-free. The sparse
-// Gauss-Newton step solves JᵀJ + λD systems without materializing the
-// product: its operator runs two products with the Jacobian's cross blocks
-// and a diagonal shift per Apply.
+// Gauss-Newton step solves its damped square system (S + λ·diag S)·y = res
+// this way: its operator runs one product with S's cross blocks and a
+// diagonal shift per Apply.
 type Operator interface {
 	// Dim is the operator's (square) dimension.
 	Dim() int
@@ -70,7 +70,7 @@ type CGStats struct {
 // Workspace holds the conjugate gradient work vectors (x, r, z, p, A·p and
 // the preconditioner diagonal) so repeated solves against same-sized
 // systems — per-pair effective-resistance sweeps, masked measurement scans,
-// the recovery solver's per-iteration normal equations — reuse one set of
+// the recovery solver's per-iteration damped systems — reuse one set of
 // buffers instead of allocating five vectors per solve. The zero value is
 // ready; buffers grow on first use and are retained. A Workspace serves one
 // solve at a time (guard it or pool it for concurrent callers; CGSolver
@@ -130,6 +130,14 @@ func CGWith(ws *Workspace, a *CSR, b mat.Vector, opts CGOptions) (mat.Vector, er
 // cancellation latency of a CG-backed solve is bounded by this many SpMVs.
 const cgCancelStride = 32
 
+// cgResidualFloor is the relative residual below which CG stops chasing a
+// tolerance it cannot meet: float64 round-off. The recursively updated
+// residual keeps shrinking long after the true residual b − A·x has
+// stagnated near ε·‖A‖·‖x‖, until it underflows and pᵀAp reads 0 or NaN,
+// which would look like a breakdown of an SPD operator. Below the floor
+// the iterate cannot improve, so CG returns it with ErrNoConvergence.
+const cgResidualFloor = 0x1p-52
+
 // CGOp solves A·x = b for a symmetric positive definite Operator, entirely
 // in ws's buffers (zero allocations once the workspace is warm), with an
 // optional Preconditioner (nil means identity). The returned vector aliases
@@ -137,9 +145,12 @@ const cgCancelStride = 32
 //
 // Cancelling ctx aborts the iteration within cgCancelStride iterations; the
 // returned error wraps ctx's error and the best iterate so far is still
-// returned. On ErrNoConvergence the best iterate is likewise returned —
-// callers doing damped outer iterations (Levenberg-Marquardt) typically use
-// the inexact step anyway and let the outer acceptance test judge it.
+// returned. On ErrNoConvergence — the budget ran out, or the residual fell
+// to cgResidualFloor above a tolerance below it — the best iterate is
+// likewise returned: callers doing damped outer iterations
+// (Levenberg-Marquardt) typically use the inexact step anyway and let the
+// outer acceptance test judge it. A breakdown error means pᵀAp ≤ 0: the
+// operator is not positive definite.
 func CGOp(ctx context.Context, ws *Workspace, op Operator, b mat.Vector, pre Preconditioner, opts CGOptions) (mat.Vector, CGStats, error) {
 	n := op.Dim()
 	if len(b) != n {
@@ -183,6 +194,9 @@ func CGOp(ctx context.Context, ws *Workspace, op Operator, b mat.Vector, pre Pre
 		stats.Residual = r.Norm2() / bnorm
 		if stats.Residual <= tol {
 			return x, stats, nil
+		}
+		if stats.Residual < cgResidualFloor {
+			return x, stats, ErrNoConvergence
 		}
 		if iter%cgCancelStride == 0 {
 			if err := ctx.Err(); err != nil {

@@ -105,3 +105,35 @@ func TestCGOpNoConvergenceReturnsBestIterate(t *testing.T) {
 		t.Fatalf("best iterate unusable: %v", x)
 	}
 }
+
+// TestCGOpUnreachableTolNoConvergence: a tolerance below float64 round-off
+// on an SPD operator CG solves well inside its budget is no breakdown. CG
+// stops at cgResidualFloor and reports ErrNoConvergence with a finite
+// iterate that solves the system, instead of iterating on its recursive
+// residual until that underflows and pᵀAp reads 0 or NaN.
+func TestCGOpUnreachableTolNoConvergence(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	a, _ := randomSPD(rng, 24)
+	rhs := mat.NewVector(24)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	var ws Workspace
+	x, stats, err := CGOp(context.Background(), &ws, (*csrOperator)(a), rhs, nil, CGOptions{Tol: 1e-300})
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	if stats.Iterations >= 240 || stats.Residual >= cgResidualFloor {
+		t.Fatalf("stats = %+v, want a stop at the residual floor inside the budget", stats)
+	}
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("x[%d] = %g", i, v)
+		}
+	}
+	res := a.MulVec(x)
+	res.AddScaled(-1, rhs)
+	if rel := res.Norm2() / rhs.Norm2(); rel > 1e-12 {
+		t.Fatalf("true relative residual %g", rel)
+	}
+}
