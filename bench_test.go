@@ -265,7 +265,7 @@ func benchPairPartition(b *testing.B, assign []int, workers int) {
 						continue
 					}
 					p.FormPair(pair/cols, pair%cols, func(e kirchhoff.Equation) {
-						sink ^= kirchhoff.Checksum(1, e)
+						sink ^= kirchhoff.Checksum(e)
 					})
 				}
 				if sink == 42 {

@@ -84,7 +84,7 @@ func TestEquationAtOverwritesDirtyBuffer(t *testing.T) {
 			if got.String() != want.String() {
 				t.Fatalf("%dx%d equation %d from a dirty buffer:\n%s\nfresh:\n%s", sz[0], sz[1], idx, got, want)
 			}
-			if h, hw := Checksum(0, got), Checksum(0, want); h != hw {
+			if h, hw := Checksum(got), Checksum(want); h != hw {
 				t.Fatalf("%dx%d equation %d: checksum %x from a dirty buffer, %x fresh", sz[0], sz[1], idx, h, hw)
 			}
 			// String prints any non-negative Sign as "+": check the value.

@@ -26,16 +26,40 @@ func BenchmarkFormEquation64(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/eq")
 }
 
-// BenchmarkAppendEquation64 renders one pair block's equations, formed up
-// front, into one reused byte slice, as a WritePipelined former does. The
-// pair has two-digit indices, like most of the 64×64 system.
-func BenchmarkAppendEquation64(b *testing.B) {
+// BenchmarkChecksum64 digests one pair block's equations, formed up front,
+// as a FineGrained sink does after forming each. The pair has 64 terms per
+// equation, like every pair of the 64×64 system.
+func BenchmarkChecksum64(b *testing.B) {
+	eqs := pairBlock(b)
+	terms := 0
+	for _, e := range eqs {
+		terms += len(e.Terms)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range eqs {
+			benchSink ^= Checksum(e)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(terms), "ns/term")
+}
+
+// pairBlock forms pair (37, 21) of the 64×64 system and keeps its
+// equations: a pair with two-digit indices, like most of the system.
+func pairBlock(b *testing.B) []Equation {
 	p := syntheticProblem(b, benchSize, benchSize)
 	var eqs []Equation
 	p.FormPair(37, 21, func(e Equation) {
 		e.Terms = slices.Clone(e.Terms)
 		eqs = append(eqs, e)
 	})
+	return eqs
+}
+
+// BenchmarkAppendEquation64 renders one pair block's equations, formed up
+// front, into one reused byte slice, as a WritePipelined former does.
+func BenchmarkAppendEquation64(b *testing.B) {
+	eqs := pairBlock(b)
 	var data []byte
 	for _, e := range eqs {
 		data = AppendEquation(data, e)

@@ -276,20 +276,21 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestChecksumOrderSensitive: the checksum must distinguish permuted
-// equation streams (catching scheduling bugs that reorder canonical slots).
+// TestChecksumOrderSensitive: callers XOR per-equation digests, so the
+// system digest is blind to the order of formation. What it must catch is
+// a schedule that forms one canonical slot twice and skips another, which
+// leaves the XOR as it was only if the two slots digest alike: every
+// slot's digest must differ. (The order of terms within an equation is
+// TestChecksumSeesEveryField's.)
 func TestChecksumOrderSensitive(t *testing.T) {
 	p, _ := testProblem(t, 3, 3, 31)
-	eqs := p.FormAll()
-	var h1, h2 uint64 = 14695981039346656037, 14695981039346656037
-	for _, e := range eqs {
-		h1 = Checksum(h1, e)
-	}
-	for i := len(eqs) - 1; i >= 0; i-- {
-		h2 = Checksum(h2, eqs[i])
-	}
-	if h1 == h2 {
-		t.Fatal("checksum identical under reordering")
+	seen := make(map[uint64]int)
+	for idx, e := range p.FormAll() {
+		h := Checksum(e)
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("equations %d and %d share digest %x", prev, idx, h)
+		}
+		seen[h] = idx
 	}
 }
 

@@ -198,30 +198,3 @@ func WriteSystem(w io.Writer, eqs []Equation) (int64, error) {
 	}
 	return sw.BytesWritten(), nil
 }
-
-// Checksum folds an equation into a running FNV-style hash. Benchmarks use
-// it to keep formation work observable without retaining equations.
-//
-// It digests the pair, the category, the layer, and each term's resistor
-// indices and voltage kinds and indices. It does not digest a term's Sign
-// or the equation's Flow, so equal hashes cannot tell a sign error or a
-// wrong right-hand side. Those are carried by the byte-identity tests:
-// AppendEquation against String (TestAppendEquationMatchesString,
-// FuzzAppendEquation), builders against a dirty buffer
-// (TestEquationAtOverwritesDirtyBuffer, which also compares each Sign),
-// and package parallel's pipelined output against the serial text.
-// The digest is kept as it is: recorded serial hashes depend on it.
-func Checksum(h uint64, e Equation) uint64 {
-	const prime = 1099511628211
-	h = (h ^ uint64(e.PairI)) * prime
-	h = (h ^ uint64(e.PairJ)) * prime
-	h = (h ^ uint64(e.Cat)) * prime
-	h = (h ^ uint64(e.Layer)) * prime
-	for _, t := range e.Terms {
-		h = (h ^ uint64(uint16(t.RI))) * prime
-		h = (h ^ uint64(uint16(t.RJ))) * prime
-		h = (h ^ uint64(t.Plus.Kind)<<8 ^ uint64(uint32(t.Plus.Idx))) * prime
-		h = (h ^ uint64(t.Minus.Kind)<<8 ^ uint64(uint32(t.Minus.Idx))) * prime
-	}
-	return h
-}

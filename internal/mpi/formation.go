@@ -40,7 +40,7 @@ func DistributedFormation(c *Comm, p *kirchhoff.Problem) (FormationResult, error
 	count := 0
 	for pair := r.Lo; pair < r.Hi; pair++ {
 		p.FormPair(pair/cols, pair%cols, func(e kirchhoff.Equation) {
-			hash ^= kirchhoff.Checksum(14695981039346656037, e)
+			hash ^= kirchhoff.Checksum(e)
 			count++
 		})
 	}

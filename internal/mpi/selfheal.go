@@ -71,7 +71,7 @@ func formBlock(c *Comm, p *kirchhoff.Problem, r sched.Range) blockResult {
 	var res blockResult
 	for pair := r.Lo; pair < r.Hi; pair++ {
 		p.FormPair(pair/cols, pair%cols, func(e kirchhoff.Equation) {
-			res.hash ^= kirchhoff.Checksum(14695981039346656037, e)
+			res.hash ^= kirchhoff.Checksum(e)
 			res.count++
 		})
 	}

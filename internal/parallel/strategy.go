@@ -25,9 +25,6 @@ import (
 	"parma/internal/sched"
 )
 
-// hashBasis seeds the order-independent equation hash (FNV-1a offset).
-const hashBasis = 14695981039346656037
-
 // Options configures a strategy run.
 type Options struct {
 	// Workers is the concurrency degree; < 1 selects GOMAXPROCS. FourWay
@@ -101,7 +98,7 @@ func (s *sink) emit(e kirchhoff.Equation) {
 		s.eqs[s.prob.EquationIndex(e)] = e
 	}
 	s.count++
-	s.hash ^= kirchhoff.Checksum(hashBasis, e)
+	s.hash ^= kirchhoff.Checksum(e)
 }
 
 func newSinks(p *kirchhoff.Problem, w int, collect bool) ([]sink, []kirchhoff.Equation) {
