@@ -101,13 +101,15 @@ chaos-smoke:
 	sh scripts/chaos-smoke.sh
 
 # fuzz-smoke gives the randomized-input surfaces a short beating: the
-# trace-JSON validator, the MPI inbox under concurrent send/recv/close, and
-# the equation serializer against its reference rendering. Go allows one
-# -fuzz pattern per invocation, hence one run per target.
+# trace-JSON validator, the MPI inbox under concurrent send/recv/close, the
+# equation serializer against its reference rendering, and kirchhoff.Text
+# against that serializer. Go allows one -fuzz pattern per invocation,
+# hence one run per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzValidateTrace -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzInbox -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzAppendEquation -fuzztime 10s ./internal/kirchhoff
+	$(GO) test -run '^$$' -fuzz FuzzTextMatchesAppendEquation -fuzztime 10s ./internal/kirchhoff
 
 # Regenerate every paper figure plus the extension studies.
 figures:

@@ -100,8 +100,8 @@ func TestEquationAtOverwritesDirtyBuffer(t *testing.T) {
 
 // TestAppendEquationKeepsPairBlocksInPlace: AppendEquation reserves room
 // for a line's terms before writing them, and that reservation must not
-// outgrow the line by much. WritePipelined sizes every block at pair 0's
-// text plus a quarter; no pair's block may be regrown within that.
+// outgrow the line by much. A buffer sized at pair 0's text plus a quarter
+// must take every pair's block without being regrown.
 func TestAppendEquationKeepsPairBlocksInPlace(t *testing.T) {
 	for _, sz := range [][2]int{{2, 2}, {2, 3}, {3, 5}, {8, 8}, {12, 11}} {
 		m, n := sz[0], sz[1]

@@ -71,3 +71,21 @@ func BenchmarkAppendEquation64(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/eq")
 }
+
+// BenchmarkText48 renders the whole 48×48 system, form-64's pipelined
+// pass, on one goroutine: each iteration builds the Text and appends every
+// pair into one reused buffer, as a WritePipelined former does.
+func BenchmarkText48(b *testing.B) {
+	p := syntheticProblem(b, 48, 48)
+	eqs := SystemCensus(p.Array).Equations
+	data := make([]byte, 0, NewText(p).MaxPairLen())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		text := NewText(p)
+		for pair := range p.Array.Pairs() {
+			data = text.AppendPair(data[:0], pair)
+			benchSink += uint64(len(data))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(eqs), "ns/eq")
+}

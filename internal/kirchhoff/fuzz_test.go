@@ -1,6 +1,7 @@
 package kirchhoff
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -86,6 +87,24 @@ func FuzzAppendEquation(f *testing.F) {
 					t.Fatalf("putTerm wrote %q, want %q", w[:n], " "+term.String())
 				}
 			}
+		}
+	})
+}
+
+// FuzzTextMatchesAppendEquation checks Text against AppendEquation over
+// arbitrary array shapes up to 40×40 and any equation of each.
+func FuzzTextMatchesAppendEquation(f *testing.F) {
+	f.Add(uint8(1), uint8(1), uint32(0))
+	f.Add(uint8(3), uint8(40), uint32(12345))
+	f.Add(uint8(40), uint8(2), uint32(999))
+	f.Add(uint8(11), uint8(12), uint32(2874))
+	f.Fuzz(func(t *testing.T, m, n uint8, idx uint32) {
+		rows, cols := 1+int(m)%40, 1+int(n)%40
+		p := syntheticProblem(t, rows, cols)
+		eq := int(idx) % SystemCensus(p.Array).Equations
+		got := NewText(p).AppendAt(nil, eq)
+		if want := AppendEquation(nil, p.EquationAt(eq, nil)); !bytes.Equal(got, want) {
+			t.Fatalf("%dx%d equation %d:\n%q\nAppendEquation writes\n%q", rows, cols, eq, got, want)
 		}
 	})
 }

@@ -15,6 +15,10 @@ import (
 // deterministic, and parseable:
 //
 //	eq p=(2,3) ua[1]: + (U - Ua[1])/R[2,0] - (Ua[1] - Ub[0])/R[0,0] = 0
+//
+// WriteEquation renders any Equation through AppendEquation; WriteText
+// renders one equation of a formed system through its Text, as
+// parallel.WriteSharded's shards do.
 type Writer struct {
 	w   *bufio.Writer
 	n   int64 // bytes written
@@ -28,35 +32,37 @@ func NewWriter(w io.Writer) *Writer {
 
 // WriteEquation serializes one equation.
 func (sw *Writer) WriteEquation(e Equation) error {
-	sw.buf = AppendEquation(sw.buf[:0], e)
-	n, err := sw.w.Write(sw.buf)
+	return sw.write(AppendEquation(sw.buf[:0], e))
+}
+
+// WriteText serializes canonical equation idx of t's system.
+func (sw *Writer) WriteText(t *Text, idx int) error {
+	return sw.write(t.AppendAt(sw.buf[:0], idx))
+}
+
+// write keeps line as the next line's buffer and writes it.
+func (sw *Writer) write(line []byte) error {
+	sw.buf = line
+	n, err := sw.w.Write(line)
 	sw.n += int64(n)
 	return err
 }
 
 // AppendEquation appends the text form of e — one line, newline included —
-// to b and returns the extended slice. It is the one serializer: Writer
-// calls it, and so does anything that renders equations straight into a
-// byte slice of its own. The line is e.String() plus "\n", byte for byte.
+// to b and returns the extended slice. The line is e.String() plus "\n",
+// byte for byte. It renders any Equation: Writer calls it for WriteSystem's
+// equations. The formed system's own writers render through Text instead,
+// which must match it byte for byte.
 //
 // The terms are the bulk of every line. b grows once for all of them, by
 // termMax per term, and putTerm writes each at a running offset with
 // fixed-width stores. A store may write up to three bytes past the text it
 // advances over; what is written next overwrites them. Reserving the
 // widest table-rendered term, rather than the widest term at all, keeps
-// the slack a fraction of the line, so a caller that sizes a block from
-// one pair's text (WritePipelined) is not made to regrow it near its end.
+// the slack a fraction of the line, so a caller that sizes a buffer from
+// one pair's text is not made to regrow it near its end.
 func AppendEquation(b []byte, e Equation) []byte {
-	b = append(b, "eq p=("...)
-	b = appendIndex(b, e.PairI)
-	b = append(b, ',')
-	b = appendIndex(b, e.PairJ)
-	b = append(b, ") "...)
-	b = append(b, e.Cat.String()...)
-	b = append(b, '[')
-	b = appendIndex(b, e.Layer)
-	b = append(b, "]:"...)
-
+	b = appendHeader(b, e.PairI, e.PairJ, e.Cat, e.Layer)
 	b = slices.Grow(b, len(e.Terms)*termMax)
 	w, off := b[:cap(b)], len(b)
 	for i := range e.Terms {
@@ -67,19 +73,45 @@ func AppendEquation(b []byte, e Equation) []byte {
 		}
 		// No formed system has such a term: render it the reference way
 		// and regrow for the rest.
-		w = append(w[:off], ' ')
-		w = append(w, t.String()...)
-		w = slices.Grow(w, (len(e.Terms)-1-i)*termMax)
+		w = slices.Grow(appendTerm(w[:off], t), (len(e.Terms)-1-i)*termMax)
 		w, off = w[:cap(w)], len(w)
 	}
+	return appendFlow(w[:off], e.Flow)
+}
 
-	b = append(w[:off], " = "...)
-	if math.Float64bits(e.Flow) == 0 {
+// appendHeader appends a line's left end, "eq p=(i,j) cat[layer]:".
+func appendHeader(b []byte, i, j int, cat Category, layer int) []byte {
+	b = append(b, "eq p=("...)
+	b = appendIndex(b, i)
+	b = append(b, ',')
+	b = appendIndex(b, j)
+	b = append(b, ") "...)
+	b = append(b, cat.String()...)
+	b = append(b, '[')
+	b = appendIndex(b, layer)
+	return append(b, "]:"...)
+}
+
+// appendFlow appends a line's right end, " = flow" and the newline.
+func appendFlow(b []byte, flow float64) []byte {
+	b = append(b, " = "...)
+	if math.Float64bits(flow) == 0 {
 		b = append(b, '0') // the intermediate layers' +0: skip the float formatter
 	} else {
-		b = strconv.AppendFloat(b, e.Flow, 'g', 12, 64)
+		b = strconv.AppendFloat(b, flow, 'g', 12, 64)
 	}
 	return append(b, '\n')
+}
+
+// appendTerm appends one term's text to b: through putTerm when the term
+// is tabled, and from Term.String when it is not.
+func appendTerm(b []byte, t *Term) []byte {
+	if !t.tabled() {
+		b = append(b, ' ')
+		return append(b, t.String()...)
+	}
+	b = slices.Grow(b, termMax)
+	return b[:putTerm(b[:cap(b)], len(b), t)]
 }
 
 const (

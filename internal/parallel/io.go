@@ -10,14 +10,16 @@ import (
 	"parma/internal/sched"
 )
 
-// WriteSharded forms the whole system with w workers and streams each
+// WriteSharded renders the whole system with w workers and streams each
 // worker's equations to its own shard file dir/equations-<worker>.eq —
 // the end-to-end (compute + disk I/O) workload of the paper's Figure 9.
 // It returns the total byte count across shards.
 //
-// Shard files are self-consistent equation files in the kirchhoff.Writer
-// format; concatenating and canonically sorting them reproduces the serial
-// output exactly.
+// The workers render canonical indices through one shared kirchhoff.Text,
+// each into its shard's buffered kirchhoff.Writer. Shard files are
+// self-consistent equation files in the kirchhoff.Writer format;
+// concatenating and canonically sorting them reproduces the serial output
+// exactly.
 func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, chunk int) (int64, error) {
 	checkProblem(p)
 	if w < 1 {
@@ -41,7 +43,7 @@ func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, 
 	}
 
 	total := kirchhoff.SystemCensus(p.Array).Equations
-	sinks, _ := newSinks(p, w, false)
+	text := kirchhoff.NewText(p)
 	errs := make([]error, w)
 	var once sync.Once
 	var firstErr error
@@ -49,7 +51,7 @@ func WriteSharded(p *kirchhoff.Problem, dir string, w int, policy sched.Policy, 
 		if errs[worker] != nil {
 			return
 		}
-		if err := writers[worker].WriteEquation(sinks[worker].formAt(idx)); err != nil {
+		if err := writers[worker].WriteText(text, idx); err != nil {
 			errs[worker] = err
 			once.Do(func() { firstErr = fmt.Errorf("parallel: shard %d write: %w", worker, err) })
 		}

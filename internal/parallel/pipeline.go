@@ -5,92 +5,100 @@ import (
 	"io"
 
 	"parma/internal/kirchhoff"
+	"parma/internal/obs"
 	"parma/internal/sched"
 )
 
-// WritePipelined streams the whole system to ONE writer while forming and
-// serializing pair blocks concurrently: formers pull pair indices, render
-// each pair's equations into a byte block, and a sequencer emits blocks in
+// ctrPairsRendered counts the pair blocks WritePipelined's formers render.
+const ctrPairsRendered = "parallel/pairs_rendered"
+
+// WritePipelined streams the whole system to ONE writer while rendering
+// pair blocks concurrently: formers render pairs through one shared
+// kirchhoff.Text into byte blocks, and a sequencer writes the blocks in
 // canonical pair order. The output is byte-identical to the serial
-// WriteSystem over FormAll, but formation and serialization overlap with
-// the downstream write — the pipelining optimization for the Figure-9
-// workload when a single output file is required.
+// WriteSystem over FormAll, but rendering overlaps the downstream write —
+// the pipelining optimization for the Figure-9 workload when a single
+// output file is required.
 //
-// Steady state allocates nothing per pair: each former forms into its own
-// term buffer and appends into a block taken from a free list, and the
-// sequencer returns every block to that list once it is written.
+// The sequencer hands the formers pairs in order, at most a window of
+// 2·formers ahead of the pair it writes. So at most that many blocks
+// exist: each is sized at the widest pair's text and passes from pair p to
+// pair p + window once p is written, and a pass allocates nothing per
+// pair. After a failed write the sequencer hands out no more pairs: the
+// formers finish the ones they hold, at most a window's worth, and stop.
 func WritePipelined(p *kirchhoff.Problem, w io.Writer, formers int) (int64, error) {
 	checkProblem(p)
 	if formers < 1 {
 		formers = 1
 	}
+	text := kirchhoff.NewText(p)
+	size := text.MaxPairLen()
 	pairs := p.Array.Pairs()
-	perPair := kirchhoff.SystemCensus(p.Array).EquationsPerPair
-	sinks, _ := newSinks(p, formers, false)
-	form := func(worker, pair int, data []byte) []byte {
-		for idx := pair * perPair; idx < (pair+1)*perPair; idx++ {
-			data = kirchhoff.AppendEquation(data, sinks[worker].formAt(idx))
-		}
-		return data
-	}
-
-	// Pair 0 is formed here, before the formers start: it is written first
-	// anyway, and its length, plus headroom for the wider indices of later
-	// pairs, is every fresh block's capacity, so blocks do not grow append
-	// by append.
-	first := form(0, 0, nil)
-	size := len(first) + len(first)/4
-
-	type block struct {
-		pair int
-		data []byte
-	}
-	blocks := make(chan block, formers*2) // lets every former stay one block ahead of the sequencer
-	// The free list holds as many blocks as can be in flight: one per
-	// former, one per slot of blocks, and the one being written. Neither
-	// side ever blocks on it: a former that finds it empty allocates, and
-	// a block that finds it full is dropped. A blocking take would
-	// deadlock the write-error drain, which stops recycling.
-	free := make(chan []byte, formers*3+1)
+	window := 2 * formers
+	// At most a window of pairs is handed out and not yet written, so
+	// neither channel's sender ever waits on it.
+	blocks := make([][]byte, window) // blocks[pair%window] is the pair's text
+	todo := make(tickets, window)    // pairs handed to the formers, in order
+	done := make(chan int, window)   // pairs rendered, in any order
 	go func() {
-		sched.Run("", formers, sched.NewChunker(pairs-1, formers, sched.Dynamic, 1), sched.Each(func(worker, i int) {
-			var data []byte
-			select {
-			case data = <-free:
-			default:
-				data = make([]byte, 0, size)
+		sched.Run("", formers, todo, sched.Each(func(_, pair int) {
+			b := blocks[pair%window]
+			if b == nil {
+				b = make([]byte, 0, size)
 			}
-			blocks <- block{pair: i + 1, data: form(worker, i+1, data)}
+			blocks[pair%window] = text.AppendPair(b[:0], pair)
+			obs.Add(ctrPairsRendered, 1)
+			done <- pair
 		}))
-		close(blocks)
+		close(done)
 	}()
 
-	// Sequencer: emit blocks in pair order, stashing early arrivals.
-	pending := map[int][]byte{0: first}
+	// Sequencer: hand out the first window, then write the pairs in order,
+	// handing out pair+window as each pair's block comes free.
+	issued := 0
+	for ; issued < min(window, pairs); issued++ {
+		todo <- issued
+	}
+	ready := make([]bool, window)
 	var total int64
-	for emit := 0; emit < pairs; {
-		data, ok := pending[emit]
-		if !ok {
-			b, open := <-blocks
-			if !open {
-				return total, fmt.Errorf("parallel: pipeline emitted %d of %d pair blocks", emit, pairs)
+	var err error
+	for next := 0; next < pairs; {
+		if !ready[next%window] {
+			pair, ok := <-done
+			if !ok {
+				err = fmt.Errorf("parallel: pipeline emitted %d of %d pair blocks", next, pairs)
+				break
 			}
-			pending[b.pair] = b.data
+			ready[pair%window] = true
 			continue
 		}
-		delete(pending, emit)
-		n, err := w.Write(data)
+		ready[next%window] = false
+		n, werr := w.Write(blocks[next%window])
 		total += int64(n)
-		if err != nil {
-			for range blocks {
-			}
-			return total, fmt.Errorf("parallel: pipelined write: %w", err)
+		if werr != nil {
+			err = fmt.Errorf("parallel: pipelined write: %w", werr)
+			break
 		}
-		select {
-		case free <- data[:0]: // an io.Writer must not retain what it was given
-		default:
+		next++
+		if issued < pairs {
+			todo <- issued
+			issued++
 		}
-		emit++
 	}
-	return total, nil
+	// Done, or the write failed: hand out no more pairs, and wait for the
+	// formers to finish the ones they hold.
+	close(todo)
+	for range done {
+	}
+	return total, err
+}
+
+// tickets is WritePipelined's Source: the sequencer sends pair indices
+// into it in order, and each former takes the next one.
+type tickets chan int
+
+// Next implements sched.Source.
+func (t tickets) Next(int) (sched.Range, bool) {
+	pair, ok := <-t
+	return sched.Range{Lo: pair, Hi: pair + 1}, ok
 }

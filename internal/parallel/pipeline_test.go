@@ -6,27 +6,31 @@ import (
 	"testing"
 
 	"parma/internal/kirchhoff"
+	"parma/internal/obs"
 )
 
 // TestWritePipelinedMatchesSerialBytes: the pipelined single-file writer
-// must be byte-identical to the serial serialization, at any former count.
+// must be byte-identical to the serial serialization, at any former count
+// and on single-row and single-column arrays, whose runs are empty.
 func TestWritePipelinedMatchesSerialBytes(t *testing.T) {
-	p := testProblem(t, 4, 5, 21)
-	var want bytes.Buffer
-	if _, err := kirchhoff.WriteSystem(&want, p.FormAll()); err != nil {
-		t.Fatal(err)
-	}
-	for _, formers := range []int{1, 2, 3, 8} {
-		var got bytes.Buffer
-		n, err := WritePipelined(p, &got, formers)
-		if err != nil {
-			t.Fatalf("formers=%d: %v", formers, err)
+	for _, sz := range [][2]int{{4, 5}, {1, 1}, {1, 5}, {5, 1}, {11, 13}} {
+		p := testProblem(t, sz[0], sz[1], 21)
+		var want bytes.Buffer
+		if _, err := kirchhoff.WriteSystem(&want, p.FormAll()); err != nil {
+			t.Fatal(err)
 		}
-		if n != int64(got.Len()) {
-			t.Fatalf("formers=%d: reported %d bytes, wrote %d", formers, n, got.Len())
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("formers=%d: pipelined output differs from serial", formers)
+		for _, formers := range []int{1, 2, 3, 8} {
+			var got bytes.Buffer
+			n, err := WritePipelined(p, &got, formers)
+			if err != nil {
+				t.Fatalf("%dx%d formers=%d: %v", sz[0], sz[1], formers, err)
+			}
+			if n != int64(got.Len()) {
+				t.Fatalf("%dx%d formers=%d: reported %d bytes, wrote %d", sz[0], sz[1], formers, n, got.Len())
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%dx%d formers=%d: pipelined output differs from serial", sz[0], sz[1], formers)
+			}
 		}
 	}
 }
@@ -74,6 +78,28 @@ func TestWritePipelinedPropagatesFirstWriteError(t *testing.T) {
 	_, err := WritePipelined(p, &failAfter{n: 0}, 4)
 	if !errors.Is(err, errDiskFull) {
 		t.Fatalf("err = %v, want disk-full", err)
+	}
+}
+
+// TestWritePipelinedStopsAfterWriteError: once a write fails, the
+// sequencer hands out no more pairs, so the formers render only the window
+// handed out before it (2·formers pairs), not the other 256 − 2·formers.
+// The bound leaves room for the blocks of any schedule.
+func TestWritePipelinedStopsAfterWriteError(t *testing.T) {
+	p := testProblem(t, 16, 16, 28)
+	for _, formers := range []int{1, 2, 4} {
+		rec := obs.NewRecorder()
+		obs.Enable(rec)
+		_, err := WritePipelined(p, &failAfter{n: 0}, formers)
+		obs.Disable()
+		if !errors.Is(err, errDiskFull) {
+			t.Fatalf("formers=%d: err = %v, want disk-full", formers, err)
+		}
+		rendered := rec.Registry().Counter(ctrPairsRendered).Value()
+		if rendered < 1 || rendered > int64(4*formers+2) {
+			t.Fatalf("formers=%d: rendered %d of %d pairs after the first write failed, want 1..%d",
+				formers, rendered, p.Array.Pairs(), 4*formers+2)
+		}
 	}
 }
 

@@ -167,8 +167,10 @@ func Strategies() []Strategy { return parallel.All() }
 // Form runs one strategy over the problem.
 func Form(p *Problem, s Strategy, opts FormationOptions) FormationResult { return s.Run(p, opts) }
 
-// WriteEquations forms the system with w workers and streams it to shard
-// files in dir — the paper's end-to-end (compute + I/O) workload.
+// WriteEquations renders the system with w workers and streams it to shard
+// files in dir — the paper's end-to-end (compute + I/O) workload. The
+// workers render from one table of per-wire term runs built for the call
+// (kirchhoff.Text), not from formed equations; the bytes are WriteSystem's.
 func WriteEquations(p *Problem, dir string, workers int) (int64, error) {
 	return parallel.WriteSharded(p, dir, workers, sched.Dynamic, 0)
 }
