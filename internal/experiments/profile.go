@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"time"
 
 	"parma/internal/kirchhoff"
@@ -30,21 +31,30 @@ type ExecProfile struct {
 	// Chunk is the dynamic chunk size in equations; 0 selects the
 	// fine-grained default.
 	Chunk int
+	// Equation, when nonzero, is the per-equation formation cost the
+	// three overheads above are stated against. The TaskTiming simulators
+	// then scale every overhead by the measured per-equation cost over
+	// Equation, so the modeled crossovers stay at the same n however fast
+	// formation runs on the host. Zero keeps the overheads absolute.
+	Equation time.Duration
 }
 
 // PythonProfile models the relative overheads of the paper's CPython 3.7
-// stack, rescaled to this implementation's per-equation speed so the
-// paper's crossovers land at the same n: threads are cheap to start,
-// fork-based PyMP processes are ~three orders of magnitude more expensive
-// than a chunk handout, and work-sharing handouts cost about one small
-// task. Combined with the 4-thread structural cap on Parallel/Balanced,
-// this reproduces Figure 6's ordering: Balanced wins at n = 10 (PyMP pays
-// its spawn), PyMP wins from n ≥ 20 on.
+// stack, stated against a 500 ns equation and rescaled to the measured
+// per-equation speed, so the paper's crossovers land at the same n on any
+// host: a thread start costs 4 equations, a fork-based PyMP process 2000
+// (~three orders of magnitude more than a chunk handout), and a
+// work-sharing handout 2.4, about one small task. Combined with the
+// 4-thread structural cap on Parallel/Balanced, this reproduces Figure 6's
+// ordering: Balanced-4 and PyMP-32 cross where 2n³·(1/4 − 1/32) ≈ 2000
+// equations, n ≈ 17, so Balanced wins at n = 10 (PyMP pays its spawn) and
+// PyMP wins from n ≥ 20 on.
 var PythonProfile = ExecProfile{
 	ThreadSpawn:   2 * time.Microsecond,
 	ProcSpawn:     time.Millisecond,
 	ChunkOverhead: 1200 * time.Nanosecond,
 	Chunk:         256,
+	Equation:      500 * time.Nanosecond,
 }
 
 // NativeProfile models this Go implementation itself: goroutines all the
@@ -103,6 +113,31 @@ func MeasureTasks(p *kirchhoff.Problem) *TaskTiming {
 	return t
 }
 
+// scaled returns p with its overheads rescaled to the measured speed when
+// p.Equation is set. The measured per-equation cost is the median over
+// tasks, so one preempted task does not move every overhead.
+func (t *TaskTiming) scaled(p ExecProfile) ExecProfile {
+	if p.Equation <= 0 {
+		return p
+	}
+	per := make([]time.Duration, 0, len(t.Cost))
+	for task, c := range t.Cost {
+		if t.Eqs[task] > 0 {
+			per = append(per, c/time.Duration(t.Eqs[task]))
+		}
+	}
+	if len(per) == 0 {
+		return p
+	}
+	sort.Slice(per, func(i, j int) bool { return per[i] < per[j] })
+	f := float64(per[len(per)/2]) / float64(p.Equation)
+	scale := func(d time.Duration) time.Duration { return time.Duration(float64(d) * f) }
+	p.ThreadSpawn = scale(p.ThreadSpawn)
+	p.ProcSpawn = scale(p.ProcSpawn)
+	p.ChunkOverhead = scale(p.ChunkOverhead)
+	return p
+}
+
 // SerialTime returns the simulated Single-thread duration.
 func (t *TaskTiming) SerialTime() time.Duration { return t.Total }
 
@@ -110,6 +145,7 @@ func (t *TaskTiming) SerialTime() time.Duration { return t.Total }
 // threads. Under a GIL, compute serializes and only spawn parallelism is
 // left; otherwise the makespan is the heaviest category.
 func (t *TaskTiming) FourWayTime(p ExecProfile) time.Duration {
+	p = t.scaled(p)
 	spawn := 4 * p.ThreadSpawn
 	if p.GILSerialized {
 		return t.Total + spawn
@@ -131,6 +167,7 @@ func (t *TaskTiming) FourWayTime(p ExecProfile) time.Duration {
 // LPT assignment using the strategy's analytic cost estimates, with
 // makespan computed from the measured costs.
 func (t *TaskTiming) BalancedTime(p ExecProfile, k int) time.Duration {
+	p = t.scaled(p)
 	spawn := time.Duration(k) * p.ThreadSpawn
 	if p.GILSerialized {
 		return t.Total + spawn
@@ -158,6 +195,7 @@ func (t *TaskTiming) FineGrainedTime(p ExecProfile, k int) time.Duration {
 	if k < 1 {
 		k = 1
 	}
+	p = t.scaled(p)
 	chunk := p.Chunk
 	if chunk < 1 {
 		chunk = parallel.DefaultChunk
