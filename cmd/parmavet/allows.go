@@ -3,24 +3,26 @@ package main
 // The -allows mode: instead of running analyzers, inventory every
 // `//parmavet:allow` suppression in the loaded packages together with its
 // `--`-separated justification. Suppressions are load-bearing — each one
-// is a finding the suite would otherwise report — so CI archives the
-// inventory as an artifact and the exit status enforces that none goes
-// unjustified.
+// is a finding the suite would otherwise report — so the exit status
+// enforces that none goes unjustified, and that none names a key no
+// analyzer answers to (a typo, or a retired analyzer's name, suppresses
+// nothing while looking like it does). `make lint` runs it over the tree.
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // AllowSite is one //parmavet:allow comment.
 type AllowSite struct {
-	File          string   `json:"file"`
-	Line          int      `json:"line"`
-	Analyzers     []string `json:"analyzers"`
-	Justification string   `json:"justification"` // empty when the comment has no "--" clause
+	File          string
+	Line          int
+	Analyzers     []string
+	Justification string // empty when the comment has no "--" clause
 }
 
 // collectAllows gathers every allow site in pkgs, sorted by
@@ -63,37 +65,31 @@ func collectAllows(pkgs []*Package) []AllowSite {
 	return sites
 }
 
-// runAllows prints the suppression inventory and returns the exit code:
-// 0 when every site carries a justification, 1 otherwise.
-func runAllows(pkgs []*Package, jsonOut bool) int {
-	sites := collectAllows(pkgs)
-	missing := 0
+// runAllows prints the suppression inventory to w and returns the exit
+// code: 0 when every site carries a justification and names only
+// analyzers of the suite, 1 otherwise.
+func runAllows(w io.Writer, sites []AllowSite) int {
+	var known []string
+	for _, a := range analyzers() {
+		known = append(known, a.Name)
+	}
+	missing, unknown := 0, 0
 	for _, s := range sites {
-		if s.Justification == "" {
+		just := s.Justification
+		if just == "" {
+			just = "(no justification)"
 			missing++
 		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if sites == nil {
-			sites = []AllowSite{}
-		}
-		if err := enc.Encode(sites); err != nil {
-			fmt.Fprintf(os.Stderr, "parmavet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, s := range sites {
-			just := s.Justification
-			if just == "" {
-				just = "(no justification)"
+		fmt.Fprintf(w, "%s:%d: %s: %s\n", s.File, s.Line, strings.Join(s.Analyzers, ","), just)
+		for _, name := range s.Analyzers {
+			if !slices.Contains(known, name) {
+				fmt.Fprintf(w, "%s:%d: unknown analyzer %q: this key suppresses nothing (see parmavet -list)\n", s.File, s.Line, name)
+				unknown++
 			}
-			fmt.Printf("%s:%d: %s: %s\n", s.File, s.Line, strings.Join(s.Analyzers, ","), just)
 		}
-		fmt.Fprintf(os.Stderr, "parmavet: %d allow site(s), %d without justification\n", len(sites), missing)
 	}
-	if missing > 0 {
+	fmt.Fprintf(os.Stderr, "parmavet: %d allow site(s), %d without justification, %d unknown analyzer key(s)\n", len(sites), missing, unknown)
+	if missing > 0 || unknown > 0 {
 		return 1
 	}
 	return 0

@@ -11,17 +11,18 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Finding is one diagnostic, addressable as file:line:col.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -52,18 +53,44 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// inspectStack walks every file of the pass's package like ast.Inspect,
+// handing fn each node together with its ancestors, outermost first.
+func (p *Pass) inspectStack(fn func(n ast.Node, stack []ast.Node)) {
+	for _, file := range p.Pkg.Files {
+		var stack []ast.Node
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil { // ast.Inspect signals the post-order pop with nil
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			fn(n, stack)
+			stack = append(stack, n)
+			return true
+		})
+	}
+}
+
 // Analyzer is one project-specific check.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Applies limits the analyzer to certain packages; nil means all.
-	Applies func(pkgPath string) bool
-	Run     func(*Pass)
+	// Packages limits the analyzer to these import paths; nil means every
+	// package. Fixture packages under fixturePrefix are always in scope.
+	Packages []string
+	Run      func(*Pass)
+}
+
+// fixturePrefix is the import-path prefix of the golden-test fixtures,
+// which every analyzer runs over.
+const fixturePrefix = "parma/cmd/parmavet/testdata/"
+
+func (a *Analyzer) appliesTo(pkgPath string) bool {
+	return a.Packages == nil || strings.HasPrefix(pkgPath, fixturePrefix) || slices.Contains(a.Packages, pkgPath)
 }
 
 // analyzers returns the full suite in output order.
 func analyzers() []*Analyzer {
-	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, retryboundAnalyzer, ctxspanAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer}
+	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, retryboundAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer}
 }
 
 // allowRE matches the directive form only — the comment must BEGIN with
@@ -105,15 +132,15 @@ func allowedLines(pkg *Package) map[string]map[string]map[int]bool {
 }
 
 // runAnalyzers builds the whole-program call graph once, executes every
-// selected analyzer over every package, and returns the surviving
+// analyzer over every package in its scope, and returns the surviving
 // findings in deterministic file/line/col/analyzer order.
-func runAnalyzers(pkgs []*Package, selected []*Analyzer) []Finding {
+func runAnalyzers(pkgs []*Package) []Finding {
 	prog := buildProgram(pkgs)
 	var findings []Finding
 	for _, pkg := range pkgs {
 		allowed := allowedLines(pkg)
-		for _, a := range selected {
-			if a.Applies != nil && !a.Applies(pkg.Path) {
+		for _, a := range analyzers() {
+			if !a.appliesTo(pkg.Path) {
 				continue
 			}
 			var raw []Finding
@@ -131,7 +158,7 @@ func runAnalyzers(pkgs []*Package, selected []*Analyzer) []Finding {
 }
 
 // sortFindings orders findings by file, line, column, then analyzer, so
-// both the text and -json outputs are deterministic run to run.
+// the output is deterministic run to run.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -172,6 +199,16 @@ func namedTypeIs(t types.Type, pkgPath, name string) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
+}
+
+// pkgFunc reports whether fn (typically staticCallee's result) is a
+// package-level function of pkgPath named one of names, or of any name
+// when names is empty. Methods never match, so client.Get on an
+// http.Client is not http.Get.
+func pkgFunc(fn *types.Func, pkgPath string, names ...string) bool {
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
+		fn.Type().(*types.Signature).Recv() == nil &&
+		(len(names) == 0 || slices.Contains(names, fn.Name()))
 }
 
 // isSpanType reports whether t is obs.Span.

@@ -6,8 +6,8 @@ package main
 // visible. This file builds the missing global view: every function
 // declared in the loaded (target) packages becomes a node, every call
 // site that resolves statically — direct calls, method calls, and calls
-// into other target packages — becomes an edge, and per-function
-// summaries are propagated bottom-up over the graph until a fixpoint.
+// into other target packages — becomes an edge, and a per-function
+// summary is propagated bottom-up over the graph until a fixpoint.
 //
 // Resolution is deliberately conservative and documented as such:
 //
@@ -25,18 +25,11 @@ package main
 //     the caller itself does not block in f. Deferred calls do run
 //     before the caller returns and keep their edge.
 //
-// Summaries computed per node:
-//
-//	Blocks         the function may park in a blocking MPI primitive
-//	               (Comm.Send/Recv/collectives, Transport.Send/Recv,
-//	               World.Run/RunCtx/RunCollect), directly or through any
-//	               chain of resolved calls; carries a witness chain for
-//	               diagnostics.
-//	AcceptsCtx     the signature takes a context.Context.
-//	CtxSibling     a same-package (or same-receiver) variant named
-//	               <Name>Context or <Name>Ctx that does accept a ctx.
-//	OrderSensitive the body iterates a map in an order-sensitive way
-//	               (the shapes the determinism analyzer flags).
+// The one summary computed per node is Blocks: the function may park in
+// a blocking MPI primitive (Comm.Send/Recv/collectives,
+// Transport.Send/Recv, World.Run/RunCtx/RunCollect), directly or through
+// any chain of resolved calls; it carries a witness chain for
+// diagnostics.
 
 import (
 	"go/ast"
@@ -67,10 +60,7 @@ type FuncNode struct {
 	Pkg   *Package
 	Edges []CallEdge
 
-	AcceptsCtx     bool
-	CtxSibling     *types.Func
-	OrderSensitive bool
-	Blocks         *BlockWitness
+	Blocks *BlockWitness
 }
 
 // Program is the whole-program view shared by every Pass of one run.
@@ -122,7 +112,7 @@ func funcKey(fn *types.Func) string {
 }
 
 // buildProgram indexes every function declaration in pkgs, resolves its
-// static call edges, and runs the summary fixpoint.
+// static call edges, and runs the blocks fixpoint.
 func buildProgram(pkgs []*Package) *Program {
 	prog := &Program{Pkgs: pkgs, funcs: map[*types.Func]*FuncNode{}}
 	for _, pkg := range pkgs {
@@ -137,10 +127,7 @@ func buildProgram(pkgs []*Package) *Program {
 					continue
 				}
 				node := &FuncNode{Obj: fn, Decl: fd, Pkg: pkg}
-				node.AcceptsCtx = acceptsCtx(fn.Type().(*types.Signature))
-				node.CtxSibling = ctxSiblingOf(fn)
 				node.Edges = collectEdges(pkg.Info, fd.Body)
-				node.OrderSensitive = len(mapRangeSites(pkg.Info, fd.Body, nil)) > 0
 				prog.funcs[fn] = node
 			}
 		}
@@ -290,57 +277,4 @@ func (p *Program) BlockChain(fn *types.Func) string {
 		w = next.Blocks
 	}
 	return strings.Join(parts, " → ")
-}
-
-// acceptsCtx reports whether sig has a context.Context parameter.
-func acceptsCtx(sig *types.Signature) bool {
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if namedTypeIs(params.At(i).Type(), "context", "Context") {
-			return true
-		}
-	}
-	return false
-}
-
-// ctxSiblingOf finds the context-accepting variant of fn: a function (or
-// method on the same receiver type) named <Name>Context or <Name>Ctx
-// whose signature takes a context.Context. Returns nil when fn itself
-// already accepts one, or no sibling exists. Signatures survive
-// IgnoreFuncBodies type-checking, so the lookup works for dependency
-// packages too.
-func ctxSiblingOf(fn *types.Func) *types.Func {
-	if fn.Pkg() == nil {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || acceptsCtx(sig) {
-		return nil
-	}
-	names := []string{fn.Name() + "Context", fn.Name() + "Ctx"}
-	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, okP := t.(*types.Pointer); okP {
-			t = ptr.Elem()
-		}
-		named, okN := t.(*types.Named)
-		if !okN {
-			return nil
-		}
-		for _, name := range names {
-			obj, _, _ := types.LookupFieldOrMethod(named, true, fn.Pkg(), name)
-			if m, okM := obj.(*types.Func); okM && acceptsCtx(m.Type().(*types.Signature)) {
-				return m
-			}
-		}
-		return nil
-	}
-	for _, name := range names {
-		if obj := fn.Pkg().Scope().Lookup(name); obj != nil {
-			if f2, okF := obj.(*types.Func); okF && acceptsCtx(f2.Type().(*types.Signature)) {
-				return f2
-			}
-		}
-	}
-	return nil
 }

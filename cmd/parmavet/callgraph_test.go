@@ -9,15 +9,6 @@ const (
 	innerPath  = "parma/cmd/parmavet/testdata/src/xchain/inner"
 )
 
-func loadProgram(t *testing.T, patterns ...string) *Program {
-	t.Helper()
-	pkgs, err := load(patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buildProgram(pkgs)
-}
-
 // hasEdge reports whether from has a call edge to an identically keyed
 // callee in calleePkg.
 func hasEdge(prog *Program, from *FuncNode, calleePkg, calleeKey string) bool {
@@ -32,7 +23,7 @@ func hasEdge(prog *Program, from *FuncNode, calleePkg, calleeKey string) bool {
 // TestCallGraphEdges covers the three edge kinds the engine resolves:
 // direct same-package calls, method calls, and cross-package calls.
 func TestCallGraphEdges(t *testing.T) {
-	prog := loadProgram(t, "./testdata/src/xchain", "./testdata/src/xchain/inner", "./testdata/src/ctxflow")
+	prog := buildProgram(loadFixtures(t))
 
 	// Cross-package direct call: xchain.relay → inner.Exchange.
 	relay := prog.FuncNamed(xchainPath, "relay")
@@ -77,7 +68,7 @@ func TestCallGraphEdges(t *testing.T) {
 // two hops and across a package boundary, and checks the rendered
 // witness chain diagnostics use.
 func TestBlocksSummaryPropagation(t *testing.T) {
-	prog := loadProgram(t, "./testdata/src/xchain", "./testdata/src/xchain/inner")
+	prog := buildProgram(loadFixtures(t))
 
 	exchange := prog.FuncNamed(innerPath, "Exchange")
 	if exchange == nil || exchange.Blocks == nil {
@@ -112,50 +103,5 @@ func TestBlocksSummaryPropagation(t *testing.T) {
 	}
 	if n := prog.FuncNamed(xchainPath, "threaded"); n == nil || n.Blocks != nil {
 		t.Error("threaded should not carry a blocks summary")
-	}
-}
-
-// TestCtxSummaries covers the context summaries: AcceptsCtx from the
-// signature and CtxSibling resolution across the Fetch/FetchContext pair.
-func TestCtxSummaries(t *testing.T) {
-	prog := loadProgram(t, "./testdata/src/xchain", "./testdata/src/xchain/inner")
-
-	fetch := prog.FuncNamed(innerPath, "Fetch")
-	fetchCtx := prog.FuncNamed(innerPath, "FetchContext")
-	if fetch == nil || fetchCtx == nil {
-		t.Fatal("missing nodes for Fetch/FetchContext")
-	}
-	if fetch.AcceptsCtx {
-		t.Error("Fetch should not report AcceptsCtx")
-	}
-	if !fetchCtx.AcceptsCtx {
-		t.Error("FetchContext should report AcceptsCtx")
-	}
-	if fetch.CtxSibling != fetchCtx.Obj {
-		t.Errorf("Fetch.CtxSibling = %v, want FetchContext", fetch.CtxSibling)
-	}
-	if fetchCtx.CtxSibling != nil {
-		t.Errorf("FetchContext.CtxSibling = %v, want nil (it already accepts a ctx)", fetchCtx.CtxSibling)
-	}
-}
-
-// TestOrderSensitiveSummary pins the order-sensitive map-iteration
-// summary over the determinism fixture: the unsorted collector is
-// order-sensitive, the collect-then-sort shape is not.
-func TestOrderSensitiveSummary(t *testing.T) {
-	prog := loadProgram(t, "./testdata/src/determinism")
-	detPath := "parma/cmd/parmavet/testdata/src/determinism"
-
-	if n := prog.FuncNamed(detPath, "sumWeights"); n == nil || !n.OrderSensitive {
-		t.Error("sumWeights should be order-sensitive (FP accumulation in map range)")
-	}
-	if n := prog.FuncNamed(detPath, "collectIDs"); n == nil || !n.OrderSensitive {
-		t.Error("collectIDs should be order-sensitive (unsorted append in map range)")
-	}
-	if n := prog.FuncNamed(detPath, "sortedIDs"); n == nil || n.OrderSensitive {
-		t.Error("sortedIDs should not be order-sensitive (sorted after collection)")
-	}
-	if n := prog.FuncNamed(detPath, "countTrue"); n == nil || n.OrderSensitive {
-		t.Error("countTrue should not be order-sensitive (integer accumulation commutes)")
 	}
 }

@@ -16,22 +16,13 @@ package main
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 var denseallocAnalyzer = &Analyzer{
-	Name: "densealloc",
-	Doc:  "no CSR.Dense() densification in the serve-path packages; stay on the sparse kernels",
-	Applies: func(pkgPath string) bool {
-		switch pkgPath {
-		case "parma/internal/serve", "parma/internal/solver",
-			"parma/internal/circuit":
-			return true
-		}
-		// Fixture packages opt in by directory name.
-		return strings.Contains(pkgPath, "parmavet/testdata/")
-	},
-	Run: runDensealloc,
+	Name:     "densealloc",
+	Doc:      "no CSR.Dense() densification in the serve-path packages; stay on the sparse kernels",
+	Packages: []string{"parma/internal/serve", "parma/internal/solver", "parma/internal/circuit"},
+	Run:      runDensealloc,
 }
 
 // isCSR reports whether t is sparse.CSR or a pointer to it. Matching on

@@ -26,20 +26,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 var determinismAnalyzer = &Analyzer{
-	Name: "determinism",
-	Doc:  "no map-iteration-ordered results, unseeded math/rand, or wall-clock values in the deterministic packages",
-	Applies: func(pkgPath string) bool {
-		switch pkgPath {
-		case "parma/internal/mat", "parma/internal/solver", "parma/internal/kirchhoff", "parma/internal/sparse", "parma/internal/fleet", mpiPath:
-			return true
-		}
-		return strings.HasSuffix(pkgPath, "parmavet/testdata/src/determinism")
-	},
-	Run: runDeterminism,
+	Name:     "determinism",
+	Doc:      "no map-iteration-ordered results, unseeded math/rand, or wall-clock values in the deterministic packages",
+	Packages: []string{"parma/internal/mat", "parma/internal/solver", "parma/internal/kirchhoff", "parma/internal/sparse", "parma/internal/fleet", mpiPath},
+	Run:      runDeterminism,
 }
 
 // orderSite is one order-sensitive use of map iteration inside a body.
@@ -73,10 +66,9 @@ func runDeterminism(pass *Pass) {
 }
 
 // mapRangeSites finds the order-sensitive map-iteration shapes in body.
-// prog may be nil (the call-graph builder uses the nil form to compute
-// the local OrderSensitive summary); with a program, calls that
-// transitively reach a blocking MPI primitive are resolved too.
-// Func-literal subtrees are skipped — they are independent scopes.
+// With a program, calls that transitively reach a blocking MPI primitive
+// are resolved too; a nil prog sees only direct MPI calls. Func-literal
+// subtrees are skipped — they are independent scopes.
 func mapRangeSites(info *types.Info, body *ast.BlockStmt, prog *Program) []orderSite {
 	var sites []orderSite
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -254,16 +246,8 @@ func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
 // source, whose sequence depends on every other draw in the process.
 func globalRandDraw(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fn := staticCallee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	switch fn.Pkg().Path() {
-	case "math/rand", "math/rand/v2":
-	default:
-		return "", false
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return "", false // methods on an explicit *rand.Rand are fine
+	if !pkgFunc(fn, "math/rand") && !pkgFunc(fn, "math/rand/v2") {
+		return "", false // includes methods on an explicit *rand.Rand
 	}
 	switch fn.Name() {
 	case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
@@ -289,8 +273,7 @@ func wallClockValue(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if !okI {
 		return "", false
 	}
-	fn := staticCallee(info, inner)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" || fn.Name() != "Now" {
+	if !pkgFunc(staticCallee(info, inner), "time", "Now") {
 		return "", false
 	}
 	return sel.Sel.Name, true

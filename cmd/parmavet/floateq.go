@@ -14,22 +14,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 var floateqAnalyzer = &Analyzer{
-	Name: "floateq",
-	Doc:  "no ==/!= on floats in the numerics packages",
-	Applies: func(pkgPath string) bool {
-		switch pkgPath {
-		case "parma/internal/solver", "parma/internal/circuit",
-			"parma/internal/mat", "parma/internal/kirchhoff":
-			return true
-		}
-		// Fixture packages opt in by directory name.
-		return strings.Contains(pkgPath, "parmavet/testdata/")
-	},
-	Run: runFloateq,
+	Name:     "floateq",
+	Doc:      "no ==/!= on floats in the numerics packages",
+	Packages: []string{"parma/internal/solver", "parma/internal/circuit", "parma/internal/mat", "parma/internal/kirchhoff"},
+	Run:      runFloateq,
 }
 
 func isFloat(t types.Type) bool {

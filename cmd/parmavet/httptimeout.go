@@ -81,34 +81,15 @@ func checkHTTPLiteral(pass *Pass, info *types.Info, lit *ast.CompositeLit) {
 	pass.Reportf(lit.Pos(), "%s", report)
 }
 
+// checkHTTPCall flags the package-level net/http helpers; method calls on
+// an http.Client value do not match, so client.Get on a timeout-bearing
+// client is not confused with http.Get.
 func checkHTTPCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
-	name, ok := httpPkgFunc(info, call)
-	if !ok {
-		return
-	}
-	switch name {
-	case "Get", "Post", "Head", "PostForm":
-		pass.Reportf(call.Pos(), "http.%s uses the timeout-less DefaultClient and takes no context: build the request with NewRequestWithContext and send it on a Client with Timeout set", name)
-	case "NewRequest":
+	fn := staticCallee(info, call)
+	switch {
+	case pkgFunc(fn, "net/http", "Get", "Post", "Head", "PostForm"):
+		pass.Reportf(call.Pos(), "http.%s uses the timeout-less DefaultClient and takes no context: build the request with NewRequestWithContext and send it on a Client with Timeout set", fn.Name())
+	case pkgFunc(fn, "net/http", "NewRequest"):
 		pass.Reportf(call.Pos(), "http.NewRequest carries no context: use http.NewRequestWithContext so each attempt gets its own deadline")
 	}
-}
-
-// httpPkgFunc resolves call to a package-level net/http function name —
-// method calls on an http.Client value resolve to false, so client.Get on
-// a timeout-bearing client is not confused with http.Get.
-func httpPkgFunc(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false
-	}
-	id, isIdent := sel.X.(*ast.Ident)
-	if !isIdent {
-		return "", false
-	}
-	pkgName, isPkg := info.Uses[id].(*types.PkgName)
-	if !isPkg || pkgName.Imported().Path() != "net/http" {
-		return "", false
-	}
-	return sel.Sel.Name, true
 }

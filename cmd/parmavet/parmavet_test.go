@@ -1,12 +1,16 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -18,99 +22,124 @@ var wantRE = regexp.MustCompile(`// want "([^"]+)"`)
 // expectation is one `// want` annotation: a finding must appear at
 // file:line with a message matching re.
 type expectation struct {
-	file string // base name
+	file string // absolute path
 	line int
 	re   *regexp.Regexp
 	hit  bool
 }
 
+// parseExpectations collects the `// want` annotations of every .go file
+// under dir, subdirectories included.
 func parseExpectations(t *testing.T, dir string) []*expectation {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wants []*expectation
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
+		src, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		sc := bufio.NewScanner(f)
-		for line := 1; sc.Scan(); line++ {
-			if m := wantRE.FindStringSubmatch(sc.Text()); m != nil {
+		for i, text := range strings.Split(string(src), "\n") {
+			if m := wantRE.FindStringSubmatch(text); m != nil {
 				re, err := regexp.Compile(m[1])
 				if err != nil {
-					t.Fatalf("%s:%d: bad want pattern %q: %v", e.Name(), line, m[1], err)
+					return fmt.Errorf("%s:%d: bad want pattern %q: %v", path, i+1, m[1], err)
 				}
-				wants = append(wants, &expectation{file: e.Name(), line: line, re: re})
+				wants = append(wants, &expectation{file: path, line: i + 1, re: re})
 			}
 		}
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return wants
 }
 
-// goldenCases lists every fixture entry: the subtest name and the
-// fixture directories loaded together (multi-directory entries exercise
-// cross-package resolution).
-var goldenCases = []struct {
-	name string
-	dirs []string
-}{
-	{"spanend", []string{"spanend"}},
-	{"mpierr", []string{"mpierr"}},
-	{"floateq", []string{"floateq"}},
-	{"locksend", []string{"locksend"}},
-	{"httptimeout", []string{"httptimeout"}},
-	{"poolsize", []string{"poolsize"}},
-	{"retrybound", []string{"retrybound"}},
-	{"ctxspan", []string{"ctxspan"}},
-	{"determinism", []string{"determinism"}},
-	{"ctxflow", []string{"ctxflow"}},
-	{"atomicmix", []string{"atomicmix"}},
-	{"densealloc", []string{"densealloc"}},
-	{"xchain", []string{"xchain", "xchain/inner"}},
+// fixtureRoot holds one fixture tree per subtest of TestAnalyzersGolden;
+// a tree may nest packages (xchain/inner exercises cross-package
+// resolution).
+const fixtureRoot = "testdata/src"
+
+// fixtures caches one load of every fixture package. Type-checking the
+// fixtures' dependencies from source is most of a load's cost, so the
+// tests share it instead of loading fixtures one by one.
+var fixtures struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
 }
 
-// TestAnalyzersGolden runs the full suite over each fixture entry and
-// requires the findings to match the `// want` annotations exactly: every
-// annotation hit, no unexpected findings, and annotated-but-allowed lines
-// (the //parmavet:allow cases) silent. Running all analyzers over every
-// fixture also asserts the analyzers do not fire on each other's fixtures.
+// loadFixtures returns every package under fixtureRoot, found by walking
+// the directory and loaded together.
+func loadFixtures(t *testing.T) []*Package {
+	t.Helper()
+	fixtures.once.Do(func() {
+		var patterns []string
+		fixtures.err = filepath.WalkDir(fixtureRoot, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() && path != fixtureRoot {
+				patterns = append(patterns, "./"+path)
+			}
+			return err
+		})
+		if fixtures.err != nil {
+			return
+		}
+		fixtures.pkgs, fixtures.err = load(patterns)
+		if fixtures.err == nil && len(fixtures.pkgs) != len(patterns) {
+			fixtures.err = fmt.Errorf("loaded %d packages from %d fixture directories", len(fixtures.pkgs), len(patterns))
+		}
+	})
+	if fixtures.err != nil {
+		t.Fatalf("loading fixtures: %v", fixtures.err)
+	}
+	return fixtures.pkgs
+}
+
+// fixturePkg returns the fixture package in fixtureRoot/dir.
+func fixturePkg(t *testing.T, dir string) *Package {
+	t.Helper()
+	for _, p := range loadFixtures(t) {
+		if p.Path == fixturePrefix+"src/"+dir {
+			return p
+		}
+	}
+	t.Fatalf("no fixture package %s", dir)
+	return nil
+}
+
+// TestAnalyzersGolden runs the full suite once over every fixture package
+// and requires the findings to match the `// want` annotations exactly:
+// every annotation hit, no unexpected findings, and annotated-but-allowed
+// lines (the //parmavet:allow cases) silent. Running all analyzers over
+// every fixture also asserts the analyzers do not fire on each other's
+// fixtures.
 func TestAnalyzersGolden(t *testing.T) {
-	for _, tc := range goldenCases {
-		t.Run(tc.name, func(t *testing.T) {
-			var patterns []string
-			for _, d := range tc.dirs {
-				patterns = append(patterns, "./"+filepath.Join("testdata", "src", d))
-			}
-			pkgs, err := load(patterns)
-			if err != nil {
-				t.Fatalf("loading fixture: %v", err)
-			}
-			if len(pkgs) != len(tc.dirs) {
-				t.Fatalf("loaded %d packages, want %d", len(pkgs), len(tc.dirs))
-			}
-			findings := runAnalyzers(pkgs, analyzers())
-			var wants []*expectation
-			for _, d := range tc.dirs {
-				wants = append(wants, parseExpectations(t, filepath.Join("testdata", "src", d))...)
-			}
+	findings := runAnalyzers(loadFixtures(t))
+	root, err := filepath.Abs(fixtureRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range trees {
+		dir := filepath.Join(root, tree.Name())
+		t.Run(tree.Name(), func(t *testing.T) {
+			wants := parseExpectations(t, dir)
 			if len(wants) == 0 {
-				t.Fatalf("fixture %s has no // want annotations", tc.name)
+				t.Fatalf("fixture %s has no // want annotations", tree.Name())
 			}
 			for _, f := range findings {
-				base := filepath.Base(f.File)
+				if !strings.HasPrefix(f.File, dir+string(filepath.Separator)) {
+					continue
+				}
 				matched := false
 				for _, w := range wants {
-					if !w.hit && w.file == base && w.line == f.Line && w.re.MatchString(f.Message) {
+					if !w.hit && w.file == f.File && w.line == f.Line && w.re.MatchString(f.Message) {
 						w.hit = true
 						matched = true
 						break
@@ -132,11 +161,8 @@ func TestAnalyzersGolden(t *testing.T) {
 // TestSuppressionScope pins the //parmavet:allow contract: the comment
 // silences only the named analyzer, on its own line and the next.
 func TestSuppressionScope(t *testing.T) {
-	pkgs, err := load([]string{"./testdata/src/floateq"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := runAnalyzers(pkgs, analyzers())
+	pkgs := []*Package{fixturePkg(t, "floateq")}
+	findings := runAnalyzers(pkgs)
 	for _, f := range findings {
 		if strings.Contains(f.Message, "sentinel") {
 			t.Errorf("allow-annotated line still reported: %s", f)
@@ -170,14 +196,11 @@ func TestRunExitCodes(t *testing.T) {
 	if got := run([]string{"-list"}); got != 0 {
 		t.Errorf("-list exited %d, want 0", got)
 	}
-	if got := run([]string{"-run", "nosuch"}); got != 2 {
-		t.Errorf("unknown analyzer exited %d, want 2", got)
+	if got := run([]string{"-nosuch"}); got != 2 {
+		t.Errorf("unknown flag exited %d, want 2", got)
 	}
 	if got := run([]string{"./testdata/src/floateq"}); got != 1 {
 		t.Errorf("fixture run exited %d, want 1", got)
-	}
-	if got := run([]string{"-json", "./testdata/src/floateq"}); got != 1 {
-		t.Errorf("fixture -json run exited %d, want 1", got)
 	}
 	if got := run([]string{"-allows", "./testdata/src/locksend"}); got != 0 {
 		t.Errorf("-allows over justified fixture exited %d, want 0", got)
@@ -190,10 +213,7 @@ func TestRunExitCodes(t *testing.T) {
 // in a one-line helper, called under a lock) go unreported. With the
 // program they are all caught.
 func TestLocksendLexicalMiss(t *testing.T) {
-	pkgs, err := load([]string{"./testdata/src/locksend"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := []*Package{fixturePkg(t, "locksend")}
 	var lexical []Finding
 	locksendAnalyzer.Run(&Pass{Analyzer: locksendAnalyzer, Pkg: pkgs[0], Prog: nil, findings: &lexical})
 	if len(lexical) == 0 {
@@ -236,7 +256,7 @@ func TestSuiteCleanOnSelf(t *testing.T) {
 	if len(pkgs) != 1 || pkgs[0].Path != "parma/cmd/parmavet" {
 		t.Fatalf("expected to load exactly parma/cmd/parmavet, got %d package(s)", len(pkgs))
 	}
-	for _, f := range runAnalyzers(pkgs, analyzers()) {
+	for _, f := range runAnalyzers(pkgs) {
 		t.Errorf("parmavet is not clean on itself: %s", f)
 	}
 }
@@ -245,11 +265,7 @@ func TestSuiteCleanOnSelf(t *testing.T) {
 // justifications, sorted by position, and a site without a "--" clause
 // is reported as unjustified.
 func TestAllowsInventory(t *testing.T) {
-	pkgs, err := load([]string{"./testdata/src/locksend"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := collectAllows(pkgs)
+	sites := collectAllows([]*Package{fixturePkg(t, "locksend")})
 	if len(sites) < 2 {
 		t.Fatalf("want at least 2 allow sites in the locksend fixture, got %d", len(sites))
 	}
@@ -266,9 +282,47 @@ func TestAllowsInventory(t *testing.T) {
 	}
 }
 
-// TestSortFindingsDeterministic pins the ordering contract behind the
-// -json output: file, then line, then column, then analyzer, then
-// message.
+// TestAllowsUnknownKey pins that the ledger rejects an allow key naming
+// no analyzer: such a comment suppresses nothing, so counting it as a
+// justified site would hide the finding it was meant to excuse.
+func TestAllowsUnknownKey(t *testing.T) {
+	sites := []AllowSite{
+		{File: "a.go", Line: 3, Analyzers: []string{"floateq"}, Justification: "sentinel"},
+		{File: "a.go", Line: 9, Analyzers: []string{"floateq", "ctxspan"}, Justification: "retired key"},
+	}
+	var out bytes.Buffer
+	if got := runAllows(&out, sites); got != 1 {
+		t.Errorf("-allows with an unknown key exited %d, want 1", got)
+	}
+	if !strings.Contains(out.String(), `a.go:9: unknown analyzer "ctxspan"`) {
+		t.Errorf("inventory does not name the unknown key:\n%s", out.String())
+	}
+	out.Reset()
+	if got := runAllows(&out, sites[:1]); got != 0 {
+		t.Errorf("-allows over known, justified keys exited %d, want 0:\n%s", got, out.String())
+	}
+}
+
+// TestScopeListsNameRealPackages pins that every package an analyzer is
+// scoped to exists in the module: a renamed package would otherwise drop
+// out of the analyzer's scope with no error.
+func TestScopeListsNameRealPackages(t *testing.T) {
+	out, err := exec.Command("go", "list", "parma/...").Output()
+	if err != nil {
+		t.Fatalf("go list parma/...: %v", err)
+	}
+	module := strings.Fields(string(out))
+	for _, a := range analyzers() {
+		for _, path := range a.Packages {
+			if !slices.Contains(module, path) {
+				t.Errorf("%s is scoped to %s, which is not a package of the module", a.Name, path)
+			}
+		}
+	}
+}
+
+// TestSortFindingsDeterministic pins the output ordering contract: file,
+// then line, then column, then analyzer, then message.
 func TestSortFindingsDeterministic(t *testing.T) {
 	want := []Finding{
 		{File: "a.go", Line: 1, Col: 1, Analyzer: "mpierr", Message: "x"},

@@ -14,42 +14,25 @@ package main
 
 import (
 	"go/ast"
-	"strings"
 )
 
 var poolsizeAnalyzer = &Analyzer{
 	Name: "poolsize",
 	Doc:  "no raw goroutine fan-out loops in the compute packages; use sched.Run",
-	Applies: func(pkgPath string) bool {
-		switch pkgPath {
-		case "parma/internal/sched", "parma/internal/parallel", "parma/internal/mat",
-			"parma/internal/manifold", "parma/internal/experiments", "parma/internal/solver",
-			"parma/internal/sparse", "parma/internal/circuit":
-			return true
-		}
-		// Fixture packages opt in by directory name.
-		return strings.Contains(pkgPath, "parmavet/testdata/")
+	Packages: []string{
+		"parma/internal/sched", "parma/internal/parallel", "parma/internal/mat",
+		"parma/internal/manifold", "parma/internal/experiments", "parma/internal/solver",
+		"parma/internal/sparse", "parma/internal/circuit",
 	},
 	Run: runPoolsize,
 }
 
 func runPoolsize(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		// stack holds the ancestors of the node being visited; ast.Inspect
-		// signals the post-order pop with a nil node.
-		var stack []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			if g, ok := n.(*ast.GoStmt); ok && inLoopBody(stack, g) {
-				pass.Reportf(g.Go, "go statement inside a loop: fan out through sched.Run (the one worker loop; mat.ParallelFor for kernels) instead, or annotate //parmavet:allow poolsize with the reason")
-			}
-			stack = append(stack, n)
-			return true
-		})
-	}
+	pass.inspectStack(func(n ast.Node, stack []ast.Node) {
+		if g, ok := n.(*ast.GoStmt); ok && inLoopBody(stack, g) {
+			pass.Reportf(g.Go, "go statement inside a loop: fan out through sched.Run (the one worker loop; mat.ParallelFor for kernels) instead, or annotate //parmavet:allow poolsize with the reason")
+		}
+	})
 }
 
 // inLoopBody reports whether g sits inside the body of any ancestor for or

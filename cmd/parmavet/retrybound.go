@@ -17,51 +17,34 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 var retryboundAnalyzer = &Analyzer{
-	Name: "retrybound",
-	Doc:  "retry loops in internal/mpi and internal/serve must bound attempts or check a deadline/context",
-	Applies: func(pkgPath string) bool {
-		switch pkgPath {
-		case mpiPath, "parma/internal/serve":
-			return true
-		}
-		// Fixture packages opt in by directory name.
-		return strings.Contains(pkgPath, "parmavet/testdata/")
-	},
-	Run: runRetrybound,
+	Name:     "retrybound",
+	Doc:      "retry loops in internal/mpi and internal/serve must bound attempts or check a deadline/context",
+	Packages: []string{mpiPath, "parma/internal/serve"},
+	Run:      runRetrybound,
 }
 
 func runRetrybound(pass *Pass) {
 	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		// Attribute each backoff call to its innermost enclosing loop, then
-		// report the loops that sleep without any visible bound. The walk is
-		// lexical (func literals inside a loop body count): a retry closure
-		// defined in the loop still runs per iteration.
-		var stack []ast.Node
-		sleeps := map[ast.Node]bool{} // loop node -> contains a backoff
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
+	// Attribute each backoff call to its innermost enclosing loop, then
+	// report the loops that sleep without any visible bound. The walk is
+	// lexical (func literals inside a loop body count): a retry closure
+	// defined in the loop still runs per iteration.
+	sleeps := map[ast.Node]bool{} // loop node -> contains a backoff
+	pass.inspectStack(func(n ast.Node, stack []ast.Node) {
+		if isBackoff(info, n) {
+			if l := innermostLoop(stack); l != nil {
+				sleeps[l] = true
 			}
-			if isBackoff(info, n) {
-				if l := innermostLoop(stack); l != nil {
-					sleeps[l] = true
-				}
-			}
-			stack = append(stack, n)
-			return true
-		})
-		for loop := range sleeps {
-			if loopBounded(info, loop) {
-				continue
-			}
-			pass.Reportf(loop.Pos(), "unbounded retry loop: it sleeps between attempts but never bounds them; add a counter, a deadline (time.Now/Since/Until), or a context check, or annotate //parmavet:allow retrybound with the reason")
 		}
+	})
+	for loop := range sleeps {
+		if loopBounded(info, loop) {
+			continue
+		}
+		pass.Reportf(loop.Pos(), "unbounded retry loop: it sleeps between attempts but never bounds them; add a counter, a deadline (time.Now/Since/Until), or a context check, or annotate //parmavet:allow retrybound with the reason")
 	}
 }
 
@@ -70,13 +53,13 @@ func runRetrybound(pass *Pass) {
 func isBackoff(info *types.Info, n ast.Node) bool {
 	switch e := n.(type) {
 	case *ast.CallExpr:
-		return timeFuncCall(info, e, "Sleep")
+		return pkgFunc(staticCallee(info, e), "time", "Sleep")
 	case *ast.UnaryExpr:
 		if e.Op != token.ARROW {
 			return false
 		}
 		call, ok := ast.Unparen(e.X).(*ast.CallExpr)
-		return ok && timeFuncCall(info, call, "After", "Tick")
+		return ok && pkgFunc(staticCallee(info, call), "time", "After", "Tick")
 	}
 	return false
 }
@@ -124,7 +107,7 @@ func hasDeadlineCheck(info *types.Info, n ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if timeFuncCall(info, call, "Now", "Since", "Until") {
+		if pkgFunc(staticCallee(info, call), "time", "Now", "Since", "Until") {
 			found = true
 			return false
 		}
@@ -138,23 +121,4 @@ func hasDeadlineCheck(info *types.Info, n ast.Node) bool {
 		return true
 	})
 	return found
-}
-
-// timeFuncCall reports whether call invokes one of the named package-level
-// functions of package time.
-func timeFuncCall(info *types.Info, call *ast.CallExpr, names ...string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-		return false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			return true
-		}
-	}
-	return false
 }

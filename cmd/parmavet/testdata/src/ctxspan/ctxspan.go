@@ -1,6 +1,6 @@
-// Package ctxspan exercises the ctxspan analyzer: starting a span with the
-// context-blind obs.StartSpan/obs.StartOn while a context.Context parameter
-// is lexically in scope detaches the span from the request trace.
+// Package ctxspan exercises ctxflow's span-start check: starting a span
+// with the context-blind obs.StartSpan/obs.StartOn while a context.Context
+// parameter is lexically in scope detaches the span from the request trace.
 package ctxspan
 
 import (
@@ -69,7 +69,7 @@ func ignoredCtx(_ context.Context) {
 // allowAnnotated documents an intentional detachment: a background janitor
 // span that must outlive the request.
 func allowAnnotated(ctx context.Context) {
-	sp := obs.StartSpan("janitor") //parmavet:allow ctxspan — deliberately outlives the request
+	sp := obs.StartSpan("janitor") //parmavet:allow ctxflow — deliberately outlives the request
 	defer sp.End()
 	_ = ctx
 }
