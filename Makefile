@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-build vet parmavet fmt figures examples obs-smoke serve-smoke chaos-smoke trace-smoke fleet-smoke fuzz-smoke clean
+.PHONY: all build test race lint bench bench-build vet parmavet fmt figures obs-smoke serve-smoke chaos-smoke trace-smoke fleet-smoke fuzz-smoke clean
 
 all: lint test race build bench-build obs-smoke
 
@@ -108,18 +108,6 @@ figures:
 	$(GO) run ./cmd/parma-bench -figure hetero
 	$(GO) run ./cmd/parma-bench -figure noise
 	$(GO) run ./cmd/parma-bench -figure inverse
-
-# Run every example end to end.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/woundmonitor
-	$(GO) run ./examples/scalability -n 12 -workers 1,2,4
-	$(GO) run ./examples/homology
-	$(GO) run ./examples/vlsi
-	$(GO) run ./examples/stokes
-	$(GO) run ./examples/faultscan
-	$(GO) run ./examples/estimator
-	$(GO) run ./examples/morphology
 
 clean:
 	$(GO) clean ./...

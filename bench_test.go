@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"parma/internal/ann"
 	"parma/internal/circuit"
 	"parma/internal/core"
 	"parma/internal/experiments"
@@ -355,35 +354,6 @@ func BenchmarkAblationGF2(b *testing.B) {
 	})
 }
 
-// --- Ablation 5: dense Schur-complement inverse vs sparse CG for the wire Laplacian ---
-
-func BenchmarkAblationLaplacian(b *testing.B) {
-	const n = 48
-	a := grid.NewSquare(n)
-	r := grid.UniformField(n, n, 5000)
-	r.Set(10, 10, 20000)
-	b.Run("dense-inverse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := circuit.NewSolver(a, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s.EffectiveResistance(0, 0) <= 0 {
-				b.Fatal("bad Z")
-			}
-		}
-	})
-	b.Run("sparse-cg", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := circuit.NewCGSolver(a, r, 1e-10)
-			z, err := s.EffectiveResistance(0, 0)
-			if err != nil || z <= 0 {
-				b.Fatalf("bad Z: %v %v", z, err)
-			}
-		}
-	})
-}
-
 // --- §IV-B: manifold machinery ---
 
 func BenchmarkManifoldStokes(b *testing.B) {
@@ -452,18 +422,6 @@ func BenchmarkClassicalReconstruction(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkANNTraining(b *testing.B) {
-	d, err := ann.Generate(ann.DatasetConfig{Rows: 3, Cols: 3, Samples: 128, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net := ann.NewMLP(int64(i), 9, 32, 9)
-		net.Train(d.Features, d.Labels, ann.TrainOptions{Epochs: 5, Seed: int64(i)})
-	}
 }
 
 func BenchmarkSmithNormalForm(b *testing.B) {

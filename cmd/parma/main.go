@@ -19,8 +19,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -557,10 +560,10 @@ func cmdHyper(args []string) error {
 	ob := obs.AddCLIFlags(fs)
 	fs.Parse(args)
 
-	return ob.Run(func() error { return runHyper(*dims) })
+	return ob.Run(func() error { return runHyper(os.Stdout, *dims) })
 }
 
-func runHyper(dims string) error {
+func runHyper(w io.Writer, dims string) error {
 	var extents []int
 	for _, part := range strings.Split(dims, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
@@ -569,19 +572,48 @@ func runHyper(dims string) error {
 		}
 		extents = append(extents, v)
 	}
+	if err := checkLatticeSize(extents); err != nil {
+		return fmt.Errorf("bad -dims %s: %v", dims, err)
+	}
 	l := hyper.NewLattice(extents...)
-	fmt.Printf("%d-dimensional MEA lattice %v\n", l.K(), l.Dims())
-	fmt.Printf("points (resistors):   %d\n", l.Points())
-	fmt.Printf("edges:                %d\n", l.Edges())
-	fmt.Printf("unit cells (n-1)^k:   %d  (the paper's parallel work units)\n", l.UnitCells())
-	fmt.Printf("cycle rank β₁:        %d\n", l.CycleRank())
+	fmt.Fprintf(w, "%d-dimensional MEA lattice %v\n", l.K(), l.Dims())
+	fmt.Fprintf(w, "points (resistors):   %d\n", l.Points())
+	fmt.Fprintf(w, "edges:                %d\n", l.Edges())
+	fmt.Fprintf(w, "unit cells (n-1)^k:   %d  (the paper's parallel work units)\n", l.UnitCells())
+	fmt.Fprintf(w, "cycle rank β₁:        %d\n", l.CycleRank())
 	c := l.TheoreticalComplexity()
-	fmt.Printf("complexity:           O(n^%d) sequential / %d units -> O(n^%d) parallel\n",
+	fmt.Fprintf(w, "complexity:           O(n^%d) sequential / %d units -> O(n^%d) parallel\n",
 		c.SeqExponent, c.ParallelUnits, c.ParExponent)
 	if l.K() == 2 {
-		fmt.Println("note: in 2D, unit cells and cycle rank coincide exactly")
+		fmt.Fprintln(w, "note: in 2D, unit cells and cycle rank coincide exactly")
 	} else if l.UnitCells() != l.CycleRank() {
-		fmt.Println("note: beyond 2D the graph cycle space exceeds the unit-cell count")
+		fmt.Fprintln(w, "note: beyond 2D the graph cycle space exceeds the unit-cell count")
+	}
+	return nil
+}
+
+// checkLatticeSize rejects the extents hyper.NewLattice panics on (any
+// below 1) and lattices whose point count Π nᵢ or edge count
+// Σ (n_a − 1)·Π_{b≠a} n_b does not fit in an int. Every other count the
+// census prints is at most one of those two.
+func checkLatticeSize(extents []int) error {
+	points := 1
+	for _, d := range extents {
+		if d < 1 {
+			return fmt.Errorf("extent %d, want at least 1", d)
+		}
+		if points > math.MaxInt/d {
+			return errors.New("the point count overflows int")
+		}
+		points *= d
+	}
+	edges := 0
+	for _, d := range extents {
+		term := points / d * (d - 1)
+		if edges > math.MaxInt-term {
+			return errors.New("the edge count overflows int")
+		}
+		edges += term
 	}
 	return nil
 }

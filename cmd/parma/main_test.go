@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 func TestAnomalyFlagsParse(t *testing.T) {
 	var a anomalyFlags
@@ -27,5 +31,34 @@ func TestAnomalyFlagsRejectsBadInput(t *testing.T) {
 		if err := a.Set(in); err == nil {
 			t.Errorf("input %q accepted", in)
 		}
+	}
+}
+
+// TestHyperRejectsBadDims: an extent below 1 and a lattice whose point or
+// edge count overflows int come back as a "bad -dims" error instead of a
+// panic or a wrapped count; a valid lattice still prints its census.
+func TestHyperRejectsBadDims(t *testing.T) {
+	for _, dims := range []string{
+		"0,3",
+		"-2,3",
+		"3000000,3000000,3000000",      // 2.7e19 points
+		"100000,100000,100000,100000",  // 1e20 points
+		strings.Repeat("2,", 61) + "2", // 2^62 points fit, 62·2^61 edges do not
+	} {
+		var out bytes.Buffer
+		err := runHyper(&out, dims)
+		if err == nil || !strings.Contains(err.Error(), "bad -dims") {
+			t.Errorf("runHyper(%q) = %v, want a bad -dims error", dims, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("runHyper(%q) printed %q before failing", dims, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := runHyper(&out, "3,3"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "cycle rank β₁:        4\n") {
+		t.Fatalf("3x3 census lacks β₁ 4:\n%s", out.String())
 	}
 }

@@ -27,7 +27,7 @@ package main
 //
 // The one summary computed per node is Blocks: the function may park in
 // a blocking MPI primitive (Comm.Send/Recv/collectives,
-// Transport.Send/Recv, World.Run/RunCtx/RunCollect), directly or through
+// Transport.Send/Recv, World.Run/RunCollect), directly or through
 // any chain of resolved calls; it carries a witness chain for
 // diagnostics.
 
@@ -56,7 +56,6 @@ type BlockWitness struct {
 // FuncNode is one declared function with a body in a target package.
 type FuncNode struct {
 	Obj   *types.Func
-	Decl  *ast.FuncDecl
 	Pkg   *Package
 	Edges []CallEdge
 
@@ -79,20 +78,6 @@ func (p *Program) Node(fn *types.Func) *FuncNode {
 		return nil
 	}
 	return p.funcs[fn]
-}
-
-// FuncNamed finds a node by package path and name; methods are addressed
-// as "Recv.Method". Test helper more than analyzer API.
-func (p *Program) FuncNamed(pkgPath, name string) *FuncNode {
-	for _, n := range p.funcs {
-		if n.Pkg.Path != pkgPath {
-			continue
-		}
-		if funcKey(n.Obj) == name {
-			return n
-		}
-	}
-	return nil
 }
 
 // funcKey renders fn as "Name" or "Recv.Name".
@@ -126,7 +111,7 @@ func buildProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				node := &FuncNode{Obj: fn, Decl: fd, Pkg: pkg}
+				node := &FuncNode{Obj: fn, Pkg: pkg}
 				node.Edges = collectEdges(pkg.Info, fd.Body)
 				prog.funcs[fn] = node
 			}

@@ -9,6 +9,20 @@ const (
 	innerPath  = "parma/cmd/parmavet/testdata/src/xchain/inner"
 )
 
+// FuncNamed finds a node by package path and name; methods are addressed
+// as "Recv.Method".
+func (p *Program) FuncNamed(pkgPath, name string) *FuncNode {
+	for _, n := range p.funcs {
+		if n.Pkg.Path != pkgPath {
+			continue
+		}
+		if funcKey(n.Obj) == name {
+			return n
+		}
+	}
+	return nil
+}
+
 // hasEdge reports whether from has a call edge to an identically keyed
 // callee in calleePkg.
 func hasEdge(prog *Program, from *FuncNode, calleePkg, calleeKey string) bool {

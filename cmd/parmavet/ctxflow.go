@@ -16,9 +16,9 @@ package main
 //     with obs.StartOnTraced);
 //   - a function holding a ctx calls a callee through its context-blind
 //     variant when a context-accepting sibling exists — e.g. calling
-//     World.Run when World.RunCtx is right there, or Recover when
-//     RecoverContext exists. The callee then runs with no deadline and no
-//     trace, and nothing downstream can tell;
+//     Run when RunCtx is right there, or Fetch when FetchContext exists.
+//     The callee then runs with no deadline and no trace, and nothing
+//     downstream can tell;
 //   - a function holding a ctx manufactures a fresh
 //     context.Background()/TODO(): everything below that point detaches
 //     from the request — cancellation never propagates and the span tree

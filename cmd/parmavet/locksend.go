@@ -42,7 +42,7 @@ var blockingMPIMethods = map[string]map[string]bool{
 		"ReduceSum": true, "AllreduceSum": true,
 	},
 	"Transport": {"Send": true, "Recv": true},
-	"World":     {"Run": true, "RunCtx": true, "RunCollect": true},
+	"World":     {"Run": true, "RunCollect": true},
 }
 
 const lockHeld = 1

@@ -12,7 +12,7 @@ import (
 func TestLaplacianStructure(t *testing.T) {
 	a := grid.New(2, 2)
 	r := grid.UniformField(2, 2, 2) // all 2 kΩ → g = 0.5
-	lap := Laplacian(a, r)
+	lap := laplacian(a, r)
 	if lap.Rows() != 4 || lap.Cols() != 4 {
 		t.Fatalf("Laplacian is %dx%d, want 4x4", lap.Rows(), lap.Cols())
 	}
@@ -42,7 +42,7 @@ func TestLaplacianRejectsNonPositive(t *testing.T) {
 			t.Fatal("zero resistance accepted")
 		}
 	}()
-	Laplacian(a, r)
+	laplacian(a, r)
 }
 
 // Test1x1DirectResistor: a single resistor's Z is exactly R.
@@ -272,7 +272,7 @@ func TestCGSolverMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := NewCGSolver(a, r, 1e-13)
+	cg := newCGSolver(a, r, 1e-13)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			want := dense.EffectiveResistance(i, j)

@@ -41,11 +41,11 @@ func TestForwardModelMatchesPerPairSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lu, err := mat.Factorize(GroundedLaplacian(a, r).Dense())
+		lu, err := mat.Factorize(groundedLaplacian(a, r).Dense())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cg := NewCGSolver(a, r, 1e-13)
+		cg := newCGSolver(a, r, 1e-13)
 		// Every pair's Z; the per-pair vectors on a stride that still visits
 		// every row and column (m·n+1 is coprime to 7 at all three sizes).
 		for pq := 0; pq < m*n; pq++ {

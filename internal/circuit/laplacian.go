@@ -15,29 +15,7 @@ import (
 	"parma/internal/grid"
 	"parma/internal/mat"
 	"parma/internal/obs"
-	"parma/internal/sparse"
 )
-
-// Laplacian assembles the conductance Laplacian of the wire-level graph:
-// one node per wire (horizontal wires first, then vertical), and for every
-// resistor R_ij a conductance g = 1/R_ij between wire i and wire m+j.
-// All resistances must be positive and finite.
-func Laplacian(a grid.Array, r *grid.Field) *sparse.CSR {
-	checkField(a, r)
-	nNodes := a.Rows() + a.Cols()
-	b := sparse.NewBuilder(nNodes, nNodes)
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
-			g := conductance(r, i, j)
-			u, v := i, a.Rows()+j
-			b.Add(u, u, g)
-			b.Add(v, v, g)
-			b.Add(u, v, -g)
-			b.Add(v, u, -g)
-		}
-	}
-	return b.Build()
-}
 
 // conductance returns 1/R_ij, panicking on a non-positive resistance.
 func conductance(r *grid.Field, i, j int) float64 {

@@ -82,8 +82,9 @@ type Comm struct {
 	stats      CommStats
 
 	// Trace propagation state (see traceprop.go): the trace the rank works
-	// under — seeded by RunCtx or adopted from a peer's frame — the rank's
-	// own root span, and whether payloads carry the trace envelope.
+	// under — seeded, minted by its root span, or adopted from a peer's
+	// frame — the rank's own root span, and whether payloads carry the
+	// trace envelope.
 	trace    obs.TraceContext
 	rankSpan obs.SpanID
 	traceOn  bool

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"context"
 	"fmt"
 
 	"parma/internal/obs"
@@ -17,7 +16,7 @@ import (
 // never carry it) and never enters CommStats.
 //
 // Framing is strict: once enabled, every rank of the world must enable it
-// too (World.RunCtx and the parma-mpi launcher both enable it globally),
+// too (World.Run and the parma-mpi launcher both enable it globally),
 // so a received payload without the envelope is a framing error rather
 // than a silent mis-parse.
 
@@ -113,14 +112,4 @@ func (c *Comm) StartRootSpan(name string) obs.Span {
 	sp := obs.StartOnTraced(c.track, name, c.trace.Trace, c.trace.Span)
 	c.rankSpan = sp.ID()
 	return sp
-}
-
-// RunCtx is Run with a request context: each rank's fn receives a context
-// carrying its own span identity (parented to the trace on ctx, when
-// present), trace propagation is enabled on every rank, and the per-rank
-// mpi/rank spans join the originating request's tree. Cancellation is the
-// caller's concern — fn receives ctx-derived contexts but ranks are not
-// force-stopped.
-func (w *World) RunCtx(ctx context.Context, fn func(ctx context.Context, c *Comm) error) []error {
-	return w.run(ctx, fn)
 }

@@ -2,8 +2,8 @@ package mpi
 
 import (
 	"bytes"
-	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"parma/internal/obs"
@@ -83,81 +83,67 @@ func TestTraceEnvelopeStatsChargePayloadOnly(t *testing.T) {
 	}
 }
 
-func TestRunCtxJoinsRankSpansToRequestTrace(t *testing.T) {
-	r := obs.NewRecorder()
-	obs.Enable(r)
-	defer obs.Disable()
-
-	ctx, root := obs.StartSpanCtx(context.Background(), "serve/http/recover")
-	w := NewWorld(4, CostModel{})
-	errs := w.RunCtx(ctx, func(ctx context.Context, c *Comm) error {
-		if tc, ok := obs.TraceFromContext(ctx); !ok || tc.Trace != root.Trace() {
-			t.Errorf("rank %d ctx lost the trace", c.Rank())
-		}
-		if _, err := c.Bcast(0, []byte("hello")); err != nil {
-			return err
-		}
-		_, err := c.ReduceSum([]float64{float64(c.Rank())})
-		return err
-	})
-	if err := FirstError(errs); err != nil {
-		t.Fatalf("RunCtx: %v", err)
-	}
-	root.End()
-
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := obs.ValidateDistributedTrace(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ValidateDistributedTrace: %v", err)
-	}
-	if len(sum.Trees) != 1 {
-		t.Fatalf("got %d trees, want 1 connected tree", len(sum.Trees))
-	}
-	tree := sum.Trees[0]
-	if tree.Root != "serve/http/recover" {
-		t.Fatalf("tree rooted at %q", tree.Root)
-	}
-	for _, want := range []string{"mpi/rank", "mpi/bcast", "mpi/reduce"} {
-		found := false
-		for _, n := range tree.Names {
-			found = found || n == want
-		}
-		if !found {
-			t.Fatalf("tree %v missing %q", tree.Names, want)
-		}
-	}
-	// 1 request root + 4 rank roots + per-rank collective spans.
-	if tree.Spans < 1+4+8 {
-		t.Fatalf("tree has only %d spans", tree.Spans)
-	}
-}
-
 // Trace propagation must survive the full resilience stack: chaos faults
-// under a reliable layer, with the envelope sealing only user payloads.
-func TestRunCtxTracePropagationUnderChaosStack(t *testing.T) {
+// under a reliable layer, with the envelope sealing only user payloads. The
+// comms are seeded as parma-mpi seeds its rank processes: rank 0 mints the
+// job trace with its root span, and the peers adopt it from the frames they
+// receive.
+func TestTracePropagationUnderChaosStack(t *testing.T) {
 	r := obs.NewRecorder()
 	obs.Enable(r)
 	defer obs.Disable()
 
-	ctx, root := obs.StartSpanCtx(context.Background(), "req")
-	w := NewWorld(3, CostModel{}).
-		WithChaos(ChaosSpec{Seed: 42, DropP: 0.2, CrashRank: -1, PartitionA: -1}).
-		WithReliable(fastReliable())
-	errs := w.RunCtx(ctx, func(_ context.Context, c *Comm) error {
-		for i := 0; i < 5; i++ {
-			if _, err := c.AllreduceSum([]float64{1, 2, 3}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err := FirstError(errs); err != nil {
-		t.Fatalf("chaotic RunCtx: %v", err)
+	const size = 3
+	chaos := ChaosSpec{Seed: 42, DropP: 0.2, CrashRank: -1, PartitionA: -1}
+	rel := fastReliable()
+	inboxes := make([]*inbox, size)
+	comms := make([]*Comm, size)
+	for rank := range comms {
+		inboxes[rank] = newInbox()
 	}
+	for rank := range comms {
+		comms[rank], _ = newComm(&chanTransport{rank: rank, inboxes: inboxes}, rank, size, CostModel{}, &chaos, &rel)
+		comms[rank].EnableTracePropagation(obs.TraceContext{})
+	}
+	root := comms[0].StartRootSpan("mpi/job")
+
+	// As in World.Run, each rank keeps draining its reliable transport
+	// until every rank is done, so a lost final ack strands no peer.
+	errs := make([]error, size)
+	var working, draining sync.WaitGroup
+	stop := make(chan struct{})
+	for rank, c := range comms {
+		working.Add(1)
+		draining.Add(1)
+		go func() {
+			defer draining.Done()
+			for i := 0; i < 5 && errs[rank] == nil; i++ {
+				_, errs[rank] = c.AllreduceSum([]float64{1, 2, 3})
+			}
+			working.Done()
+			c.rel.drain(stop)
+		}()
+	}
+	working.Wait()
+	close(stop)
+	draining.Wait()
 	root.End()
+	for _, c := range comms {
+		if err := c.tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ib := range inboxes {
+		ib.close()
+	}
+	if err := FirstError(errs); err != nil {
+		t.Fatalf("chaotic allreduce: %v", err)
+	}
+	for _, c := range comms[1:] {
+		if c.TraceContext().Trace != root.Trace() {
+			t.Fatalf("rank %d did not adopt the job trace through the chaos stack", c.Rank())
+		}
+	}
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -167,8 +153,13 @@ func TestRunCtxTracePropagationUnderChaosStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateDistributedTrace: %v", err)
 	}
-	if len(sum.Trees) != 1 || sum.Trees[0].Root != "req" {
+	if len(sum.Trees) != 1 || sum.Trees[0].Root != "mpi/job" {
 		t.Fatalf("chaos broke the span tree: %+v", sum.Trees)
+	}
+	// Rank 0 alone contributes its root plus an allreduce and a reduce span
+	// per round; anything beyond that is a peer's span that joined the tree.
+	if own := 1 + 5*2; sum.Trees[0].Spans <= own {
+		t.Fatalf("tree has %d spans, none from the peers", sum.Trees[0].Spans)
 	}
 }
 

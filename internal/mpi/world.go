@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -93,21 +92,13 @@ func (w *World) Size() int { return w.size }
 
 // Run executes fn once per rank on concurrent goroutines and blocks until
 // all return. The per-rank error slice is indexed by rank. Comms are valid
-// only within fn.
+// only within fn. When recording is enabled it turns the trace envelope on
+// for every rank (all or none, so the strict framing check holds) and opens
+// each rank's mpi/rank root span around fn.
 func (w *World) Run(fn func(c *Comm) error) []error {
-	return w.run(context.Background(), func(_ context.Context, c *Comm) error { return fn(c) })
-}
-
-// run is the shared body of Run and RunCtx. When recording is enabled it
-// turns the trace envelope on for every rank (all or none, so the
-// strict framing check holds) and seeds each rank with the trace carried
-// by ctx; each rank's fn then receives a context naming its own mpi/rank
-// span, so solver code running inside a rank keeps parenting correctly.
-func (w *World) run(ctx context.Context, fn func(ctx context.Context, c *Comm) error) []error {
 	errs := make([]error, w.size)
 	comms := make([]*Comm, w.size)
 	observed := obs.Enabled()
-	seed, _ := obs.TraceFromContext(ctx)
 	w.faults = make([]*FaultTransport, w.size)
 	// fnWg tracks fn completions; ranks then drain their reliable
 	// transports (re-acking stragglers' retransmits) until every rank's fn
@@ -121,7 +112,7 @@ func (w *World) run(ctx context.Context, fn func(ctx context.Context, c *Comm) e
 		}
 		if observed {
 			comms[r].track = obs.NewTrack(fmt.Sprintf("rank %d", r))
-			comms[r].EnableTracePropagation(seed)
+			comms[r].EnableTracePropagation(obs.TraceContext{})
 		}
 		comms[r].simComm += w.model.RankStartup
 		wg.Add(1)
@@ -137,12 +128,8 @@ func (w *World) run(ctx context.Context, fn func(ctx context.Context, c *Comm) e
 				}()
 				c := comms[r]
 				sp := c.StartRootSpan("mpi/rank")
-				rankCtx := ctx
-				if !sp.Trace().IsZero() {
-					rankCtx = obs.ContextWithTrace(ctx, sp.TraceContext())
-				}
 				start := time.Now()
-				errs[r] = fn(rankCtx, c)
+				errs[r] = fn(c)
 				wall := time.Since(start)
 				sp.End(obs.I("rank", r))
 				if observed {

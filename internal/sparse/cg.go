@@ -69,12 +69,10 @@ type CGStats struct {
 
 // Workspace holds the conjugate gradient work vectors (x, r, z, p, A·p and
 // the preconditioner diagonal) so repeated solves against same-sized
-// systems — per-pair effective-resistance sweeps, masked measurement scans,
-// the recovery solver's per-iteration damped systems — reuse one set of
-// buffers instead of allocating five vectors per solve. The zero value is
-// ready; buffers grow on first use and are retained. A Workspace serves one
-// solve at a time (guard it or pool it for concurrent callers; CGSolver
-// keeps a sync.Pool).
+// systems — the recovery solver's per-iteration damped systems — reuse one
+// set of buffers instead of allocating five vectors per solve. The zero
+// value is ready; buffers grow on first use and are retained. A Workspace
+// serves one solve at a time (guard it or pool it for concurrent callers).
 type Workspace struct {
 	x, r, z, p, ap, invDiag mat.Vector
 	jac                     Jacobi // boxed as *Jacobi so warm solves stay allocation-free
