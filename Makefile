@@ -36,8 +36,8 @@ vet:
 
 # parmavet runs the project-specific analyzers (span lifetimes, dropped MPI
 # errors, float equality, locks across blocking calls, HTTP timeouts,
-# goroutine fan-out, retry bounds, determinism, context propagation,
-# atomic/plain mixes, CSR densification); -list prints the eleven. That the
+# goroutine fan-out, determinism, context propagation, atomic/plain
+# mixes, CSR densification); -list prints the ten. That the
 # suite still flags its own fixtures is pinned by TestAnalyzersGolden in
 # tier-1. See docs/static-analysis.md.
 parmavet:
@@ -84,10 +84,9 @@ trace-smoke:
 fleet-smoke:
 	sh scripts/fleet-smoke.sh
 
-# chaos-smoke drives the resilience stack end to end: self-healing
-# formation as real TCP processes under seeded faults (bit-identical to
-# the fault-free run), then parmad past saturation (Retry-After sheds +
-# degraded stale-cache answers). See docs/robustness.md.
+# chaos-smoke drives parmad past saturation end to end: Retry-After sheds,
+# degraded stale-cache answers, then a clean SIGTERM drain. See
+# docs/robustness.md.
 chaos-smoke:
 	sh scripts/chaos-smoke.sh
 

@@ -10,10 +10,13 @@
 //
 // Launch mode starts a coordinator in-process and re-executes this binary
 // once per rank; each rank process connects back, forms its share of the
-// joint-constraint system, and participates in the closing allreduce.
+// joint-constraint system, and participates in the closing allreduce. As
+// under mpiexec, the first rank process to fail ends the job: the launcher
+// kills the others, stops the coordinator and reports that rank.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,8 +47,6 @@ func run(argv []string) error {
 	ranks := fs.Int("ranks", 4, "world size")
 	n := fs.Int("n", 12, "array size (n x n)")
 	seed := fs.Int64("seed", 2022, "workload seed")
-	chaos := fs.String("chaos", "", "seeded fault schedule, e.g. seed=7,drop=0.05,dup=0.05,crash=2@10 (implies -resilient)")
-	resilient := fs.Bool("resilient", false, "use the reliable transport and self-healing formation")
 	traceDir := fs.String("trace-dir", "", "write one Chrome trace per rank (rank<N>.json) into this directory; rank 0 mints the job trace, the others adopt it from frame metadata")
 	if err := fs.Parse(argv); err != nil {
 		return err
@@ -53,39 +54,14 @@ func run(argv []string) error {
 
 	switch {
 	case *launch:
-		return runLaunch(*ranks, *n, *seed, *chaos, *resilient, *traceDir)
+		return runLaunch(*ranks, *n, *seed, *traceDir)
 	case *serve != "":
 		return runServe(*serve, *ranks)
 	case *connect != "":
-		return runRank(*connect, *rank, *ranks, *n, *seed, *chaos, *resilient, *traceDir)
+		return runRank(*connect, *rank, *ranks, *n, *seed, *traceDir)
 	}
 	fs.Usage()
 	return errors.New("one of -launch, -serve or -connect is required")
-}
-
-// chaosConfig validates the -chaos/-resilient combination. Chaos implies
-// the reliable layer: injected faults without retries and idempotent
-// delivery would just wedge the formation.
-func chaosConfig(chaosSpec string, resilient bool, ranks int) (*mpi.ChaosSpec, *mpi.ReliableConfig, error) {
-	var spec *mpi.ChaosSpec
-	if chaosSpec != "" {
-		cs, err := mpi.ParseChaos(chaosSpec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cs.CrashRank == 0 {
-			return nil, nil, errors.New("crash=0 would kill the formation coordinator; crash a nonzero rank")
-		}
-		if cs.CrashRank >= ranks {
-			return nil, nil, fmt.Errorf("crash rank %d outside world of %d", cs.CrashRank, ranks)
-		}
-		spec = &cs
-		resilient = true
-	}
-	if !resilient {
-		return nil, nil, nil
-	}
-	return spec, &mpi.ReliableConfig{}, nil
 }
 
 func runServe(addr string, ranks int) error {
@@ -94,22 +70,18 @@ func runServe(addr string, ranks int) error {
 		return err
 	}
 	fmt.Printf("coordinator listening on %s for %d ranks\n", co.Addr(), ranks)
-	return co.Serve()
+	return co.Serve(context.Background())
 }
 
-func runRank(addr string, rank, ranks, n int, seed int64, chaosSpec string, resilient bool, traceDir string) error {
+func runRank(addr string, rank, ranks, n int, seed int64, traceDir string) error {
 	if rank < 0 || rank >= ranks {
 		return fmt.Errorf("rank %d outside world of %d", rank, ranks)
-	}
-	chaos, reliable, err := chaosConfig(chaosSpec, resilient, ranks)
-	if err != nil {
-		return err
 	}
 	p, err := experiments.BuildProblem(n, seed)
 	if err != nil {
 		return err
 	}
-	comm, closeFn, err := mpi.DialTCP(addr, rank, ranks, mpi.CostModel{}, chaos, reliable)
+	comm, closeFn, err := mpi.DialTCP(addr, rank, ranks, mpi.CostModel{})
 	if err != nil {
 		return err
 	}
@@ -141,43 +113,16 @@ func runRank(addr string, rank, ranks, n int, seed int64, chaosSpec string, resi
 		}()
 	}
 	start := time.Now()
-	if reliable == nil {
-		res, err := mpi.DistributedFormation(comm, p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("rank %d/%d: %d local equations of %d total in %v\n",
-			rank, ranks, res.LocalEquations, res.TotalEquations, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	res, err := mpi.ResilientFormation(comm, p)
+	res, err := mpi.DistributedFormation(comm, p)
 	if err != nil {
-		// A scheduled crash is the experiment working as intended: mark it
-		// and exit cleanly so the launcher can tell it from a real failure.
-		if errors.Is(err, mpi.ErrCrashed) {
-			fmt.Printf("rank %d/%d: crashed by fault injection (%v)\n", rank, ranks, err)
-			return nil
-		}
 		return err
 	}
-	// Peers may still be retransmitting toward this rank; give their final
-	// acks a window before the process (and its connection) goes away.
-	comm.DrainFor(500 * time.Millisecond)
-	line := fmt.Sprintf("rank %d/%d: %d total equations, system hash %016x in %v",
-		rank, ranks, res.TotalEquations, res.SystemHash, time.Since(start).Round(time.Millisecond))
-	if rank == 0 && len(res.Dead) > 0 {
-		line += fmt.Sprintf(" (dead ranks %v, %d blocks redistributed)", res.Dead, res.Redistributed)
-	}
-	fmt.Println(line)
+	fmt.Printf("rank %d/%d: %d local equations of %d total, hash %016x in %v\n",
+		rank, ranks, res.LocalEquations, res.TotalEquations, res.LocalHash, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-func runLaunch(ranks, n int, seed int64, chaosSpec string, resilient bool, traceDir string) error {
-	// Validate up front so a bad chaos grammar fails before any process
-	// spawns rather than in every rank at once.
-	if _, _, err := chaosConfig(chaosSpec, resilient, ranks); err != nil {
-		return err
-	}
+func runLaunch(ranks, n int, seed int64, traceDir string) error {
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return fmt.Errorf("creating -trace-dir: %w", err)
@@ -187,27 +132,42 @@ func runLaunch(ranks, n int, seed int64, chaosSpec string, resilient bool, trace
 	if err != nil {
 		return err
 	}
+	ctx, stopServe := context.WithCancel(context.Background())
+	defer stopServe()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- co.Serve() }()
+	go func() { serveErr <- co.Serve(ctx) }()
 
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locate executable: %w", err)
 	}
-	procs := make([]*exec.Cmd, ranks)
-	for r := 0; r < ranks; r++ {
+	type exit struct {
+		rank int
+		err  error
+	}
+	exits := make(chan exit, ranks)
+	procs := make([]*exec.Cmd, 0, ranks)
+	var firstErr error
+	// abort ends the job as mpiexec does when a rank fails: kill every rank
+	// process, and stop the coordinator, which still waits in Accept if a
+	// rank died before it dialed.
+	abort := func(err error) {
+		if firstErr != nil {
+			return
+		}
+		firstErr = err
+		for _, cmd := range procs {
+			_ = cmd.Process.Kill()
+		}
+		stopServe()
+	}
+	for r := 0; r < ranks && firstErr == nil; r++ {
 		args := []string{
 			"-connect", co.Addr(),
 			"-rank", fmt.Sprint(r),
 			"-ranks", fmt.Sprint(ranks),
 			"-n", fmt.Sprint(n),
 			"-seed", fmt.Sprint(seed),
-		}
-		if chaosSpec != "" {
-			args = append(args, "-chaos", chaosSpec)
-		}
-		if resilient {
-			args = append(args, "-resilient")
 		}
 		if traceDir != "" {
 			args = append(args, "-trace-dir", traceDir)
@@ -216,14 +176,15 @@ func runLaunch(ranks, n int, seed int64, chaosSpec string, resilient bool, trace
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("start rank %d: %w", r, err)
+			abort(fmt.Errorf("start rank %d: %w", r, err))
+			break
 		}
-		procs[r] = cmd
+		procs = append(procs, cmd)
+		go func() { exits <- exit{r, cmd.Wait()} }()
 	}
-	var firstErr error
-	for r, cmd := range procs {
-		if err := cmd.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("rank %d: %w", r, err)
+	for range procs {
+		if e := <-exits; e.err != nil {
+			abort(fmt.Errorf("rank %d: %w", e.rank, e.err))
 		}
 	}
 	if err := <-serveErr; err != nil && firstErr == nil {

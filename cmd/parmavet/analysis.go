@@ -90,7 +90,7 @@ func (a *Analyzer) appliesTo(pkgPath string) bool {
 
 // analyzers returns the full suite in output order.
 func analyzers() []*Analyzer {
-	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, retryboundAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer}
+	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer}
 }
 
 // allowRE matches the directive form only — the comment must BEGIN with

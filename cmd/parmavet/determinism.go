@@ -1,8 +1,8 @@
 package main
 
-// determinism: the bit-identical claims (PR 4's any-pool-width kernel
-// equivalence, PR 5's XOR-of-checksums self-healing formation proof) only
-// hold if the numerics and formation paths are pure functions of their
+// determinism: the bit-identical claims (any-pool-width kernel
+// equivalence, the XOR-of-checksums formation digest that every strategy
+// and world size must reproduce) only hold if the numerics and formation paths are pure functions of their
 // inputs. Go randomizes map iteration order per run, so three shapes
 // silently break them:
 //

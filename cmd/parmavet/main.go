@@ -9,7 +9,6 @@
 //	httptimeout  http.Server literals must set ReadHeaderTimeout (or ReadTimeout)
 //	poolsize     no raw goroutine fan-out loops in the compute packages;
 //	             every worker loop goes through sched.Run
-//	retrybound   retry loops that sleep must also terminate
 //	determinism  no map-iteration-ordered results, unseeded math/rand, or
 //	             wall-clock values in the deterministic packages
 //	ctxflow      a held context.Context must be threaded: no context-blind

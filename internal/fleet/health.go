@@ -13,18 +13,16 @@ import (
 	"parma/internal/serve"
 )
 
-// ProberConfig tunes the health loop. The semantics mirror the
-// reliable-transport failure detector in internal/mpi: a periodic beacon
-// (here an HTTP probe instead of a heartbeat frame), a suspect window
-// after which a silent peer is declared dead, and readmission the moment
-// the peer answers again — ejection is a routing decision, not a
-// tombstone.
+// ProberConfig tunes the health loop: a periodic beacon (an HTTP probe),
+// a suspect window after which a silent peer is declared dead, and
+// readmission the moment the peer answers again — ejection is a routing
+// decision, not a tombstone.
 type ProberConfig struct {
 	// Every is the probe period. Zero selects 250ms.
 	Every time.Duration
 	// SuspectAfter is how long a backend may go without a successful
-	// probe before it is ejected. Zero selects 4×Every (matching the
-	// multiple-beacons-missed shape of mpi.ReliableConfig.SuspectAfter).
+	// probe before it is ejected. Zero selects 4×Every, so one lost probe
+	// alone never ejects a backend.
 	SuspectAfter time.Duration
 	// Timeout bounds one probe attempt. Zero selects min(Every, 1s).
 	Timeout time.Duration

@@ -19,9 +19,8 @@
 //   - Policy: geometry-affinity and round-robin candidate ordering
 //     (policy.go).
 //   - Prober: the /healthz heartbeat loop that ejects silent workers and
-//     readmits recovered ones, with the same beacon-period /
-//     suspect-window semantics as internal/mpi's reliable-transport
-//     failure detector (health.go).
+//     readmits recovered ones after a beacon-period / suspect-window
+//     scheme (health.go).
 //   - Router: the retrying HTTP proxy with per-backend circuit breakers
 //     (reusing internal/serve's BreakerSet), traceparent propagation, and
 //     fleet-level RED metrics (proxy.go).

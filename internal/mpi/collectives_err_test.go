@@ -3,29 +3,14 @@ package mpi
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"parma/internal/obs"
 )
 
-// deadRankTransport fails every operation with the typed rank-death error,
-// standing in for a peer the failure detector has declared dead.
-type deadRankTransport struct{ rank int }
-
-func (t deadRankTransport) Send(dst, tag int, data []byte) error {
-	return &RankDeadError{Rank: dst, Reason: "test transport"}
-}
-
-func (t deadRankTransport) Recv(src, tag int, _ time.Time) ([]byte, int, int, bool, error) {
-	return nil, 0, 0, false, &RankDeadError{Rank: src, Reason: "test transport"}
-}
-
-func (t deadRankTransport) Close() error { return nil }
-
 // TestCollectivesRecordSpansAndPropagateTypedErrors extends the Barrier
 // span-leak regression to every collective: each must record its span even
-// on the error path, and the typed error from the transport must reach the
-// caller intact (errors.Is(err, ErrRankDead) matchable).
+// on the error path, and the transport's error must reach the caller intact
+// (errors.Is matchable).
 func TestCollectivesRecordSpansAndPropagateTypedErrors(t *testing.T) {
 	cases := []struct {
 		span string
@@ -42,13 +27,13 @@ func TestCollectivesRecordSpansAndPropagateTypedErrors(t *testing.T) {
 			obs.Enable(rec)
 			defer obs.Disable()
 
-			c := &Comm{rank: 0, size: 2, tr: deadRankTransport{}, track: obs.AnonTrack}
+			c := &Comm{rank: 0, size: 2, tr: failTransport{}, track: obs.AnonTrack}
 			err := tc.call(c)
 			if err == nil {
 				t.Fatalf("%s over a dead transport succeeded", tc.span)
 			}
-			if !errors.Is(err, ErrRankDead) {
-				t.Fatalf("%s error %v lost its type; want errors.Is(err, ErrRankDead)", tc.span, err)
+			if !errors.Is(err, errTransportDown) {
+				t.Fatalf("%s error %v lost its identity; want errors.Is(err, errTransportDown)", tc.span, err)
 			}
 			var found bool
 			for _, ev := range rec.Events() {
@@ -73,7 +58,7 @@ func TestCollectiveErrorsNoSpanLeak(t *testing.T) {
 	obs.Enable(rec)
 	defer obs.Disable()
 
-	c := &Comm{rank: 0, size: 2, tr: deadRankTransport{}, track: obs.AnonTrack}
+	c := &Comm{rank: 0, size: 2, tr: failTransport{}, track: obs.AnonTrack}
 	_ = c.Barrier()                     // mpi/barrier
 	_, _ = c.AllreduceSum([]float64{1}) // mpi/allreduce + nested mpi/reduce
 	_, _ = c.Bcast(0, nil)              // mpi/bcast

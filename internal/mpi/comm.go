@@ -72,7 +72,6 @@ type CommStats struct {
 type Comm struct {
 	rank, size int
 	tr         Transport
-	rel        *reliableTransport // tr itself when the reliable layer is on, else nil
 	model      CostModel
 	speed      float64 // relative compute speed; 0 is treated as 1
 	track      int32   // obs timeline track; obs.AnonTrack outside World.Run
@@ -90,22 +89,9 @@ type Comm struct {
 	traceOn  bool
 }
 
-// newComm builds one rank's endpoint over base, with the fault schedule
-// layered on when chaos is non-nil and enabled, and the reliable layer on
-// top when reliable is non-nil. It also returns the fault layer (nil
-// without one) for the World's fault log.
-func newComm(base Transport, rank, size int, model CostModel, chaos *ChaosSpec, reliable *ReliableConfig) (*Comm, *FaultTransport) {
-	c := &Comm{rank: rank, size: size, model: model, speed: 1, track: obs.AnonTrack, tr: base}
-	var ft *FaultTransport
-	if chaos != nil && chaos.Enabled() {
-		ft = NewFaultTransport(base, rank, *chaos)
-		c.tr = ft
-	}
-	if reliable != nil {
-		c.rel = newReliable(c.tr, rank, size, *reliable)
-		c.tr = c.rel
-	}
-	return c, ft
+// newComm builds one rank's endpoint over tr.
+func newComm(tr Transport, rank, size int, model CostModel) *Comm {
+	return &Comm{rank: rank, size: size, model: model, speed: 1, track: obs.AnonTrack, tr: tr}
 }
 
 // Stats returns the traffic this rank has been charged for so far.
@@ -167,7 +153,9 @@ func (c *Comm) ChargeCompute(d time.Duration) {
 // SimTotal returns compute + communication simulated time.
 func (c *Comm) SimTotal() time.Duration { return c.simCompute + c.simComm }
 
-// Send delivers data to dst with a tag, charging the cost model.
+// Send delivers data to dst with a tag. It charges the payload, then seals
+// it in the trace envelope when propagation is on — in that order, so the
+// envelope never enters CommStats — and hands it to the transport.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst == c.rank {
 		return fmt.Errorf("mpi: rank %d sending to itself", c.rank)
@@ -175,94 +163,26 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("mpi: rank %d sending to rank %d outside world of %d", c.rank, dst, c.size)
 	}
-	return c.send(dst, tag, data)
-}
-
-// send carries every outbound payload: it charges the payload, then seals
-// it in the trace envelope when propagation is on — in that order, so the
-// envelope never enters CommStats — and hands it to the transport.
-func (c *Comm) send(dst, tag int, data []byte) error {
 	c.chargeSend(len(data))
 	return c.tr.Send(dst, tag, c.seal(data))
 }
 
 // Recv blocks for a message from src (or AnySource) with the tag and
-// returns the payload and actual source.
+// returns the payload and actual source. It opens the trace envelope when
+// propagation is on, then charges the payload.
 func (c *Comm) Recv(src, tag int) ([]byte, int, error) {
-	return c.recv(src, tag, time.Time{})
-}
-
-// RecvTimeout is Recv bounded by d. Deadline expiry returns a typed
-// *OpTimeoutError (errors.Is ErrOpTimeout); a dead peer surfaces as
-// *RankDeadError when the reliable layer's detector is active.
-func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]byte, int, error) {
-	return c.recv(src, tag, time.Now().Add(d))
-}
-
-// recv carries every inbound payload: it receives by deadline (the zero
-// time waits forever), opens the trace envelope when propagation is on,
-// then charges the payload.
-func (c *Comm) recv(src, tag int, deadline time.Time) ([]byte, int, error) {
 	if src != AnySource && (src < 0 || src >= c.size) {
 		return nil, 0, fmt.Errorf("mpi: rank %d receiving from rank %d outside world of %d", c.rank, src, c.size)
 	}
-	data, actual, _, timedOut, err := c.tr.Recv(src, tag, deadline)
+	data, actual, err := c.tr.Recv(src, tag)
 	if err != nil {
 		return nil, 0, err
-	}
-	if timedOut {
-		return nil, 0, &OpTimeoutError{Op: "recv", Rank: src}
 	}
 	if data, err = c.open(data); err != nil {
 		return nil, 0, err
 	}
 	c.chargeRecv(len(data))
 	return data, actual, nil
-}
-
-// SendNoAck delivers data best-effort under the reliable layer:
-// deduplicated on receive but neither retried nor ordered, the right
-// semantics for idempotent streams such as formation checkpoints. Without
-// the reliable layer it degrades to Send.
-func (c *Comm) SendNoAck(dst, tag int, data []byte) error {
-	if dst == c.rank || dst < 0 || dst >= c.size {
-		return fmt.Errorf("mpi: rank %d sending (no-ack) to invalid rank %d", c.rank, dst)
-	}
-	if c.rel == nil {
-		return c.send(dst, tag, data)
-	}
-	c.chargeSend(len(data))
-	return c.rel.SendNoAck(dst, tag, c.seal(data))
-}
-
-// PeerIdle returns how long the transport has gone without hearing from
-// rank, and whether liveness is tracked at all (it is only under the
-// reliable layer with heartbeats on).
-func (c *Comm) PeerIdle(rank int) (time.Duration, bool) {
-	if c.SuspectAfter() <= 0 {
-		return 0, false
-	}
-	return c.rel.PeerIdle(rank), true
-}
-
-// SuspectAfter returns the failure detector's silence threshold, or 0 when
-// no detector is active.
-func (c *Comm) SuspectAfter() time.Duration {
-	if c.rel == nil {
-		return 0
-	}
-	return c.rel.SuspectAfter()
-}
-
-// DrainFor keeps the reliable layer servicing retransmits for d after the
-// rank's own work is done, so peers whose final acks were lost do not
-// declare this rank dead. A no-op without the reliable layer. Rank
-// processes that exit after their work (the TCP deployment) should call it
-// before Close; the in-process World runner drains automatically.
-func (c *Comm) DrainFor(d time.Duration) {
-	if c.rel != nil {
-		c.rel.DrainFor(d)
-	}
 }
 
 // Collective tags live in a reserved space above user tags.
@@ -301,7 +221,7 @@ func (c *Comm) bcastBytes(data []byte, tag int) ([]byte, error) {
 	// bit; its children are r + 2^j for every 2^j above that bit.
 	if c.rank != 0 {
 		parent := c.rank &^ (1 << (bits.Len(uint(c.rank)) - 1))
-		got, _, err := c.recv(parent, tag, time.Time{})
+		got, _, err := c.Recv(parent, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +236,7 @@ func (c *Comm) bcastBytes(data []byte, tag int) ([]byte, error) {
 		if child >= c.size {
 			break
 		}
-		if err := c.send(child, tag, data); err != nil {
+		if err := c.Send(child, tag, data); err != nil {
 			return nil, err
 		}
 	}
@@ -329,10 +249,10 @@ func (c *Comm) reduceBytes(mine []byte, tag int, combine func(a, b []byte) []byt
 	acc := mine
 	for stride := 1; stride < c.size; stride *= 2 {
 		if c.rank%(2*stride) == stride {
-			return nil, c.send(c.rank-stride, tag, acc)
+			return nil, c.Send(c.rank-stride, tag, acc)
 		}
 		if c.rank%(2*stride) == 0 && c.rank+stride < c.size {
-			got, _, err := c.recv(c.rank+stride, tag, time.Time{})
+			got, _, err := c.Recv(c.rank+stride, tag)
 			if err != nil {
 				return nil, err
 			}

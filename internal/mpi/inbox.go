@@ -5,22 +5,19 @@
 // simulations, and TCP for genuine multi-process operation — plus a LogP-
 // style cost model that accrues simulated communication time per rank, so
 // strong-scaling experiments up to 1,024 ranks can be evaluated faithfully
-// on a laptop-class machine.
+// on a laptop-class machine. As under MPICH, nothing is retried: a failed
+// send, a closed inbox or a severed connection comes back from the
+// operation as an error, and cmd/parma-mpi's launcher ends the job when a
+// rank process dies.
 package mpi
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // AnySource matches messages from every rank in Recv.
 const AnySource = -1
-
-// AnyTag matches messages with any tag in the transport-internal receive
-// paths (the reliable layer demultiplexes frames itself). User tags are
-// non-negative, collective tags live above 1<<28, so -2 is safe.
-const AnyTag = -2
 
 // message is one in-flight point-to-point payload.
 type message struct {
@@ -59,32 +56,20 @@ func (ib *inbox) put(m message) error {
 }
 
 // get blocks until a message matching (src, tag) is available and removes
-// it, or until the deadline passes (the zero time waits forever). src may
-// be AnySource, tag may be AnyTag. The second result is false if the inbox
-// closes first; the third reports a timeout: the deadline passed with no
-// matching message and the inbox still open.
-func (ib *inbox) get(src, tag int, deadline time.Time) (message, bool, bool) {
+// it. src may be AnySource. The second result is false if the inbox closes
+// first.
+func (ib *inbox) get(src, tag int) (message, bool) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	var timer *time.Timer
-	if !deadline.IsZero() {
-		// The cond has no timed wait; a timer broadcast wakes the loop so it
-		// can observe the deadline.
-		timer = time.AfterFunc(time.Until(deadline), ib.cond.Broadcast)
-		defer timer.Stop()
-	}
 	for {
 		for i, m := range ib.stash {
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+			if (src == AnySource || m.src == src) && m.tag == tag {
 				ib.stash = append(ib.stash[:i], ib.stash[i+1:]...)
-				return m, true, false
+				return m, true
 			}
 		}
 		if ib.closed {
-			return message{}, false, false
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return message{}, false, true
+			return message{}, false
 		}
 		ib.cond.Wait()
 	}
@@ -104,15 +89,9 @@ type Transport interface {
 	// Send delivers data to rank dst with the given tag. It must not
 	// retain data after returning.
 	Send(dst, tag int, data []byte) error
-	// Recv waits until deadline (the zero time waits forever) for a message
-	// from src (or AnySource) with the tag (or AnyTag). It reports the
-	// matched message's tag, so the reliable layer can pull with AnyTag and
-	// demultiplex frames itself; timedOut distinguishes a deadline expiry
-	// from a closed transport.
-	Recv(src, tag int, deadline time.Time) (data []byte, actualSrc, actualTag int, timedOut bool, err error)
-	// Close stops the transport's background work, such as heartbeat
-	// senders, and releases its connection.
-	Close() error
+	// Recv blocks for a message from src (or AnySource) with the tag and
+	// returns it with its actual source.
+	Recv(src, tag int) (data []byte, actualSrc int, err error)
 }
 
 // chanTransport is the in-process transport: a shared inbox table.
@@ -130,16 +109,10 @@ func (t *chanTransport) Send(dst, tag int, data []byte) error {
 	return t.inboxes[dst].put(message{src: t.rank, tag: tag, data: cp})
 }
 
-// Close is a no-op: the World that owns the inbox table closes it.
-func (t *chanTransport) Close() error { return nil }
-
-func (t *chanTransport) Recv(src, tag int, deadline time.Time) ([]byte, int, int, bool, error) {
-	m, ok, timedOut := t.inboxes[t.rank].get(src, tag, deadline)
-	if timedOut {
-		return nil, 0, 0, true, nil
-	}
+func (t *chanTransport) Recv(src, tag int) ([]byte, int, error) {
+	m, ok := t.inboxes[t.rank].get(src, tag)
 	if !ok {
-		return nil, 0, 0, false, fmt.Errorf("mpi: rank %d inbox closed while waiting for src=%d tag=%d", t.rank, src, tag)
+		return nil, 0, fmt.Errorf("mpi: rank %d inbox closed while waiting for src=%d tag=%d", t.rank, src, tag)
 	}
-	return m.data, m.src, m.tag, false, nil
+	return m.data, m.src, nil
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // FuzzInbox drives the inbox through fuzzer-chosen interleavings of
-// concurrent sends, matched and mismatched receives, deadline receives,
-// and a close injected at an arbitrary point — the shutdown races the
-// reliable layer and the TCP pump both lean on. Invariants: no operation
-// panics or deadlocks, a message is delivered at most once, and every
-// receiver unblocks once the inbox closes.
+// concurrent sends, matched, wildcard-source and mismatched receives, and a
+// close injected at an arbitrary point — the shutdown races World.Run and
+// the TCP pump lean on. Invariants: no operation panics or deadlocks, a
+// message is delivered at most once, and every receiver unblocks once the
+// inbox closes.
 func FuzzInbox(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint16(0x5a5a), uint8(4))
 	f.Add(uint8(1), uint8(1), uint16(0), uint8(0))
@@ -40,17 +40,11 @@ func FuzzInbox(f *testing.F) {
 			go func(r int) {
 				defer wg.Done()
 				for i := 0; i < 4; i++ {
-					src, tag := AnySource, AnyTag
+					src, tag := AnySource, int(plan>>uint(r+i))&3
 					if plan&(1<<(uint(r+i)%16)) != 0 {
 						src, tag = r%nSend, int(plan>>uint(r%8))&3
 					}
-					var m message
-					var ok bool
-					if i%2 == 0 {
-						m, ok, _ = ib.get(src, tag, time.Now().Add(time.Duration(plan%5)*time.Millisecond))
-					} else {
-						m, ok, _ = ib.get(src, tag, time.Time{})
-					}
+					m, ok := ib.get(src, tag)
 					if ok {
 						if _, loaded := delivered.LoadOrStore(m.data[0], true); loaded {
 							t.Errorf("payload %#x delivered twice", m.data[0])

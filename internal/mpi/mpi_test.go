@@ -14,13 +14,13 @@ func TestInboxMatching(t *testing.T) {
 	ib.put(message{src: 2, tag: 7, data: []byte("a")})
 	ib.put(message{src: 1, tag: 7, data: []byte("b")})
 	ib.put(message{src: 1, tag: 9, data: []byte("c")})
-	if m, ok, _ := ib.get(1, 7, time.Time{}); !ok || string(m.data) != "b" {
+	if m, ok := ib.get(1, 7); !ok || string(m.data) != "b" {
 		t.Fatalf("get(1,7) = %v,%v", m, ok)
 	}
-	if m, ok, _ := ib.get(AnySource, 7, time.Time{}); !ok || string(m.data) != "a" {
+	if m, ok := ib.get(AnySource, 7); !ok || string(m.data) != "a" {
 		t.Fatalf("get(any,7) = %v,%v", m, ok)
 	}
-	if m, ok, _ := ib.get(1, 9, time.Time{}); !ok || string(m.data) != "c" {
+	if m, ok := ib.get(1, 9); !ok || string(m.data) != "c" {
 		t.Fatalf("get(1,9) = %v,%v", m, ok)
 	}
 }
@@ -29,7 +29,7 @@ func TestInboxBlocksUntilPut(t *testing.T) {
 	ib := newInbox()
 	done := make(chan string, 1)
 	go func() {
-		m, ok, _ := ib.get(0, 1, time.Time{})
+		m, ok := ib.get(0, 1)
 		if !ok {
 			done <- "closed"
 			return
@@ -47,7 +47,7 @@ func TestInboxCloseUnblocks(t *testing.T) {
 	ib := newInbox()
 	done := make(chan bool, 1)
 	go func() {
-		_, ok, _ := ib.get(0, 1, time.Time{})
+		_, ok := ib.get(0, 1)
 		done <- ok
 	}()
 	time.Sleep(5 * time.Millisecond)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -158,15 +159,15 @@ func TestSendToClosedInboxErrors(t *testing.T) {
 	}
 }
 
+// errTransportDown is the error every failTransport operation returns.
+var errTransportDown = errors.New("transport down")
+
 // failTransport errors on every operation, forcing the collective error
 // paths.
 type failTransport struct{}
 
-func (failTransport) Send(dst, tag int, data []byte) error { return fmt.Errorf("transport down") }
-func (failTransport) Recv(src, tag int, _ time.Time) ([]byte, int, int, bool, error) {
-	return nil, 0, 0, false, fmt.Errorf("transport down")
-}
-func (failTransport) Close() error { return nil }
+func (failTransport) Send(dst, tag int, data []byte) error   { return errTransportDown }
+func (failTransport) Recv(src, tag int) ([]byte, int, error) { return nil, 0, errTransportDown }
 
 // TestBarrierRecordsSpanOnError is the regression test for a span leak the
 // spanend analyzer found: Barrier returned on the reduce error path before

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"time"
 
 	"parma/internal/obs"
 )
@@ -78,8 +78,13 @@ func NewCoordinator(addr string, size int) (*Coordinator, error) {
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
 // Serve accepts all ranks, routes traffic until every connection closes,
-// then returns. It must run on its own goroutine (or process).
-func (co *Coordinator) Serve() error {
+// then returns. It must run on its own goroutine (or process). Cancelling
+// ctx while Serve still waits for ranks to connect closes the listener, and
+// Serve returns the accept error; once routing, it returns when the last
+// rank's connection closes.
+func (co *Coordinator) Serve(ctx context.Context) error {
+	stop := context.AfterFunc(ctx, func() { co.ln.Close() })
+	defer stop()
 	for i := 0; i < co.size; i++ {
 		conn, err := co.ln.Accept()
 		if err != nil {
@@ -175,13 +180,9 @@ func (t *tcpTransport) pump(r io.Reader) {
 }
 
 // DialTCP connects rank to a coordinator and returns a Comm over the TCP
-// transport, with optional fault injection and reliable delivery layered
-// over the connection: chaos (when non-nil and enabled) injects the seeded
-// fault schedule, reliable (when non-nil) adds sequence-numbered
-// idempotent delivery, retries, and the heartbeat failure detector. The
-// returned close function stops the heartbeat sender, then shuts the
-// connection down; pending Recvs fail.
-func DialTCP(addr string, rank, size int, model CostModel, chaos *ChaosSpec, reliable *ReliableConfig) (*Comm, func() error, error) {
+// transport. The returned close function shuts the connection down;
+// pending Recvs fail.
+func DialTCP(addr string, rank, size int, model CostModel) (*Comm, func() error, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mpi: rank %d dial: %w", rank, err)
@@ -192,10 +193,9 @@ func DialTCP(addr string, rank, size int, model CostModel, chaos *ChaosSpec, rel
 		conn.Close()
 		return nil, nil, fmt.Errorf("mpi: rank %d hello: %w", rank, err)
 	}
-	base := &tcpTransport{rank: rank, conn: conn, in: newInbox()}
-	go base.pump(conn)
-	c, _ := newComm(base, rank, size, model, chaos, reliable)
-	return c, c.tr.Close, nil
+	tr := &tcpTransport{rank: rank, conn: conn, in: newInbox()}
+	go tr.pump(conn)
+	return newComm(tr, rank, size, model), conn.Close, nil
 }
 
 func (t *tcpTransport) Send(dst, tag int, data []byte) error {
@@ -204,15 +204,10 @@ func (t *tcpTransport) Send(dst, tag int, data []byte) error {
 	return writeFrame(t.conn, dst, t.rank, tag, data)
 }
 
-func (t *tcpTransport) Recv(src, tag int, deadline time.Time) ([]byte, int, int, bool, error) {
-	m, ok, timedOut := t.in.get(src, tag, deadline)
-	if timedOut {
-		return nil, 0, 0, true, nil
-	}
+func (t *tcpTransport) Recv(src, tag int) ([]byte, int, error) {
+	m, ok := t.in.get(src, tag)
 	if !ok {
-		return nil, 0, 0, false, fmt.Errorf("mpi: rank %d connection closed while waiting for src=%d tag=%d", t.rank, src, tag)
+		return nil, 0, fmt.Errorf("mpi: rank %d connection closed while waiting for src=%d tag=%d", t.rank, src, tag)
 	}
-	return m.data, m.src, m.tag, false, nil
+	return m.data, m.src, nil
 }
-
-func (t *tcpTransport) Close() error { return t.conn.Close() }

@@ -31,7 +31,7 @@ func TestPumpCountsDropsAfterInboxClose(t *testing.T) {
 	if err := writeFrame(client, 1, 0, 7, []byte("pre-close")); err != nil {
 		t.Fatal(err)
 	}
-	data, src, _, _, err := tr.Recv(0, 7, time.Time{})
+	data, src, err := tr.Recv(0, 7)
 	if err != nil || src != 0 || string(data) != "pre-close" {
 		t.Fatalf("pre-close recv = (%q, %d, %v)", data, src, err)
 	}

@@ -2,15 +2,16 @@ package mpi
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
-	"net"
-
 	"fmt"
 	"math"
-	"parma/internal/obs"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"parma/internal/obs"
 )
 
 // runTCPWorld spins up a coordinator plus size in-process ranks over real
@@ -22,7 +23,7 @@ func runTCPWorld(t *testing.T, size int, fn func(c *Comm) error) {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- co.Serve() }()
+	go func() { serveErr <- co.Serve(context.Background()) }()
 
 	var wg sync.WaitGroup
 	errs := make([]error, size)
@@ -30,7 +31,7 @@ func runTCPWorld(t *testing.T, size int, fn func(c *Comm) error) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			comm, closeFn, err := DialTCP(co.Addr(), r, size, CostModel{}, nil, nil)
+			comm, closeFn, err := DialTCP(co.Addr(), r, size, CostModel{})
 			if err != nil {
 				errs[r] = err
 				return
@@ -129,8 +130,8 @@ func TestCoordinatorRejectsBadRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- co.Serve() }()
-	if _, _, err := DialTCP(co.Addr(), 7, 2, CostModel{}, nil, nil); err != nil {
+	go func() { serveErr <- co.Serve(context.Background()) }()
+	if _, _, err := DialTCP(co.Addr(), 7, 2, CostModel{}); err != nil {
 		t.Fatalf("dial itself should succeed, handshake happens server-side: %v", err)
 	}
 	select {
@@ -175,7 +176,7 @@ func TestCoordinatorSeversDestinationOnWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- co.Serve() }()
+	go func() { serveErr <- co.Serve(context.Background()) }()
 
 	conns := make([]net.Conn, 3)
 	for r := range conns {

@@ -11,14 +11,16 @@ import (
 // sender's current span, so ranks in other goroutines — or other
 // processes, over TCP — can parent their own spans to the originating
 // request. Comm seals the envelope onto a payload after charging it and
-// opens it before charging a received one, so the envelope passes
-// unchanged through the fault and reliable layers (their control frames
-// never carry it) and never enters CommStats.
+// opens it before charging a received one, so the envelope never enters
+// CommStats.
 //
 // Framing is strict: once enabled, every rank of the world must enable it
 // too (World.Run and the parma-mpi launcher both enable it globally),
 // so a received payload without the envelope is a framing error rather
-// than a silent mis-parse.
+// than a silent mis-parse. Both seed their ranks the same way: rank 0's
+// root span mints the trace and the others' spans become its children —
+// World.Run seeds them before they start, parma-mpi's rank processes
+// adopt it from the first frame they receive.
 
 // traceEnvelope layout: [magic][flags][16-byte trace id][8-byte span id].
 const (

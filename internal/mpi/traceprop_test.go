@@ -3,7 +3,6 @@ package mpi
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"parma/internal/obs"
@@ -83,66 +82,25 @@ func TestTraceEnvelopeStatsChargePayloadOnly(t *testing.T) {
 	}
 }
 
-// Trace propagation must survive the full resilience stack: chaos faults
-// under a reliable layer, with the envelope sealing only user payloads. The
-// comms are seeded as parma-mpi seeds its rank processes: rank 0 mints the
-// job trace with its root span, and the peers adopt it from the frames they
-// receive.
-func TestTracePropagationUnderChaosStack(t *testing.T) {
+// TestWorldRunIsOneTrace: under recording, an in-process run is one span
+// tree, as a parma-mpi launch is. Rank 0's mpi/rank span is the root, and
+// every rank's mpi/rank span and the collective spans under it join it.
+func TestWorldRunIsOneTrace(t *testing.T) {
 	r := obs.NewRecorder()
 	obs.Enable(r)
 	defer obs.Disable()
 
-	const size = 3
-	chaos := ChaosSpec{Seed: 42, DropP: 0.2, CrashRank: -1, PartitionA: -1}
-	rel := fastReliable()
-	inboxes := make([]*inbox, size)
-	comms := make([]*Comm, size)
-	for rank := range comms {
-		inboxes[rank] = newInbox()
-	}
-	for rank := range comms {
-		comms[rank], _ = newComm(&chanTransport{rank: rank, inboxes: inboxes}, rank, size, CostModel{}, &chaos, &rel)
-		comms[rank].EnableTracePropagation(obs.TraceContext{})
-	}
-	root := comms[0].StartRootSpan("mpi/job")
-
-	// As in World.Run, each rank keeps draining its reliable transport
-	// until every rank is done, so a lost final ack strands no peer.
-	errs := make([]error, size)
-	var working, draining sync.WaitGroup
-	stop := make(chan struct{})
-	for rank, c := range comms {
-		working.Add(1)
-		draining.Add(1)
-		go func() {
-			defer draining.Done()
-			for i := 0; i < 5 && errs[rank] == nil; i++ {
-				_, errs[rank] = c.AllreduceSum([]float64{1, 2, 3})
+	const size, rounds = 3, 4
+	errs := NewWorld(size, CostModel{}).Run(func(c *Comm) error {
+		for i := 0; i < rounds; i++ {
+			if _, err := c.AllreduceSum([]float64{1, 2, 3}); err != nil {
+				return err
 			}
-			working.Done()
-			c.rel.drain(stop)
-		}()
-	}
-	working.Wait()
-	close(stop)
-	draining.Wait()
-	root.End()
-	for _, c := range comms {
-		if err := c.tr.Close(); err != nil {
-			t.Fatal(err)
 		}
-	}
-	for _, ib := range inboxes {
-		ib.close()
-	}
+		return nil
+	})
 	if err := FirstError(errs); err != nil {
-		t.Fatalf("chaotic allreduce: %v", err)
-	}
-	for _, c := range comms[1:] {
-		if c.TraceContext().Trace != root.Trace() {
-			t.Fatalf("rank %d did not adopt the job trace through the chaos stack", c.Rank())
-		}
+		t.Fatalf("allreduce: %v", err)
 	}
 
 	var buf bytes.Buffer
@@ -153,13 +111,13 @@ func TestTracePropagationUnderChaosStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateDistributedTrace: %v", err)
 	}
-	if len(sum.Trees) != 1 || sum.Trees[0].Root != "mpi/job" {
-		t.Fatalf("chaos broke the span tree: %+v", sum.Trees)
+	if len(sum.Trees) != 1 || sum.Trees[0].Root != "mpi/rank" || sum.Untraced != 0 {
+		t.Fatalf("want one mpi/rank tree and no untraced spans, got %+v", sum)
 	}
-	// Rank 0 alone contributes its root plus an allreduce and a reduce span
-	// per round; anything beyond that is a peer's span that joined the tree.
-	if own := 1 + 5*2; sum.Trees[0].Spans <= own {
-		t.Fatalf("tree has %d spans, none from the peers", sum.Trees[0].Spans)
+	// Each rank records its mpi/rank span plus an allreduce and a reduce
+	// span per round; the tree must hold all of them.
+	if want := size * (1 + 2*rounds); sum.Trees[0].Spans != want {
+		t.Fatalf("tree has %d spans, want %d from %d ranks", sum.Trees[0].Spans, want, size)
 	}
 }
 

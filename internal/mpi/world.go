@@ -15,35 +15,6 @@ type World struct {
 	model   CostModel
 	inboxes []*inbox
 	speeds  []float64 // per-rank relative compute speed; nil = homogeneous
-
-	chaos    *ChaosSpec      // fault schedule; nil = clean transport
-	reliable *ReliableConfig // reliable layer; nil = raw transport
-	faults   []*FaultTransport
-}
-
-// WithChaos layers the fault schedule under every rank's transport in the
-// next Run. Almost always combined with WithReliable — the raw collectives
-// assume lossless delivery.
-func (w *World) WithChaos(spec ChaosSpec) *World {
-	w.chaos = &spec
-	return w
-}
-
-// WithReliable layers sequence-numbered idempotent delivery, bounded
-// retries, and the heartbeat failure detector over every rank's transport
-// in the next Run.
-func (w *World) WithReliable(cfg ReliableConfig) *World {
-	w.reliable = &cfg
-	return w
-}
-
-// FaultLog returns the fault sequence injected at the given rank during
-// the last chaotic Run (nil without WithChaos).
-func (w *World) FaultLog(rank int) []FaultEvent {
-	if w.faults == nil || rank < 0 || rank >= len(w.faults) || w.faults[rank] == nil {
-		return nil
-	}
-	return w.faults[rank].Log()
 }
 
 // NewWorld creates a world of the given size with a communication cost
@@ -94,62 +65,48 @@ func (w *World) Size() int { return w.size }
 // all return. The per-rank error slice is indexed by rank. Comms are valid
 // only within fn. When recording is enabled it turns the trace envelope on
 // for every rank (all or none, so the strict framing check holds) and opens
-// each rank's mpi/rank root span around fn.
+// each rank's mpi/rank span around fn, as one trace: rank 0's span is the
+// root, opened before any rank starts, and every other rank's is its child.
 func (w *World) Run(fn func(c *Comm) error) []error {
 	errs := make([]error, w.size)
 	comms := make([]*Comm, w.size)
 	observed := obs.Enabled()
-	w.faults = make([]*FaultTransport, w.size)
-	// fnWg tracks fn completions; ranks then drain their reliable
-	// transports (re-acking stragglers' retransmits) until every rank's fn
-	// has returned, so a lost final ack can't strand a peer in retries.
-	var wg, fnWg sync.WaitGroup
-	stopDrain := make(chan struct{})
-	for r := 0; r < w.size; r++ {
-		comms[r], w.faults[r] = newComm(&chanTransport{rank: r, inboxes: w.inboxes}, r, w.size, w.model, w.chaos, w.reliable)
+	spans := make([]obs.Span, w.size)
+	for r := range comms {
+		c := newComm(&chanTransport{rank: r, inboxes: w.inboxes}, r, w.size, w.model)
 		if w.speeds != nil {
-			comms[r].speed = w.speeds[r]
+			c.speed = w.speeds[r]
 		}
 		if observed {
-			comms[r].track = obs.NewTrack(fmt.Sprintf("rank %d", r))
-			comms[r].EnableTracePropagation(obs.TraceContext{})
+			// spans[0] is still zero for rank 0, whose span mints the
+			// trace; it seeds every later rank.
+			c.track = obs.NewTrack(fmt.Sprintf("rank %d", r))
+			c.EnableTracePropagation(spans[0].TraceContext())
 		}
-		comms[r].simComm += w.model.RankStartup
+		c.simComm += w.model.RankStartup
+		spans[r] = c.StartRootSpan("mpi/rank")
+		comms[r] = c
+	}
+	var wg sync.WaitGroup
+	for r, c := range comms {
 		wg.Add(1)
-		fnWg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			func() {
-				defer fnWg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
-					}
-				}()
-				c := comms[r]
-				sp := c.StartRootSpan("mpi/rank")
-				start := time.Now()
-				errs[r] = fn(c)
-				wall := time.Since(start)
-				sp.End(obs.I("rank", r))
-				if observed {
-					flushRankMetrics(c, wall)
+			defer func() {
+				if p := recover(); p != nil {
+					errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, p)
 				}
 			}()
-			if rt := comms[r].rel; rt != nil {
-				rt.drain(stopDrain)
+			start := time.Now()
+			errs[r] = fn(c)
+			wall := time.Since(start)
+			spans[r].End(obs.I("rank", r))
+			if observed {
+				flushRankMetrics(c, wall)
 			}
-		}(r)
+		}()
 	}
-	fnWg.Wait()
-	close(stopDrain)
 	wg.Wait()
-	// Stop heartbeat senders before the inboxes close under them.
-	for r, c := range comms {
-		if err := c.tr.Close(); err != nil && errs[r] == nil {
-			errs[r] = err
-		}
-	}
 	for _, ib := range w.inboxes {
 		ib.close()
 	}
