@@ -34,10 +34,9 @@ bench-build:
 vet:
 	$(GO) vet ./...
 
-# parmavet runs the project-specific analyzers (span lifetimes, dropped MPI
-# errors, float equality, locks across blocking calls, HTTP timeouts,
-# goroutine fan-out, determinism, context propagation, atomic/plain
-# mixes, CSR densification); -list prints the ten. That the
+# parmavet runs the project-specific analyzers (span lifetimes, locks
+# across blocking calls, goroutine fan-out, determinism, context
+# propagation, atomic/plain mixes); -list prints the six. That the
 # suite still flags its own fixtures is pinned by TestAnalyzersGolden in
 # tier-1. See docs/static-analysis.md.
 parmavet:

@@ -66,7 +66,6 @@ func run(argv []string) error {
 	maxBody := fs.Int64("max-body", 1<<20, "max proxied request body bytes (bodies are buffered for idempotent replay; oversize answers 413)")
 	adminToken := fs.String("admin-token", "", "token authenticating the /admin/backends membership API (empty disables it)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long a coordinated removal waits for the departing backend's in-flight requests")
-	compactEvery := fs.Duration("compact-interval", 10*time.Second, "fold span events into rollups on this interval (bounds memory)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	traceFile := fs.String("trace", "", "write a Chrome trace of recorded spans to this file on shutdown")
 	if err := fs.Parse(argv); err != nil {
@@ -85,23 +84,11 @@ func run(argv []string) error {
 	}
 
 	rec := obs.NewRecorder()
+	if *traceFile == "" {
+		rec.SetSpanCap(obs.UntracedSpanCap)
+	}
 	obs.Enable(rec)
 	defer obs.Disable()
-
-	compactDone := make(chan struct{})
-	defer close(compactDone)
-	go func() {
-		tick := time.NewTicker(*compactEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				rec.CompactSpans()
-			case <-compactDone:
-				return
-			}
-		}
-	}()
 
 	router, err := fleet.New(fleet.Config{
 		Backends:       backends,

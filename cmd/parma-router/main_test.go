@@ -33,6 +33,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"hedge-budget", []string{"-hedge-budget", "0.1"}, "flag provided but not defined"},
 		{"hedge-delay-min", []string{"-hedge-delay-min", "1ms"}, "flag provided but not defined"},
 		{"hedge-delay-max", []string{"-hedge-delay-max", "500ms"}, "flag provided but not defined"},
+		// The span ring bounds memory; there is no compaction to schedule.
+		{"compact-interval", []string{"-backend", "w0=127.0.0.1:1", "-compact-interval", "1h"}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.argv)

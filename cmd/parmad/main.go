@@ -55,7 +55,6 @@ func run(argv []string) error {
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive saturation failures that open a geometry's circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 5*time.Second, "how long an open breaker sheds before a half-open probe")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/*")
-	compactEvery := fs.Duration("compact-interval", 10*time.Second, "fold span events into rollups on this interval (bounds memory)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	traceFile := fs.String("trace", "", "write a Chrome trace of recorded spans to this file on shutdown")
@@ -70,28 +69,14 @@ func run(argv []string) error {
 	obs.SetLogger(logger)
 
 	rec := obs.NewRecorder()
+	if *traceFile == "" {
+		rec.SetSpanCap(obs.UntracedSpanCap)
+	}
 	obs.Enable(rec)
 	defer obs.Disable()
 	sampler := obs.NewRuntimeSampler(rec, time.Second)
 	sampler.Start()
 	defer sampler.Stop()
-
-	// Periodic compaction keeps the span buffer bounded for a long-running
-	// daemon while preserving the cumulative Prometheus counters.
-	compactDone := make(chan struct{})
-	defer close(compactDone)
-	go func() {
-		tick := time.NewTicker(*compactEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				rec.CompactSpans()
-			case <-compactDone:
-				return
-			}
-		}
-	}()
 
 	srv := serve.NewServer(serve.Config{
 		Workers:          *workers,

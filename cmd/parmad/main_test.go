@@ -33,6 +33,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"slo", []string{"-slo", "p99=250ms"}, "flag provided but not defined"},
 		{"validate-ranks", []string{"-validate-ranks", "2"}, "flag provided but not defined"},
 		{"inject-delay", []string{"-inject-delay", "50ms"}, "flag provided but not defined"},
+		// The span ring bounds memory; there is no compaction to schedule.
+		{"compact-interval", []string{"-compact-interval", "1h"}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addrFile := filepath.Join(t.TempDir(), "addr")

@@ -90,7 +90,7 @@ func (a *Analyzer) appliesTo(pkgPath string) bool {
 
 // analyzers returns the full suite in output order.
 func analyzers() []*Analyzer {
-	return []*Analyzer{spanendAnalyzer, mpierrAnalyzer, floateqAnalyzer, locksendAnalyzer, httptimeoutAnalyzer, poolsizeAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer, denseallocAnalyzer}
+	return []*Analyzer{spanendAnalyzer, locksendAnalyzer, poolsizeAnalyzer, determinismAnalyzer, ctxflowAnalyzer, atomicmixAnalyzer}
 }
 
 // allowRE matches the directive form only — the comment must BEGIN with
@@ -250,31 +250,4 @@ func methodOn(info *types.Info, call *ast.CallExpr, pkgPath string) (recv, metho
 		return "", "", false
 	}
 	return obj.Name(), selection.Obj().Name(), true
-}
-
-// errorResultIndexes returns the positions of `error` / `[]error` results
-// of call, or nil when it has none.
-func errorResultIndexes(info *types.Info, call *ast.CallExpr) []int {
-	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var idx []int
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		t := res.At(i).Type()
-		if isErrorType(t) {
-			idx = append(idx, i)
-			continue
-		}
-		if sl, okS := t.Underlying().(*types.Slice); okS && isErrorType(sl.Elem()) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj() != nil && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }

@@ -2,11 +2,8 @@
 // enforces invariants no generic linter knows about:
 //
 //	spanend      obs.StartSpan/StartOn results must reach End on every path
-//	mpierr       errors from mpi.Comm/World calls may not be discarded
-//	floateq      no ==/!= on floats in the numerics packages
 //	locksend     no blocking MPI call — direct or through any resolved call
 //	             chain — while a sync.Mutex/RWMutex is held
-//	httptimeout  http.Server literals must set ReadHeaderTimeout (or ReadTimeout)
 //	poolsize     no raw goroutine fan-out loops in the compute packages;
 //	             every worker loop goes through sched.Run
 //	determinism  no map-iteration-ordered results, unseeded math/rand, or
@@ -17,8 +14,6 @@
 //	             TODO on the request path
 //	atomicmix    no struct field accessed both via sync/atomic and plainly
 //	             anywhere in the program
-//	densealloc   no CSR.Dense() densification in the serve-path packages;
-//	             the sparse recovery path must stay on the CSR kernels
 //
 // The interprocedural checks run over a whole-program call graph built
 // from the loaded packages (see callgraph.go): static and method calls

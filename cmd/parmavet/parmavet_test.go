@@ -159,22 +159,26 @@ func TestAnalyzersGolden(t *testing.T) {
 }
 
 // TestSuppressionScope pins the //parmavet:allow contract: the comment
-// silences only the named analyzer, on its own line and the next.
+// silences only the named analyzer, on its own line and the next. The
+// poolsize fixture's sanctioned spawn (line 50) is the allowed site.
 func TestSuppressionScope(t *testing.T) {
-	pkgs := []*Package{fixturePkg(t, "floateq")}
+	pkgs := []*Package{fixturePkg(t, "poolsize")}
+	const allowedLine = 50
 	findings := runAnalyzers(pkgs)
 	for _, f := range findings {
-		if strings.Contains(f.Message, "sentinel") {
+		if f.Line == allowedLine {
 			t.Errorf("allow-annotated line still reported: %s", f)
 		}
 	}
-	// The same package run with the allow comments ignored (wrong analyzer
-	// name) must keep the finding: simulate by checking the raw analyzer
-	// output before suppression.
+	// The raw analyzer output, before suppression, must hold the finding
+	// the allow comment silences.
 	var raw []Finding
-	pass := &Pass{Analyzer: floateqAnalyzer, Pkg: pkgs[0], findings: &raw}
-	floateqAnalyzer.Run(pass)
-	if len(raw) <= len(findingsByAnalyzer(findings, "floateq")) {
+	pass := &Pass{Analyzer: poolsizeAnalyzer, Pkg: pkgs[0], findings: &raw}
+	poolsizeAnalyzer.Run(pass)
+	if !slices.ContainsFunc(raw, func(f Finding) bool { return f.Line == allowedLine }) {
+		t.Errorf("raw poolsize output has no finding on line %d to suppress: %v", allowedLine, raw)
+	}
+	if len(raw) <= len(findingsByAnalyzer(findings, "poolsize")) {
 		t.Errorf("suppression removed nothing: %d raw vs %d surviving", len(raw), len(findings))
 	}
 }
@@ -199,7 +203,7 @@ func TestRunExitCodes(t *testing.T) {
 	if got := run([]string{"-nosuch"}); got != 2 {
 		t.Errorf("unknown flag exited %d, want 2", got)
 	}
-	if got := run([]string{"./testdata/src/floateq"}); got != 1 {
+	if got := run([]string{"./testdata/src/poolsize"}); got != 1 {
 		t.Errorf("fixture run exited %d, want 1", got)
 	}
 	if got := run([]string{"-allows", "./testdata/src/locksend"}); got != 0 {
@@ -287,8 +291,8 @@ func TestAllowsInventory(t *testing.T) {
 // justified site would hide the finding it was meant to excuse.
 func TestAllowsUnknownKey(t *testing.T) {
 	sites := []AllowSite{
-		{File: "a.go", Line: 3, Analyzers: []string{"floateq"}, Justification: "sentinel"},
-		{File: "a.go", Line: 9, Analyzers: []string{"floateq", "ctxspan"}, Justification: "retired key"},
+		{File: "a.go", Line: 3, Analyzers: []string{"spanend"}, Justification: "ended by the caller"},
+		{File: "a.go", Line: 9, Analyzers: []string{"spanend", "ctxspan"}, Justification: "retired key"},
 	}
 	var out bytes.Buffer
 	if got := runAllows(&out, sites); got != 1 {
@@ -325,11 +329,11 @@ func TestScopeListsNameRealPackages(t *testing.T) {
 // then line, then column, then analyzer, then message.
 func TestSortFindingsDeterministic(t *testing.T) {
 	want := []Finding{
-		{File: "a.go", Line: 1, Col: 1, Analyzer: "mpierr", Message: "x"},
+		{File: "a.go", Line: 1, Col: 1, Analyzer: "locksend", Message: "x"},
 		{File: "a.go", Line: 1, Col: 1, Analyzer: "spanend", Message: "a"},
 		{File: "a.go", Line: 1, Col: 1, Analyzer: "spanend", Message: "b"},
-		{File: "a.go", Line: 2, Col: 9, Analyzer: "floateq", Message: "y"},
-		{File: "b.go", Line: 1, Col: 2, Analyzer: "floateq", Message: "z"},
+		{File: "a.go", Line: 2, Col: 9, Analyzer: "poolsize", Message: "y"},
+		{File: "b.go", Line: 1, Col: 2, Analyzer: "poolsize", Message: "z"},
 	}
 	got := make([]Finding, len(want))
 	for i := range want {
@@ -352,6 +356,6 @@ func TestFindingString(t *testing.T) {
 }
 
 func ExampleFinding() {
-	fmt.Println(Finding{Analyzer: "floateq", File: "x.go", Line: 1, Col: 2, Message: "== on float operands"})
-	// Output: x.go:1:2: floateq: == on float operands
+	fmt.Println(Finding{Analyzer: "poolsize", File: "x.go", Line: 1, Col: 2, Message: "raw goroutine fan-out"})
+	// Output: x.go:1:2: poolsize: raw goroutine fan-out
 }

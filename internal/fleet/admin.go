@@ -409,8 +409,8 @@ func (rt *Router) fetchWarmChunk(ctx context.Context, source *Backend, keys []st
 	return out
 }
 
-// sendPrewarm POSTs entries to target's /v1/prewarm, which acknowledges
-// with 202 and builds the factorizations asynchronously.
+// sendPrewarm POSTs entries to target's /v1/prewarm, which replies 200
+// once the warm starts are stored.
 func (rt *Router) sendPrewarm(ctx context.Context, target *Backend, entries []serve.PrewarmEntry) error {
 	if len(entries) == 0 {
 		return nil
@@ -432,7 +432,7 @@ func (rt *Router) sendPrewarm(ctx context.Context, target *Backend, entries []se
 	}
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("prewarm returned HTTP %d", resp.StatusCode)
 	}
 	return nil

@@ -82,7 +82,7 @@ func newAdminWorker(t *testing.T, name string) *adminWorker {
 		w.mu.Lock()
 		w.prewarmed = append(w.prewarmed, req.Entries...)
 		w.mu.Unlock()
-		rw.WriteHeader(http.StatusAccepted)
+		rw.WriteHeader(http.StatusOK)
 		fmt.Fprintf(rw, `{"accepted":%d}`, len(req.Entries))
 	})
 	w.srv = httptest.NewServer(mux)

@@ -190,8 +190,11 @@ func (rt *Router) publishRingShares() {
 //	GET    /metrics               Prometheus text (when Config.Recorder is set)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recover", rt.instrument("recover", rt.proxy))
-	mux.HandleFunc("POST /v1/measure", rt.instrument("measure", rt.proxy))
+	for _, endpoint := range []string{"recover", "measure"} {
+		mux.HandleFunc("POST /v1/"+endpoint, obs.InstrumentHTTP("fleet", endpoint, func(w http.ResponseWriter, r *http.Request) {
+			rt.proxy(w, r, endpoint)
+		}))
+	}
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /fleet", rt.handleFleet)
 	mux.HandleFunc("GET /admin/backends", rt.admin(rt.handleListBackends))
@@ -201,64 +204,6 @@ func (rt *Router) Handler() http.Handler {
 		mux.Handle("GET /metrics", obs.MetricsHandler(rt.cfg.Recorder))
 	}
 	return mux
-}
-
-// redNames is one endpoint's precomputed RED metric names.
-type redNames struct {
-	requests, errors, latency string
-}
-
-// statusWriter captures the response status for RED accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// endpointHandler is a proxied endpoint: the route name plus the request.
-type endpointHandler func(w http.ResponseWriter, r *http.Request, endpoint string)
-
-// instrument wraps an endpoint with traceparent adoption, a fleet-level
-// request span, and RED metrics — the same shape as the serving tier's
-// wrapper, one layer up. With recording disabled the wrapper is one load
-// and a closure call.
-func (rt *Router) instrument(endpoint string, h endpointHandler) http.HandlerFunc {
-	names := redNames{
-		requests: "fleet/red/" + endpoint + "/requests",
-		errors:   "fleet/red/" + endpoint + "/errors",
-		latency:  "fleet/red/" + endpoint + "/latency_ms",
-	}
-	spanName := "fleet/http/" + endpoint
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !obs.Enabled() {
-			h(w, r, endpoint)
-			return
-		}
-		start := time.Now()
-		ctx := r.Context()
-		if tp := r.Header.Get("traceparent"); tp != "" {
-			if tc, err := obs.ParseTraceparent(tp); err == nil {
-				ctx = obs.ContextWithTrace(ctx, tc)
-			}
-		}
-		ctx, sp := obs.StartSpanCtx(ctx, spanName)
-		if !sp.Trace().IsZero() {
-			w.Header().Set("traceparent", sp.TraceContext().Traceparent())
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(ctx), endpoint)
-		elapsed := time.Since(start)
-		sp.End(obs.I("status", sw.status))
-		obs.Add(names.requests, 1)
-		if sw.status >= 500 || sw.status == http.StatusTooManyRequests {
-			obs.Add(names.errors, 1)
-		}
-		obs.Observe(names.latency, float64(elapsed)/float64(time.Millisecond))
-	}
 }
 
 // geomProbe is the fragment of a compute request the router decodes: the

@@ -58,7 +58,7 @@ func (m *Matrix) MulTVecTo(dst Vector, x Vector) {
 	dst.Fill(0)
 	for i := 0; i < m.rows; i++ {
 		xi := x[i]
-		if xi == 0 { //parmavet:allow floateq -- sparsity skip: exact zeros contribute nothing
+		if xi == 0 { // sparsity skip: exact zeros contribute nothing
 			continue
 		}
 		row := m.Row(i)
@@ -82,7 +82,7 @@ func (m *Matrix) MulPar(b *Matrix) *Matrix {
 			mi := m.Row(i)
 			oi := out.Row(i)
 			for k, a := range mi {
-				if a == 0 { //parmavet:allow floateq -- sparsity skip: exact zeros contribute nothing to the product
+				if a == 0 { // sparsity skip: exact zeros contribute nothing to the product
 					continue
 				}
 				bk := b.Row(k)
@@ -146,7 +146,7 @@ func (m *Matrix) ATAInto(dst *Matrix) *Matrix {
 			for ; i < m.rows; i++ {
 				ri := m.Row(i)[j:]
 				aij := ri[0]
-				if aij == 0 { //parmavet:allow floateq -- sparsity skip: a zero row entry adds nothing to this output row
+				if aij == 0 { // sparsity skip: a zero row entry adds nothing to this output row
 					continue
 				}
 				for k, v := range ri {

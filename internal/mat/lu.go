@@ -40,7 +40,7 @@ func Factorize(a *Matrix) (*LU, error) {
 				p = r
 			}
 		}
-		if maxAbs == 0 { //parmavet:allow floateq -- an exactly-zero pivot column means structural singularity; no computed rounding is involved
+		if maxAbs == 0 { // an exactly-zero pivot column means structural singularity; no computed rounding is involved
 			return nil, ErrSingular
 		}
 		if p != col {
@@ -55,7 +55,7 @@ func Factorize(a *Matrix) (*LU, error) {
 		for r := col + 1; r < n; r++ {
 			f := lu.At(r, col) / pivot
 			lu.Set(r, col, f)
-			if f == 0 { //parmavet:allow floateq -- sparsity skip: only an exact zero multiplier makes the row update a no-op
+			if f == 0 { // sparsity skip: only an exact zero multiplier makes the row update a no-op
 				continue
 			}
 			rr, rc := lu.Row(r), lu.Row(col)

@@ -108,7 +108,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		mi := m.Row(i)
 		oi := out.Row(i)
 		for k, a := range mi {
-			if a == 0 { //parmavet:allow floateq -- sparsity skip: exact zeros contribute nothing to the product
+			if a == 0 { // sparsity skip: exact zeros contribute nothing to the product
 				continue
 			}
 			bk := b.Row(k)

@@ -66,7 +66,7 @@ func (v Vector) Norm2() float64 {
 			maxAbs = a
 		}
 	}
-	if maxAbs == 0 { //parmavet:allow floateq -- the scaled norm of the exactly-zero vector is zero; guards division below
+	if maxAbs == 0 { // the scaled norm of the exactly-zero vector is zero; guards division below
 		return 0
 	}
 	var s float64

@@ -5,50 +5,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestCompactSpansKeepsRollups: compaction must clear the event buffer
-// while preserving lifetime rollup totals across further recording.
-func TestCompactSpansKeepsRollups(t *testing.T) {
-	r := NewRecorder()
-	for i := 0; i < 3; i++ {
-		sp := r.StartSpan("work")
-		time.Sleep(time.Microsecond)
-		sp.End()
-	}
-	if got := r.EventCount(); got != 3 {
-		t.Fatalf("EventCount = %d, want 3", got)
-	}
-	r.CompactSpans()
-	if got := r.EventCount(); got != 0 {
-		t.Fatalf("EventCount after compact = %d, want 0", got)
-	}
-	sp := r.StartSpan("work")
-	sp.End()
-	ros := r.Rollups()
-	if len(ros) != 1 || ros[0].Name != "work" || ros[0].Count != 4 {
-		t.Fatalf("Rollups after compact = %+v, want one 'work' rollup with count 4", ros)
-	}
-	if ros[0].Total <= 0 {
-		t.Fatalf("compacted rollup lost its total: %+v", ros[0])
-	}
-	// Idempotent on an empty buffer.
-	r.CompactSpans()
-	r.CompactSpans()
-	if got := r.Rollups()[0].Count; got != 4 {
-		t.Fatalf("count after double compact = %d, want 4", got)
-	}
-}
-
-// TestMetricsHandler serves the Prometheus dump, including compacted span
-// rollups, over HTTP.
+// TestMetricsHandler serves the Prometheus dump, including span rollups,
+// over HTTP.
 func TestMetricsHandler(t *testing.T) {
 	r := NewRecorder()
 	r.Registry().Counter("serve/requests_total").Add(7)
 	sp := r.StartSpan("serve/batch")
 	sp.End()
-	r.CompactSpans()
 
 	srv := httptest.NewServer(MetricsHandler(r))
 	defer srv.Close()

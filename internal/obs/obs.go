@@ -81,18 +81,27 @@ type Event struct {
 
 // eventShard is one stripe of the span buffer. Once the shard reaches its
 // cap it becomes a ring: head marks the oldest event, which the next
-// append overwrites.
+// append overwrites. rollups counts every span ended into the shard, so
+// an overwritten event still counts.
 type eventShard struct {
-	mu     sync.Mutex
-	events []Event
-	head   int
+	mu      sync.Mutex
+	events  []Event
+	head    int
+	rollups map[string]*Rollup
 }
 
 // DefaultSpanCap bounds the buffered span count of a new recorder. A
-// long-running daemon with tracing enabled keeps at most this many events
-// in memory; older events are overwritten ring-style and counted in the
-// obs/spans_dropped counter.
+// long-running process keeps at most this many events in memory; older
+// events are overwritten ring-style and counted in the obs/spans_dropped
+// counter. Rollups still count them.
 const DefaultSpanCap = 1 << 16
+
+// UntracedSpanCap is the span ring of a daemon that writes no trace file.
+// Nothing reads its events (/metrics reads the rollups), and the garbage
+// collector marks every retained event: with DefaultSpanCap of them, two
+// GOMAXPROCS=1 parmad workers behind parma-router on 2 vCPUs served about
+// a fifth fewer serve-mixed requests a second.
+const UntracedSpanCap = 1 << 10
 
 // Recorder collects spans and hosts a metrics registry. All methods are
 // safe for concurrent use.
@@ -106,12 +115,6 @@ type Recorder struct {
 	shardCap atomic.Int64
 	dropped  *Counter
 
-	// base holds rollups folded out of the event buffer by CompactSpans, so
-	// long-running processes keep cumulative per-span statistics without
-	// retaining every event.
-	baseMu sync.Mutex
-	base   map[string]*Rollup
-
 	trackMu    sync.Mutex
 	trackNames map[int32]string
 	nextTrack  atomic.Int32
@@ -123,8 +126,10 @@ func NewRecorder() *Recorder {
 	r := &Recorder{
 		epoch:      time.Now(),
 		reg:        NewRegistry(),
-		base:       map[string]*Rollup{},
 		trackNames: map[int32]string{},
+	}
+	for i := range r.shards {
+		r.shards[i].rollups = map[string]*Rollup{}
 	}
 	r.dropped = r.reg.Counter("obs/spans_dropped")
 	r.SetSpanCap(DefaultSpanCap)
@@ -218,6 +223,7 @@ func (r *Recorder) endSpan(s Span, attrs []Attr) {
 	shard := &r.shards[int(s.start)&(eventShards-1)]
 	dropped := false
 	shard.mu.Lock()
+	shard.rollup(s.name).add(Rollup{Count: 1, Total: ev.Dur, Max: ev.Dur})
 	if bound > 0 && len(shard.events) >= bound {
 		// Ring overwrite: replace the oldest buffered event in this shard.
 		shard.events[shard.head] = ev
@@ -258,41 +264,25 @@ type Rollup struct {
 	Max   time.Duration `json:"max_ns"`
 }
 
-// CompactSpans folds every buffered event into the cumulative rollup
-// baseline and clears the event buffer. Rollups (and the exporters built
-// on it) keep reporting lifetime totals; only the per-event detail — the
-// Chrome trace timeline — is dropped. Long-running daemons call this
-// periodically so span recording stays O(names), not O(requests).
-func (r *Recorder) CompactSpans() {
-	var taken []Event
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		taken = append(taken, s.events...)
-		s.events = nil
-		s.head = 0
-		s.mu.Unlock()
-	}
-	if len(taken) == 0 {
-		return
-	}
-	r.baseMu.Lock()
-	defer r.baseMu.Unlock()
-	for _, ev := range taken {
-		ro := r.base[ev.Name]
-		if ro == nil {
-			ro = &Rollup{Name: ev.Name}
-			r.base[ev.Name] = ro
-		}
-		ro.Count++
-		ro.Total += ev.Dur
-		if ev.Dur > ro.Max {
-			ro.Max = ev.Dur
-		}
-	}
+// add folds b's spans into ro.
+func (ro *Rollup) add(b Rollup) {
+	ro.Count += b.Count
+	ro.Total += b.Total
+	ro.Max = max(ro.Max, b.Max)
 }
 
-// EventCount returns the number of events currently buffered (compacted
+// rollup returns the shard's rollup for name, creating it on first use.
+// The caller holds s.mu.
+func (s *eventShard) rollup(name string) *Rollup {
+	ro := s.rollups[name]
+	if ro == nil {
+		ro = &Rollup{Name: name}
+		s.rollups[name] = ro
+	}
+	return ro
+}
+
+// EventCount returns the number of events currently buffered (overwritten
 // events are excluded).
 func (r *Recorder) EventCount() int {
 	n := 0
@@ -305,27 +295,22 @@ func (r *Recorder) EventCount() int {
 	return n
 }
 
-// Rollups aggregates events by span name — buffered events plus the
-// compacted baseline — sorted by descending total time.
+// Rollups aggregates every ended span by name, overwritten ring events
+// included, sorted by descending total time.
 func (r *Recorder) Rollups() []Rollup {
 	acc := map[string]*Rollup{}
-	r.baseMu.Lock()
-	for name, ro := range r.base {
-		cp := *ro
-		acc[name] = &cp
-	}
-	r.baseMu.Unlock()
-	for _, ev := range r.Events() {
-		ro := acc[ev.Name]
-		if ro == nil {
-			ro = &Rollup{Name: ev.Name}
-			acc[ev.Name] = ro
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.Lock()
+		for name, ro := range s.rollups {
+			a := acc[name]
+			if a == nil {
+				a = &Rollup{Name: name}
+				acc[name] = a
+			}
+			a.add(*ro)
 		}
-		ro.Count++
-		ro.Total += ev.Dur
-		if ev.Dur > ro.Max {
-			ro.Max = ev.Dur
-		}
+		s.mu.Unlock()
 	}
 	out := make([]Rollup, 0, len(acc))
 	for _, ro := range acc {

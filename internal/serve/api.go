@@ -112,7 +112,7 @@ type MeasureResponse struct {
 // PrewarmEntry is one geometry's warm state in the handoff protocol: the
 // geometry key ("RxC") and, when the source still held it, the warm-start
 // R field. A key-only entry (the previous owner crashed) is acknowledged
-// and builds nothing on the receiver.
+// and stores nothing on the receiver.
 type PrewarmEntry struct {
 	Key string      `json:"key"`
 	R   [][]float64 `json:"r,omitempty"`
@@ -125,9 +125,8 @@ type PrewarmRequest struct {
 	Entries []PrewarmEntry `json:"entries"`
 }
 
-// PrewarmResponse acknowledges a prewarm: how many entries were accepted
-// for asynchronous cache building (the reply is 202; the factorizations
-// land in FactorCache moments later).
+// PrewarmResponse acknowledges a prewarm: how many entries were accepted.
+// The reply is 200, sent after every warm start is in FactorCache.
 type PrewarmResponse struct {
 	Accepted int `json:"accepted"`
 }

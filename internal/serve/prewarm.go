@@ -13,14 +13,13 @@ import (
 
 // Warm handoff, worker side. When the fleet router re-homes geometry keys
 // — a member drained out, crashed, or a joiner inherited part of the ring
-// — it POSTs the inherited keys here. The server acknowledges immediately
-// (202) and, for every entry that carries the previous owner's warm-start
-// R, stores that field and its grounded-Laplacian factorization in
-// FactorCache off the request path. The first re-homed request then finds
-// a warm cache instead of paying the cold solve the consistent-hash move
-// would otherwise cost. A key-only entry (the previous owner crashed, or
-// never held the geometry) is validated, acknowledged and counted, and
-// builds nothing: there is no per-geometry artifact left to prebuild.
+// — it POSTs the inherited keys here. For every entry that carries the
+// previous owner's warm-start R, the server stores that field in
+// FactorCache before it replies 200. The first re-homed /v1/recover then
+// starts from it instead of paying the cold solve the consistent-hash move
+// would otherwise cost. No factorization is built: recovery reads only the
+// warm start. A key-only entry (the previous owner crashed, or never held
+// the geometry) is validated, acknowledged and counted, and stores nothing.
 
 // parseGeomKey parses an "RxC" geometry key against the server's MaxDim.
 func parseGeomKey(key string, maxDim int) (rows, cols int, err error) {
@@ -42,9 +41,9 @@ func parseGeomKey(key string, maxDim int) (rows, cols int, err error) {
 	return rows, cols, nil
 }
 
-// handlePrewarm accepts a warm-handoff push. Entries are validated
-// synchronously (bad keys fail the whole request with 400 — a router bug
-// should be loud) and built asynchronously.
+// handlePrewarm accepts a warm-handoff push. Every entry is validated
+// before any is stored (bad keys fail the whole request with 400 — a
+// router bug should be loud).
 func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	var req PrewarmRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -56,46 +55,33 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("prewarm request carries no entries"))
 		return
 	}
-	type job struct {
-		arr  grid.Array
-		warm *grid.Field
+	type warmStart struct {
+		arr grid.Array
+		r   *grid.Field
 	}
-	jobs := make([]job, 0, len(req.Entries))
+	var warm []warmStart
 	for _, e := range req.Entries {
 		rows, cols, err := parseGeomKey(e.Key, s.cfg.MaxDim)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		j := job{arr: grid.New(rows, cols)}
-		if e.R != nil {
-			f, err := fieldFromRows(rows, cols, s.cfg.MaxDim, e.R, true)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("entry %s: invalid r field: %w", e.Key, err))
-				return
-			}
-			j.warm = f
+		if e.R == nil {
+			continue
 		}
-		jobs = append(jobs, j)
+		f, err := fieldFromRows(rows, cols, s.cfg.MaxDim, e.R, true)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("entry %s: invalid r field: %w", e.Key, err))
+			return
+		}
+		warm = append(warm, warmStart{arr: grid.New(rows, cols), r: f})
+	}
+	for _, ws := range warm {
+		s.cache.StoreWarmStart(ws.arr, ws.r)
 	}
 	obs.Add("serve/prewarm_requests", 1)
-	// Build off the request path: the router's handoff must not block on
-	// O(N³) factorizations, and the cache methods need no context — each
-	// build is bounded CPU work that either lands in the LRU or doesn't.
-	go func() {
-		for _, j := range jobs {
-			if j.warm != nil {
-				s.cache.StoreWarmStart(j.arr, j.warm)
-				if _, _, err := s.cache.Solver(j.arr, j.warm); err != nil {
-					obs.Log().Warn("serve: prewarm factorization failed",
-						"geometry", geomKey(j.arr), "err", err.Error())
-					continue
-				}
-			}
-			obs.Add("serve/prewarm_keys_total", 1)
-		}
-	}()
-	writeJSON(w, http.StatusAccepted, PrewarmResponse{Accepted: len(jobs)})
+	obs.Add("serve/prewarm_keys_total", int64(len(req.Entries)))
+	writeJSON(w, http.StatusOK, PrewarmResponse{Accepted: len(req.Entries)})
 }
 
 // MaxWarmStateKeys bounds one GET /v1/warmstate; a router with more keys

@@ -5,29 +5,16 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"parma/internal/grid"
 	"parma/internal/obs"
 )
 
-// waitWarm polls until the async prewarm builder has landed a warm start
-// for the geometry (the handler replies 202 before building).
-func waitWarm(t *testing.T, s *Server, rows, cols int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := s.cache.PeekWarmStart(grid.New(rows, cols)); ok {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("prewarm never landed a %dx%d warm start", rows, cols)
-}
-
-// TestPrewarmThenRecoverHits: a warm-handoff push makes the first
-// /v1/recover on that geometry a warm-start cache hit — the property the
-// fleet router's re-home protocol depends on.
+// TestPrewarmThenRecoverHits: a warm-handoff push stores the warm start
+// before it replies, and makes the first /v1/recover on that geometry a
+// warm-start cache hit — the property the fleet router's re-home protocol
+// depends on. It builds no factorization: recovery reads only the warm
+// start, so one would only take an LRU slot.
 func TestPrewarmThenRecoverHits(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2})
 	truth, z := workload(t, 5)
@@ -35,14 +22,16 @@ func TestPrewarmThenRecoverHits(t *testing.T) {
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/prewarm", PrewarmRequest{
 		Entries: []PrewarmEntry{{Key: "5x5", R: rowsFromField(truth)}},
 	})
-	if resp.StatusCode != http.StatusAccepted {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prewarm: status %d: %s", resp.StatusCode, body)
 	}
 	var ack PrewarmResponse
 	if err := json.Unmarshal(body, &ack); err != nil || ack.Accepted != 1 {
 		t.Fatalf("prewarm ack = %s (err %v)", body, err)
 	}
-	waitWarm(t, s, 5, 5)
+	if n := s.Cache().Len(); n != 1 {
+		t.Fatalf("prewarm with r left %d cache entries, want 1 (the warm start)", n)
+	}
 
 	resp, body = postJSON(t, hs.Client(), hs.URL+"/v1/recover",
 		RecoverRequest{Rows: 5, Cols: 5, Z: rowsFromField(z), Tol: 1e-8})
@@ -69,15 +58,11 @@ func TestPrewarmKeyOnlyBuildsNothing(t *testing.T) {
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/prewarm", PrewarmRequest{
 		Entries: []PrewarmEntry{{Key: "6x6"}},
 	})
-	if resp.StatusCode != http.StatusAccepted {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prewarm: status %d: %s", resp.StatusCode, body)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for obs.GetCounter("serve/prewarm_keys_total").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("key-only prewarm entry was never counted")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := obs.GetCounter("serve/prewarm_keys_total").Value(); n != 1 {
+		t.Fatalf("key-only prewarm counted %d keys, want 1", n)
 	}
 	if n := s.Cache().Len(); n != 0 {
 		t.Fatalf("key-only prewarm left %d cache entries, want 0", n)

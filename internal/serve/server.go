@@ -221,18 +221,18 @@ func (s *Server) Drain(ctx context.Context) error {
 //
 //	POST /v1/recover      Z field + geometry -> recovered R field
 //	POST /v1/measure      R field + geometry -> simulated Z field
-//	POST /v1/prewarm      warm-handoff push: prebuild caches for re-homed keys
+//	POST /v1/prewarm      warm-handoff push: store warm starts for re-homed keys
 //	GET  /v1/warmstate    export warm-start fields for a coordinated drain
 //	GET  /healthz         liveness + drain state
 //	GET  /metrics         Prometheus text (when Config.Recorder is set)
 //	GET  /debug/pprof/*   runtime profiles (when Config.EnablePprof)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recover", s.instrument("recover", "serve/http/recover", s.handleRecover))
-	mux.HandleFunc("POST /v1/measure", s.instrument("measure", "serve/http/measure", s.handleMeasure))
-	mux.HandleFunc("POST /v1/prewarm", s.instrument("prewarm", "serve/http/prewarm", s.handlePrewarm))
-	mux.HandleFunc("GET /v1/warmstate", s.instrument("warmstate", "serve/http/warmstate", s.handleWarmState))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", "serve/http/healthz", s.handleHealthz))
+	mux.HandleFunc("POST /v1/recover", obs.InstrumentHTTP("serve", "recover", s.handleRecover))
+	mux.HandleFunc("POST /v1/measure", obs.InstrumentHTTP("serve", "measure", s.handleMeasure))
+	mux.HandleFunc("POST /v1/prewarm", obs.InstrumentHTTP("serve", "prewarm", s.handlePrewarm))
+	mux.HandleFunc("GET /v1/warmstate", obs.InstrumentHTTP("serve", "warmstate", s.handleWarmState))
+	mux.HandleFunc("GET /healthz", obs.InstrumentHTTP("serve", "healthz", s.handleHealthz))
 	if s.cfg.Recorder != nil {
 		mux.Handle("GET /metrics", obs.MetricsHandler(s.cfg.Recorder))
 	}
@@ -240,63 +240,6 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("/debug/pprof/", obs.PprofMux())
 	}
 	return mux
-}
-
-// redNames precomputes one endpoint's rate/error/duration metric names so
-// the instrumented request path never concatenates strings.
-type redNames struct {
-	requests, errors, latency string
-}
-
-// statusWriter captures the response status for RED accounting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps an endpoint with the observability stack: traceparent
-// adoption (or a fresh trace), a request-scoped span the whole pipeline
-// parents under, and RED metrics. A request counts as failed for the
-// error rate when it was shed (429) or the server broke (5xx) —
-// client-data 4xxes are the client's problem. With recording disabled the
-// wrapper is one load and a call: the hot path allocates nothing.
-func (s *Server) instrument(endpoint, spanName string, h http.HandlerFunc) http.HandlerFunc {
-	names := redNames{
-		requests: "serve/red/" + endpoint + "/requests",
-		errors:   "serve/red/" + endpoint + "/errors",
-		latency:  "serve/red/" + endpoint + "/latency_ms",
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !obs.Enabled() {
-			h(w, r)
-			return
-		}
-		start := time.Now()
-		ctx := r.Context()
-		if tp := r.Header.Get("traceparent"); tp != "" {
-			if tc, err := obs.ParseTraceparent(tp); err == nil {
-				ctx = obs.ContextWithTrace(ctx, tc)
-			}
-		}
-		ctx, sp := obs.StartSpanCtx(ctx, spanName)
-		if !sp.Trace().IsZero() {
-			w.Header().Set("traceparent", sp.TraceContext().Traceparent())
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		sp.End(obs.I("status", sw.status))
-		obs.Add(names.requests, 1)
-		if sw.status >= 500 || sw.status == http.StatusTooManyRequests {
-			obs.Add(names.errors, 1)
-		}
-		obs.Observe(names.latency, float64(elapsed)/float64(time.Millisecond))
-	}
 }
 
 // maxBodyBytes bounds request bodies: a 64x64 float64 matrix in JSON is

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -174,8 +173,7 @@ func TestInstrumentDisabledPathAllocatesNothing(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("recorder unexpectedly enabled")
 	}
-	s, _ := newTestServer(t, Config{Workers: 1})
-	h := s.instrument("bench", "serve/http/bench", func(http.ResponseWriter, *http.Request) {})
+	h := obs.InstrumentHTTP("serve", "bench", func(http.ResponseWriter, *http.Request) {})
 	req := httptest.NewRequest(http.MethodGet, "/bench", nil)
 	w := &nopWriter{h: http.Header{}}
 	if n := testing.AllocsPerRun(200, func() { h(w, req) }); n != 0 {
@@ -184,13 +182,7 @@ func TestInstrumentDisabledPathAllocatesNothing(t *testing.T) {
 }
 
 func BenchmarkInstrumentDisabled(b *testing.B) {
-	s := NewServer(Config{Workers: 1})
-	defer func() {
-		if err := s.Drain(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}()
-	h := s.instrument("bench", "serve/http/bench", func(http.ResponseWriter, *http.Request) {})
+	h := obs.InstrumentHTTP("serve", "bench", func(http.ResponseWriter, *http.Request) {})
 	req := httptest.NewRequest(http.MethodGet, "/bench", nil)
 	w := &nopWriter{h: http.Header{}}
 	b.ReportAllocs()

@@ -131,7 +131,7 @@ func Landweber(a grid.Array, z *grid.Field, opts LandweberOptions) (*grid.Field,
 		iters = 200
 	}
 	omega := opts.Relaxation
-	if omega == 0 { //parmavet:allow floateq -- zero is the "unset option" sentinel, assigned not computed
+	if omega == 0 { // zero is the "unset option" sentinel, assigned not computed
 		omega = 1 / (powerNormSq(lin.jac) * 1.01)
 	}
 	res := lin.residual(z)
@@ -167,7 +167,7 @@ func Tikhonov(a grid.Array, z *grid.Field, opts TikhonovOptions) (*grid.Field, e
 	jtj := jt.Mul(lin.jac)
 	nUnknown := jtj.Rows()
 	lambda := opts.Lambda
-	if lambda == 0 { //parmavet:allow floateq -- zero is the "unset option" sentinel, assigned not computed
+	if lambda == 0 { // zero is the "unset option" sentinel, assigned not computed
 		trace := 0.0
 		for d := 0; d < nUnknown; d++ {
 			trace += jtj.At(d, d)
@@ -205,7 +205,7 @@ func powerNormSq(j *mat.Matrix) float64 {
 	for it := 0; it < 30; it++ {
 		w := jt.MulVec(j.MulVec(v))
 		norm := w.Norm2()
-		if norm == 0 { //parmavet:allow floateq -- exact-zero iterate guard before dividing by the norm
+		if norm == 0 { // exact-zero iterate guard before dividing by the norm
 			return 1
 		}
 		lambda = norm

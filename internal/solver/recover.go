@@ -126,7 +126,7 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 		return RecoverResult{}, fmt.Errorf("solver: MaxIter %d is negative", opts.MaxIter)
 	}
 	tol := opts.Tol
-	if tol == 0 { //parmavet:allow floateq -- zero is the "unset option" sentinel, assigned not computed
+	if tol == 0 { // zero is the "unset option" sentinel, assigned not computed
 		tol = 1e-8
 	}
 	maxIter := opts.MaxIter
@@ -156,7 +156,7 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 		}
 	}
 	zNorm = math.Sqrt(zNorm)
-	if zNorm == 0 { //parmavet:allow floateq -- exact-zero measurement matrix guard before relative-residual division
+	if zNorm == 0 { // exact-zero measurement matrix guard before relative-residual division
 		return RecoverResult{}, fmt.Errorf("solver: zero measurement matrix")
 	}
 

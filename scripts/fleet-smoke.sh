@@ -64,9 +64,9 @@ start_worker() {
 
 # --- Phase 1+2+3: affinity, failover under SIGKILL, tracing ---------------
 
-start_worker w0 -trace "$tmp/w0-trace.json" -compact-interval 1h
-start_worker w1 -trace "$tmp/w1-trace.json" -compact-interval 1h
-start_worker w2 -trace "$tmp/w2-trace.json" -compact-interval 1h
+start_worker w0 -trace "$tmp/w0-trace.json"
+start_worker w1 -trace "$tmp/w1-trace.json"
+start_worker w2 -trace "$tmp/w2-trace.json"
 a0=$(wait_addr "$tmp/w0.addr" w0)
 a1=$(wait_addr "$tmp/w1.addr" w1)
 a2=$(wait_addr "$tmp/w2.addr" w2)
@@ -74,7 +74,7 @@ a2=$(wait_addr "$tmp/w2.addr" w2)
 "$tmp/parma-router" -addr 127.0.0.1:0 -addr-file "$tmp/router.addr" \
 	-policy affinity -backend "w0=$a0,w1=$a1,w2=$a2" \
 	-probe-every 50ms -suspect-after 300ms -breaker-threshold 3 \
-	-trace "$tmp/router-trace.json" -compact-interval 1h -log-format json \
+	-trace "$tmp/router-trace.json" -log-format json \
 	>"$tmp/router.log" 2>&1 &
 router_pid=$!
 pids="$pids $router_pid"
@@ -177,9 +177,9 @@ aff_hits=$(run_policy affinity aff)
 
 ADMIN_TOKEN=churn-smoke-secret
 
-start_worker c0 -compact-interval 1h
-start_worker c1 -compact-interval 1h
-start_worker c2 -compact-interval 1h
+start_worker c0
+start_worker c1
+start_worker c2
 ca0=$(wait_addr "$tmp/c0.addr" c0)
 ca1=$(wait_addr "$tmp/c1.addr" c1)
 ca2=$(wait_addr "$tmp/c2.addr" c2)
@@ -209,7 +209,7 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$crouter/admin/backends")
 churn_load_pid=$!
 
 sleep 0.3
-start_worker c3 -compact-interval 1h
+start_worker c3
 ca3=$(wait_addr "$tmp/c3.addr" c3)
 add_resp=$(curl -sf -X POST -H "X-Parma-Admin-Token: $ADMIN_TOKEN" \
 	-H "Content-Type: application/json" -d "{\"name\":\"c3\",\"url\":\"$ca3\"}" \
@@ -230,8 +230,8 @@ wait "$churn_load_pid" || {
 
 # Warm handoff proof, BEFORE any kill (a corpse's warm state is
 # unrecoverable): the first request per geometry — including the keys the
-# churn just re-homed to c3 — must be a warm-start cache hit.
-sleep 0.5
+# churn just re-homed to c3 — must be a warm-start cache hit. The admin
+# calls above return only after the new owners stored the warm starts.
 "$tmp/parma-load" -target "$crouter" -n 60 -qps 200 -geoms "$GEOMS" \
 	-measure-frac 0 -expect-prewarm-hit >"$tmp/churn-prewarm.out" || {
 	echo "fleet-smoke: re-homed keys were not prewarmed"; cat "$tmp/churn-prewarm.out"; exit 1; }

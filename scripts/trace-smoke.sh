@@ -30,7 +30,7 @@ go build -o "$tmp/parma-mpi" ./cmd/parma-mpi
 
 "$tmp/parmad" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
 	-log-format json \
-	-trace "$tmp/serve-trace.json" -compact-interval 1h \
+	-trace "$tmp/serve-trace.json" \
 	>"$tmp/parmad.log" 2>&1 &
 daemon_pid=$!
 
