@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parma/internal/kirchhoff"
+	"parma/internal/sched"
 )
 
 func smallConfig() Config {
@@ -202,6 +203,30 @@ func TestFigure10SmallRun(t *testing.T) {
 	}
 }
 
+// TestFigure10MakespansPinned: Figure 10's makespans are a pure function
+// of the pair costs and the cost model. On a fixed synthetic cost table the
+// homogeneous SPMD run must reproduce, bit for bit, the values the
+// dedicated Figure 10 simulator gave before it was folded into
+// heteroMakespan.
+func TestFigure10MakespansPinned(t *testing.T) {
+	pairCost := make([]time.Duration, 256) // a 16x16 array's pairs
+	for i := range pairCost {
+		pairCost[i] = time.Duration(1+(i*7919)%1000) * time.Microsecond
+	}
+	for _, tc := range []struct {
+		ranks int
+		want  float64
+	}{{1, 0.129416}, {4, 0.033448002}, {32, 0.006620002}} {
+		got, err := heteroMakespan(pairCost, nil, modelFor(PythonProfile), sched.StaticRanges(len(pairCost), tc.ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%d ranks: makespan %.9f s, want %.9f", tc.ranks, got, tc.want)
+		}
+	}
+}
+
 // TestFigure10ScalingShape: at a size where work dominates overhead, more
 // ranks must reduce the makespan; at a tiny size the startup floor holds.
 func TestFigure10ScalingShape(t *testing.T) {
@@ -216,11 +241,11 @@ func TestFigure10ScalingShape(t *testing.T) {
 	}
 	model := PythonProfile
 	cm := modelFor(model)
-	t2, err := simulateRanks(p, pairCost, 2, cm)
+	t2, err := heteroMakespan(pairCost, nil, cm, sched.StaticRanges(len(pairCost), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t16, err := simulateRanks(p, pairCost, 16, cm)
+	t16, err := heteroMakespan(pairCost, nil, cm, sched.StaticRanges(len(pairCost), 16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func Figure10(cfg Config) (*Table, error) {
 		}
 		row := []any{n, fmtSeconds(t.SerialTime())}
 		for _, ranks := range cfg.ranks() {
-			makespan, err := simulateRanks(p, pairCost, ranks, model)
+			makespan, err := heteroMakespan(pairCost, nil, model, sched.StaticRanges(len(pairCost), ranks))
 			if err != nil {
 				return nil, err
 			}
@@ -177,32 +177,6 @@ func modelFor(p ExecProfile) mpi.CostModel {
 		BandwidthBytesPerSec: 6e9,
 		RankStartup:          p.ProcSpawn,
 	}
-}
-
-// simulateRanks runs the SPMD formation protocol on the in-process MPI
-// world, charging each rank its pre-measured pair costs, and returns the
-// modeled makespan in seconds.
-func simulateRanks(p *kirchhoff.Problem, pairCost []time.Duration, ranks int, model mpi.CostModel) (float64, error) {
-	world := mpi.NewWorld(ranks, model)
-	times, errs := world.RunCollect(func(c *mpi.Comm) error {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		r := sched.StaticRanges(len(pairCost), c.Size())[c.Rank()]
-		var local time.Duration
-		count := 0.0
-		for pair := r.Lo; pair < r.Hi; pair++ {
-			local += pairCost[pair]
-			count += float64(kirchhoff.SystemCensus(p.Array).EquationsPerPair)
-		}
-		c.ChargeCompute(local)
-		_, err := c.AllreduceSum([]float64{count})
-		return err
-	})
-	if err := mpi.FirstError(errs); err != nil {
-		return 0, err
-	}
-	return times.Makespan(), nil
 }
 
 // measureTasksWithIO measures per-task cost including serialization to a

@@ -85,10 +85,12 @@ func heteroTable(pairCost []time.Duration, rankCounts []int, slowFactor float64)
 	return tbl, nil
 }
 
-// heteroMakespan runs the SPMD formation protocol with the given pair
-// partition on a speed-annotated world and returns the modeled makespan.
+// heteroMakespan runs the SPMD formation protocol on the in-process MPI
+// world, one rank per pair range, charging each rank its pre-measured pair
+// costs at its speed (nil speeds: a homogeneous world, as in Figure 10),
+// and returns the modeled makespan in seconds.
 func heteroMakespan(pairCost []time.Duration, speeds []float64, model mpi.CostModel, ranges []sched.Range) (float64, error) {
-	world := mpi.NewWorld(len(speeds), model)
+	world := mpi.NewWorld(len(ranges), model)
 	if err := world.SetSpeeds(speeds); err != nil {
 		return 0, err
 	}

@@ -10,8 +10,7 @@ import (
 )
 
 // ExecProfile parameterizes the simulated executor: what spawning a worker
-// costs, what each dynamic chunk handout costs, and whether thread-based
-// strategies are GIL-serialized.
+// costs and what each dynamic chunk handout costs.
 type ExecProfile struct {
 	// ThreadSpawn is the per-worker startup cost for thread strategies
 	// (the paper's Parallel and Balanced Parallel).
@@ -22,12 +21,6 @@ type ExecProfile struct {
 	// ChunkOverhead is the per-chunk handout cost of the work-sharing
 	// construct.
 	ChunkOverhead time.Duration
-	// GILSerialized marks thread strategies as sharing one interpreter
-	// lock: compute does not overlap, only spawn costs amortize. Off in
-	// both stock profiles (the equation-formation inner loops of the
-	// paper's implementation release the lock); available as a modeling
-	// knob for fully lock-bound workloads.
-	GILSerialized bool
 	// Chunk is the dynamic chunk size in equations; 0 selects the
 	// fine-grained default.
 	Chunk int
@@ -63,7 +56,6 @@ var NativeProfile = ExecProfile{
 	ThreadSpawn:   25 * time.Microsecond,
 	ProcSpawn:     25 * time.Microsecond,
 	ChunkOverhead: 300 * time.Nanosecond,
-	GILSerialized: false,
 	Chunk:         parallel.DefaultChunk,
 }
 
@@ -142,14 +134,10 @@ func (t *TaskTiming) scaled(p ExecProfile) ExecProfile {
 func (t *TaskTiming) SerialTime() time.Duration { return t.Total }
 
 // FourWayTime simulates the paper's Parallel strategy: four category
-// threads. Under a GIL, compute serializes and only spawn parallelism is
-// left; otherwise the makespan is the heaviest category.
+// threads, so the makespan is the heaviest category.
 func (t *TaskTiming) FourWayTime(p ExecProfile) time.Duration {
 	p = t.scaled(p)
 	spawn := 4 * p.ThreadSpawn
-	if p.GILSerialized {
-		return t.Total + spawn
-	}
 	var byCat [4]time.Duration
 	for task, c := range t.Cost {
 		byCat[task%4] += c
@@ -169,9 +157,6 @@ func (t *TaskTiming) FourWayTime(p ExecProfile) time.Duration {
 func (t *TaskTiming) BalancedTime(p ExecProfile, k int) time.Duration {
 	p = t.scaled(p)
 	spawn := time.Duration(k) * p.ThreadSpawn
-	if p.GILSerialized {
-		return t.Total + spawn
-	}
 	bins := sched.BalanceLPT(len(t.Cost), k, func(task int) float64 {
 		return parallel.TaskCost(t.prob, task)
 	})

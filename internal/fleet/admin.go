@@ -20,10 +20,11 @@ import (
 
 // This file is the router's control plane: the authenticated
 // /admin/backends API for dynamic membership, the coordinated drain that
-// removal performs, and the warm-handoff plumbing that tells a ring
-// successor which geometry keys it just inherited — so the first
-// re-homed request lands on a pre-built factorization instead of paying
-// a cold solve.
+// removal performs, and warm handoff. Every transition that changes where
+// routing sends a key (a join, a removal, an ejection, a readmission) moves
+// the key's warm start from the member that served it to the member that
+// will, so the first re-homed request starts warm instead of paying a cold
+// solve.
 
 // AddBackendRequest is the POST /admin/backends body.
 type AddBackendRequest struct {
@@ -33,15 +34,14 @@ type AddBackendRequest struct {
 
 // MembershipChange is the reply to a membership mutation: the member
 // acted on, the resulting member list, whether a removal finished its
-// drain inside the deadline, and the warm-handoff ledger (which keys
-// each inheriting backend was told about, and how many of those prewarm
-// pushes were delivered).
+// drain inside the deadline, and the warm-handoff ledger (which keys moved
+// to each inheriting backend, and how many warm-start fields reached it).
 type MembershipChange struct {
 	Member  string   `json:"member"`
 	Members []string `json:"members"`
 	Drained *bool    `json:"drained,omitempty"`
-	// Rehomed maps each inheriting backend to the geometry keys that just
-	// moved to it — the consistent-hash delta of the membership change.
+	// Rehomed maps each inheriting backend to the geometry keys that
+	// routing now sends to it instead of to another member.
 	Rehomed       map[string][]string `json:"rehomed,omitempty"`
 	PrewarmedKeys int                 `json:"prewarmed_keys"`
 }
@@ -83,8 +83,8 @@ func (rt *Router) handleListBackends(w http.ResponseWriter, r *http.Request) {
 // handleAddBackend adds a member at runtime. The swap is atomic (new
 // backends slice + new ring under one lock), the joiner starts suspect —
 // unroutable until its first successful health probe — and the keys it
-// now owns are warm-handed to it from their previous owners before it
-// can take traffic, so its first requests hit a warm cache.
+// will serve get their warm state handed to it before it can take
+// traffic, so its first requests start warm.
 func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 	var req AddBackendRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
@@ -109,52 +109,43 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	oldRing := rt.ring
-	newRing := oldRing.With(req.Name)
-	rt.backends = append(append([]*Backend(nil), rt.backends...), b)
-	rt.ring = newRing
+	// The joiner counts as routable after the join: that is where the
+	// keys it takes over will go once its first probe succeeds.
+	before := view{rt.ring, routable(rt.backends)}
+	after := view{rt.ring.With(req.Name), append(slices.Clip(before.routable), b)}
+	rt.backends = append(slices.Clip(rt.backends), b)
+	rt.ring = after.ring
 	rt.mu.Unlock()
 
 	obs.Add("fleet/membership_changes_total", 1)
 	rt.publishRingShares()
 	obs.Log().InfoContext(r.Context(), "fleet: backend added", "backend", req.Name, "url", b.URL)
 
-	// Warm handoff before the joiner is routable: every key the ring just
-	// moved to it gets its warm state fetched from the old owner (still a
-	// live member) and pushed to the joiner. Only then does the first
-	// probe run — so by the time traffic can arrive, the caches are
-	// already building.
-	moved := RehomedKeys(oldRing, newRing, rt.seenKeys())
-	prewarmed := rt.handoffTo(r.Context(), oldRing, b, moved[req.Name])
-
+	// Warm handoff before the joiner is routable; only then does its first
+	// probe run, so by the time traffic can arrive its warm starts are in.
+	rehomed, prewarmed := rt.rehome(r.Context(), before, after)
 	rt.prober.Add(r.Context(), b)
 
 	writeJSON(w, http.StatusOK, MembershipChange{
 		Member:        req.Name,
-		Members:       newRing.Backends(),
-		Rehomed:       moved,
+		Members:       after.ring.Backends(),
+		Rehomed:       rehomed,
 		PrewarmedKeys: prewarmed,
 	})
 }
 
 // handleRemoveBackend removes a member with a coordinated drain: cordon
-// (no new routes), atomic ring swap, warm handoff of its keys to their
-// ring successors, then wait — bounded by DrainTimeout — for the router's
-// own in-flight requests to the victim to finish before it stops being
-// probed. The backend process itself is not touched; stopping it is the
-// operator's next step.
+// (no new routes), atomic ring swap, warm handoff of the keys it served to
+// the members that serve them next, then wait — bounded by DrainTimeout —
+// for the router's own in-flight requests to the victim to finish before
+// it stops being probed. The backend process itself is not touched;
+// stopping it is the operator's next step.
 func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 
 	rt.mu.Lock()
-	var victim *Backend
-	for _, b := range rt.backends {
-		if b.Name == name {
-			victim = b
-			break
-		}
-	}
-	if victim == nil {
+	i := slices.IndexFunc(rt.backends, func(b *Backend) bool { return b.Name == name })
+	if i < 0 {
 		rt.mu.Unlock()
 		writeErr(w, http.StatusNotFound, fmt.Errorf("fleet: backend %q is not a member", name))
 		return
@@ -164,17 +155,12 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, fmt.Errorf("fleet: refusing to remove the last backend"))
 		return
 	}
+	victim := rt.backends[i]
+	before := view{rt.ring, routable(rt.backends)}
 	victim.Cordon() // no new routes, even for requests racing the swap
-	oldRing := rt.ring
-	newRing := oldRing.Without(name)
-	keep := make([]*Backend, 0, len(rt.backends)-1)
-	for _, b := range rt.backends {
-		if b.Name != name {
-			keep = append(keep, b)
-		}
-	}
-	rt.backends = keep
-	rt.ring = newRing
+	rt.backends = slices.Delete(slices.Clone(rt.backends), i, i+1)
+	after := view{rt.ring.Without(name), routable(rt.backends)}
+	rt.ring = after.ring
 	rt.mu.Unlock()
 
 	obs.Add("fleet/membership_changes_total", 1)
@@ -182,8 +168,7 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	obs.SetGauge("fleet/ring/share/"+name, 0)
 	obs.Log().InfoContext(r.Context(), "fleet: backend removing", "backend", name)
 
-	moved := RehomedKeys(oldRing, newRing, rt.seenKeys())
-	prewarmed := rt.handoffFrom(r.Context(), victim, moved)
+	rehomed, prewarmed := rt.rehome(r.Context(), before, after)
 
 	drained := rt.awaitDrain(r.Context(), victim)
 	rt.prober.Remove(name)
@@ -192,9 +177,9 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 
 	writeJSON(w, http.StatusOK, MembershipChange{
 		Member:        name,
-		Members:       newRing.Backends(),
+		Members:       after.ring.Backends(),
 		Drained:       &drained,
-		Rehomed:       moved,
+		Rehomed:       rehomed,
 		PrewarmedKeys: prewarmed,
 	})
 }
@@ -220,208 +205,147 @@ func (rt *Router) awaitDrain(ctx context.Context, victim *Backend) bool {
 	}
 }
 
-// onEject is the prober's ejection hook: the moment a backend is declared
-// dead, its ring successors are told, in the background, which keys they
-// just inherited. Routing is not involved: the dead backend is already
-// out of the routable set the policy sees. Fetching warm state from the
-// corpse is attempted best-effort — a draining-but-slow backend may still
-// answer — and degrades to key-only prewarms when it cannot.
-func (rt *Router) onEject(dead *Backend) {
+// onHealth is the prober's transition hook: b was just ejected or
+// readmitted. The ring did not change, only b's routability, so the view
+// before the transition is the routable set with b toggled. The handoff
+// runs detached, under the probe loop's ctx: it does network I/O and must
+// not delay the liveness verdicts of the rest of the fleet.
+func (rt *Router) onHealth(ctx context.Context, b *Backend) {
 	backends, ring := rt.membership()
-	moved := rehomeToRoutable(ring, dead, routable(backends), rt.seenKeys())
-	if len(moved) == 0 {
-		return
+	after := view{ring, routable(backends)}
+	before := view{ring, slices.DeleteFunc(slices.Clone(after.routable), func(x *Backend) bool { return x == b })}
+	if len(before.routable) == len(after.routable) { // b is out of rotation now
+		if b.Probe().Alive {
+			return // readmitted while draining: routing did not change
+		}
+		before.routable = append(before.routable, b)
 	}
 	go func() {
-		// Detached from the probe loop: handoff does bounded network I/O
-		// and must not delay liveness verdicts for the rest of the fleet.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		n := rt.handoffFrom(ctx, dead, moved)
-		obs.Log().Info("fleet: ejected backend's keys handed off",
-			"backend", dead.Name, "prewarmed", n)
+		_, n := rt.rehome(ctx, before, after)
+		obs.Log().InfoContext(ctx, "fleet: health transition handed off",
+			"backend", b.Name, "alive", b.Probe().Alive, "prewarmed", n)
 	}()
 }
 
-// rehomeToRoutable picks out the keys dead was serving — those whose
-// first successor among live ∪ {dead} is dead — and groups them by the
-// live backend next in line, which is where the policy now sends them:
-// the ring itself does not change on a health transition. keys must be
-// sorted; each group then is too.
-func rehomeToRoutable(ring *Ring, dead *Backend, live []*Backend, keys []string) map[string][]string {
-	withDead := append(slices.Clip(live), dead) // Clip: never write into the caller's array
-	moved := make(map[string][]string)
-	for _, k := range keys {
-		if order := ringOrder(ring, k, withDead); len(order) > 1 && order[0] == dead {
-			moved[order[1].Name] = append(moved[order[1].Name], k)
-		}
-	}
-	return moved
+// view is where routing sends keys at one moment: the ring and the
+// members that may take traffic.
+type view struct {
+	ring     *Ring
+	routable []*Backend
 }
 
-// backendByName resolves a member name against the current membership.
-func (rt *Router) backendByName(name string) *Backend {
-	backends, _ := rt.membership()
-	for _, b := range backends {
-		if b.Name == name {
-			return b
-		}
+// first is the member v routes key to, before load is considered, or nil.
+func (v view) first(key string) *Backend {
+	if order := ringOrder(v.ring, key, v.routable); len(order) > 0 {
+		return order[0]
 	}
 	return nil
 }
 
-// handoffFrom pushes a departing source's keys to their inheriting
-// successors: for each successor group, warm state is fetched from the
-// source (best-effort) and POSTed to the successor's /v1/prewarm. Returns
-// how many keys were delivered.
-func (rt *Router) handoffFrom(ctx context.Context, source *Backend, moved map[string][]string) int {
-	succs := make([]string, 0, len(moved))
-	for name := range moved {
-		succs = append(succs, name)
-	}
-	sort.Strings(succs)
-	delivered := 0
-	for _, succ := range succs {
-		target := rt.backendByName(succ)
-		if target == nil {
-			continue // membership changed under us; the next transition re-homes again
-		}
-		entries := rt.fetchWarmState(ctx, source, moved[succ])
-		if err := rt.sendPrewarm(ctx, target, entries); err != nil {
-			obs.Log().WarnContext(ctx, "fleet: prewarm push failed",
-				"target", succ, "keys", len(entries), "err", err.Error())
+// move is one warm handoff: the keys routing sent to from and now sends
+// to to.
+type move struct {
+	from, to *Backend
+	keys     []string
+}
+
+// moves is the one rehoming rule, for joins, removals, ejections and
+// readmissions alike. For each key it compares where routing sent it
+// before a transition with where it sends it after, and groups the keys
+// that changed hands by (from, to). A key nobody served before, or nobody
+// serves after, has no warm state to move. keys must be distinct; the
+// groups come out ordered by (from, to), each holding its keys in the
+// order given, so the result is a pure function of the arguments.
+func moves(before, after view, keys []string) []move {
+	byPair := make(map[[2]string]*move)
+	for _, k := range keys {
+		from, to := before.first(k), after.first(k)
+		if from == nil || to == nil || from.Name == to.Name {
 			continue
 		}
-		delivered += len(entries)
+		id := [2]string{from.Name, to.Name}
+		if byPair[id] == nil {
+			byPair[id] = &move{from: from, to: to}
+		}
+		byPair[id].keys = append(byPair[id].keys, k)
+	}
+	out := make([]move, 0, len(byPair))
+	for _, m := range byPair {
+		out = append(out, *m)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].from.Name != out[j].from.Name {
+			return out[i].from.Name < out[j].from.Name
+		}
+		return out[i].to.Name < out[j].to.Name
+	})
+	return out
+}
+
+// rehome carries warm state across a transition from before to after:
+// each move's keys go in chunks of serve.WarmChunks, each chunk fetched
+// from the member that served it and pushed, as fetched, to the member
+// that will. A move stops at its first failed chunk. rehome returns the
+// moved keys grouped by inheriting member and the number of fields
+// delivered.
+func (rt *Router) rehome(ctx context.Context, before, after view) (map[string][]string, int) {
+	rehomed := make(map[string][]string)
+	delivered := 0
+	for _, m := range moves(before, after, rt.seenKeys()) {
+		rehomed[m.to.Name] = append(rehomed[m.to.Name], m.keys...)
+		for _, chunk := range serve.WarmChunks(m.keys) {
+			n, err := rt.transfer(ctx, m.from, m.to, chunk)
+			delivered += n
+			if err != nil {
+				obs.Log().WarnContext(ctx, "fleet: warm handoff failed",
+					"from", m.from.Name, "to", m.to.Name, "keys", len(chunk), "err", err.Error())
+				break
+			}
+		}
+	}
+	for _, keys := range rehomed {
+		sort.Strings(keys)
 	}
 	if delivered > 0 {
 		obs.Add("fleet/prewarm_keys_total", int64(delivered))
 	}
-	return delivered
+	return rehomed, delivered
 }
 
-// handoffTo pushes the keys a joining target inherited, fetching each
-// key's warm state from the backend that has been serving it: its first
-// routable successor on oldRing — the owner, unless the owner is ejected,
-// in which case the policy has been sending the key one member further.
-func (rt *Router) handoffTo(ctx context.Context, oldRing *Ring, target *Backend, keys []string) int {
-	if len(keys) == 0 {
-		return 0
-	}
-	// Group by source so each is asked once; "" collects the keys nobody
-	// routable was serving.
-	backends, _ := rt.membership()
-	live := routable(backends)
-	bySource := make(map[string][]string)
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		name := ""
-		if order := ringOrder(oldRing, k, live); len(order) > 0 {
-			name = order[0].Name
-		}
-		bySource[name] = append(bySource[name], k)
-	}
-	sources := make([]string, 0, len(bySource))
-	for name := range bySource {
-		sources = append(sources, name)
-	}
-	sort.Strings(sources)
-	var entries []serve.PrewarmEntry
-	for _, src := range sources {
-		if sb := rt.backendByName(src); sb != nil {
-			entries = append(entries, rt.fetchWarmState(ctx, sb, bySource[src])...)
-		} else {
-			entries = append(entries, keyOnly(bySource[src])...)
-		}
-	}
-	if err := rt.sendPrewarm(ctx, target, entries); err != nil {
-		obs.Log().WarnContext(ctx, "fleet: prewarm push to joiner failed",
-			"target", target.Name, "keys", len(entries), "err", err.Error())
-		return 0
-	}
-	obs.Add("fleet/prewarm_keys_total", int64(len(entries)))
-	return len(entries)
-}
-
-// fetchWarmState asks source for the warm-start fields of keys, in chunks
-// the worker's /v1/warmstate accepts. Always returns one entry per key: on
-// any failure (a crashed source) a chunk's entries degrade to key-only,
-// which the target acknowledges and builds nothing from.
-func (rt *Router) fetchWarmState(ctx context.Context, source *Backend, keys []string) []serve.PrewarmEntry {
-	out := make([]serve.PrewarmEntry, 0, len(keys))
-	for len(keys) > 0 {
-		n := min(len(keys), serve.MaxWarmStateKeys)
-		out = append(out, rt.fetchWarmChunk(ctx, source, keys[:n])...)
-		keys = keys[n:]
-	}
-	return out
-}
-
-// keyOnly returns one R-less prewarm entry per key.
-func keyOnly(keys []string) []serve.PrewarmEntry {
-	out := make([]serve.PrewarmEntry, len(keys))
-	for i, k := range keys {
-		out[i] = serve.PrewarmEntry{Key: k}
-	}
-	return out
-}
-
-// maxWarmStateBody bounds one /v1/warmstate reply: serve.MaxWarmStateKeys
-// fields of 64×64 (the worker's default -max-dim) at up to 24 bytes a JSON
-// value. It is the router's guard against a misbehaving worker, and has
-// nothing to do with Config.MaxBody, the bound on client request bodies.
-const maxWarmStateBody = serve.MaxWarmStateKeys * 64 * 64 * 24
-
-// fetchWarmChunk is one /v1/warmstate round trip for at most
-// serve.MaxWarmStateKeys keys.
-func (rt *Router) fetchWarmChunk(ctx context.Context, source *Backend, keys []string) []serve.PrewarmEntry {
-	fetchCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	u := source.URL + "/v1/warmstate?keys=" + url.QueryEscape(strings.Join(keys, ","))
-	req, err := http.NewRequestWithContext(fetchCtx, http.MethodGet, u, nil)
-	if err != nil {
-		return keyOnly(keys)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return keyOnly(keys)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxWarmStateBody))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return keyOnly(keys)
-	}
+// transfer moves one chunk: it fetches the keys' warm state from from and
+// pushes the fields in the reply to to. A failed fetch sends nothing. It
+// returns the number of fields to stored.
+func (rt *Router) transfer(ctx context.Context, from, to *Backend, keys []string) (int, error) {
 	var ws serve.WarmStateResponse
-	if err := json.Unmarshal(body, &ws); err != nil {
-		return keyOnly(keys)
+	u := from.URL + "/v1/warmstate?keys=" + url.QueryEscape(strings.Join(keys, ","))
+	if err := rt.call(ctx, http.MethodGet, u, nil, &ws); err != nil {
+		return 0, fmt.Errorf("fetching from %s: %w", from.Name, err)
 	}
-	byKey := make(map[string]serve.PrewarmEntry, len(ws.Entries))
-	for _, e := range ws.Entries {
-		byKey[e.Key] = e
-	}
-	out := keyOnly(keys)
-	for i, k := range keys {
-		if e, ok := byKey[k]; ok {
-			out[i] = e
-		}
-	}
-	return out
-}
-
-// sendPrewarm POSTs entries to target's /v1/prewarm, which replies 200
-// once the warm starts are stored.
-func (rt *Router) sendPrewarm(ctx context.Context, target *Backend, entries []serve.PrewarmEntry) error {
+	entries := slices.DeleteFunc(ws.Entries, func(e serve.PrewarmEntry) bool { return e.R == nil })
 	if len(entries) == 0 {
-		return nil
+		return 0, nil
 	}
 	payload, err := json.Marshal(serve.PrewarmRequest{Entries: entries})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	sendCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	if err := rt.call(ctx, http.MethodPost, to.URL+"/v1/prewarm", payload, nil); err != nil {
+		return 0, fmt.Errorf("pushing to %s: %w", to.Name, err)
+	}
+	return len(entries), nil
+}
+
+// handoffTimeout bounds one warm-state round trip: a fetch or a push of up
+// to serve.MaxWarmChunk bytes.
+const handoffTimeout = 10 * time.Second
+
+// call is one warm-state round trip: body (nil for none) out, and a 200
+// reply of at most serve.MaxWarmChunk bytes decoded into out (nil
+// discards it).
+func (rt *Router) call(ctx context.Context, method, u string, body []byte, out any) error {
+	ctx, cancel := context.WithTimeout(ctx, handoffTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sendCtx, http.MethodPost, target.URL+"/v1/prewarm", bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -431,9 +355,15 @@ func (rt *Router) sendPrewarm(ctx context.Context, target *Backend, entries []se
 		return err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("prewarm returned HTTP %d", resp.StatusCode)
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxWarmChunk))
+	if err != nil {
+		return err
 	}
-	return nil
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(raw, out)
 }

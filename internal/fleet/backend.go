@@ -143,9 +143,6 @@ func (b *Backend) setProbe(p ProbeState) {
 // the prober keeps observing it, but no new request is sent its way.
 func (b *Backend) Cordon() { b.cordoned.Store(true) }
 
-// Cordoned reports whether the router has cordoned the backend.
-func (b *Backend) Cordoned() bool { return b.cordoned.Load() }
-
 // Routable reports whether new requests may be sent: alive, not draining,
 // and not cordoned by the router.
 func (b *Backend) Routable() bool {

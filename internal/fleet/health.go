@@ -46,9 +46,8 @@ func (c ProberConfig) withDefaults() ProberConfig {
 
 // Prober drives the health loop over a backend set. Membership is
 // dynamic: Add and Remove adjust the probed set at runtime, and the
-// OnEject/OnReadmit hooks (set before Start) let the router react to
-// liveness transitions — warm-handing the dead backend's keys to their
-// ring successors.
+// OnTransition hook (set before Start) lets the router react to liveness
+// transitions by moving warm state where routing now sends each key.
 type Prober struct {
 	cfg    ProberConfig
 	client *http.Client
@@ -56,11 +55,11 @@ type Prober struct {
 	mu       sync.Mutex
 	backends []*Backend
 
-	// OnEject fires when a backend crosses the suspect window and is
-	// ejected; OnReadmit fires on its first successful probe afterwards.
-	// Both run on the probe goroutine, so they must be fast or detach.
-	OnEject   func(*Backend)
-	OnReadmit func(*Backend)
+	// OnTransition fires when the loop ejects a backend (it crossed the
+	// suspect window) or readmits one (its first successful probe after
+	// that); Probe().Alive tells which. It runs on the probe goroutine
+	// under the loop's context, so it must be fast or detach.
+	OnTransition func(context.Context, *Backend)
 
 	stop chan struct{}
 	done chan struct{}
@@ -94,13 +93,16 @@ func (p *Prober) snapshot() []*Backend {
 // the time Add returns while an unreachable one stays out of rotation
 // until its first successful probe — suspect-until-first-success, the
 // inverse of Start's optimistic seeding, because a joining backend has no
-// track record to extend credit against.
+// track record to extend credit against. That first probe runs before the
+// loop can see b, and fires no OnTransition: the join has handed off
+// already. A joiner the loop admits later is readmitted like any other
+// backend.
 func (p *Prober) Add(ctx context.Context, b *Backend) {
 	b.setProbe(ProbeState{Alive: false})
+	p.probeOne(ctx, b)
 	p.mu.Lock()
 	p.backends = append(p.backends, b)
 	p.mu.Unlock()
-	p.probeOne(ctx, b)
 	p.publishAlive()
 }
 
@@ -163,7 +165,9 @@ func (p *Prober) probeAll(ctx context.Context) {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			p.probeOne(ctx, b)
+			if p.probeOne(ctx, b) && p.OnTransition != nil {
+				p.OnTransition(ctx, b)
+			}
 		}(b)
 	}
 	wg.Wait()
@@ -171,8 +175,9 @@ func (p *Prober) probeAll(ctx context.Context) {
 }
 
 // probeOne performs one health check and applies the failure-detector
-// transition rules to the backend's state.
-func (p *Prober) probeOne(ctx context.Context, b *Backend) {
+// transition rules to the backend's state. It reports whether the backend
+// was ejected or readmitted.
+func (p *Prober) probeOne(ctx context.Context, b *Backend) bool {
 	h, err := p.fetch(ctx, b)
 	prev := b.Probe()
 	next := prev
@@ -186,22 +191,14 @@ func (p *Prober) probeOne(ctx context.Context, b *Backend) {
 			obs.Log().WarnContext(ctx, "fleet: backend ejected",
 				"backend", b.Name, "after", p.cfg.SuspectAfter.String(), "err", err.Error())
 			b.setProbe(next)
-			if p.OnEject != nil {
-				p.OnEject(b)
-			}
-			return
+			return true
 		}
 		b.setProbe(next)
-		return
+		return false
 	}
 	if !prev.Alive {
 		obs.Add("fleet/readmitted_total", 1)
 		obs.Log().InfoContext(ctx, "fleet: backend readmitted", "backend", b.Name)
-		defer func() {
-			if p.OnReadmit != nil {
-				p.OnReadmit(b)
-			}
-		}()
 	}
 	next = ProbeState{
 		Alive:         true,
@@ -214,6 +211,7 @@ func (p *Prober) probeOne(ctx context.Context, b *Backend) {
 		LastOK:        time.Now(),
 	}
 	b.setProbe(next)
+	return !prev.Alive
 }
 
 // fetch performs the HTTP probe. A 503 whose body parses as a draining

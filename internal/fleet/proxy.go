@@ -97,9 +97,9 @@ type Router struct {
 	policy   Policy
 	// seen is the set of geometry keys (string → struct{}) a worker has
 	// answered 2xx for — the warm-handoff universe. Keys only, no backend
-	// names: where a key's warm state lives is derived from the ring when
-	// a handoff needs it. Grow-only, so the steady state is a lock-free
-	// read.
+	// names: where a key's warm state lives is derived from the ring and
+	// the routable set when a handoff needs it. Grow-only, so the steady
+	// state is a lock-free read.
 	seen     sync.Map
 	breakers *serve.BreakerSet
 	prober   *Prober
@@ -139,9 +139,8 @@ func New(cfg Config) (*Router, error) {
 		client: &http.Client{Timeout: cfg.AttemptTimeout + 5*time.Second},
 		start:  time.Now(),
 	}
-	// Health transitions feed warm handoff: an ejected backend's ring
-	// successors are told which keys they just inherited.
-	rt.prober.OnEject = rt.onEject
+	// Health transitions move warm state like membership changes do.
+	rt.prober.OnTransition = rt.onHealth
 	rt.publishRingShares()
 	return rt, nil
 }
@@ -533,10 +532,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	type fleetReply struct {
 		FleetHealth
-		Key    string   `json:"key,omitempty"`
-		Owner  string   `json:"owner,omitempty"`
-		Chain  []string `json:"chain,omitempty"`
-		Shares []string `json:"-"`
+		Key   string   `json:"key,omitempty"`
+		Owner string   `json:"owner,omitempty"`
+		Chain []string `json:"chain,omitempty"`
 	}
 	reply := fleetReply{FleetHealth: rt.health()}
 	if key := r.URL.Query().Get("key"); key != "" {

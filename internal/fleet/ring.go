@@ -177,31 +177,6 @@ func (r *Ring) Successors(key string, n int) []string {
 	return out
 }
 
-// RehomedKeys reports which of keys change owner between oldRing and
-// newRing, grouped by their new owner. This is the consistent-hash delta a
-// membership change induces: on With, every moved key lands on the new
-// member; on Without, the departed member's keys scatter to its ring
-// successors. Warm handoff uses the grouping directly — each group is one
-// prewarm batch for one inheriting backend. Keys are deduplicated and each
-// group is sorted, so the result is a pure function of (oldRing, newRing,
-// key set).
-func RehomedKeys(oldRing, newRing *Ring, keys []string) map[string][]string {
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	moved := make(map[string][]string)
-	for i, k := range sorted {
-		if i > 0 && sorted[i-1] == k {
-			continue
-		}
-		next := newRing.Owner(k)
-		if next == "" || next == oldRing.Owner(k) {
-			continue
-		}
-		moved[next] = append(moved[next], k)
-	}
-	return moved
-}
-
 // OwnedShare reports each backend's share of the hash space, in member
 // order (paired with Backends()). It is the ring-ownership gauge exported
 // at /metrics: shares should sit near 1/n, and a backend drifting far

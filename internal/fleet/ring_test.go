@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
+	"math/rand/v2"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -184,107 +185,102 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestRehomedKeysMatchOwnerDelta is the churn property test behind warm
-// handoff: for any single-member transition, RehomedKeys must name
-// exactly the keys whose consistent-hash owner changed, grouped under
-// exactly their new owner — no key missing, none invented, none
-// misrouted. The handoff protocol pushes warm state along this map, so
-// an off-by-one here is a cold cache after every membership change. A
-// health ejection leaves the ring alone, so its work list comes from
-// rehomeToRoutable instead: checked here, on the ring each transition
-// produced, against a brute-force walk of the successor chain.
-func TestRehomedKeysMatchOwnerDelta(t *testing.T) {
-	keys := append(sampleKeys(400), sampleKeys(50)...) // duplicates on purpose
-	transitions := []struct {
-		name   string
-		mutate func(*Ring) *Ring
-		eject  string   // member ejected after the transition ("" = none)
-		down   []string // other members unroutable at that moment
-	}{
-		{name: "add w9", mutate: func(r *Ring) *Ring { return r.With("w9") }, eject: "w9"},
-		{name: "remove w2", mutate: func(r *Ring) *Ring { return r.Without("w2") }, eject: "w0"},
-		{name: "remove w0", mutate: func(r *Ring) *Ring { return r.Without("w0") }, eject: "w1", down: []string{"w3"}},
-		{name: "add then settled", mutate: func(r *Ring) *Ring { return r.With("w7").Without("w3") }, eject: "w7", down: []string{"w0", "w4"}},
-		{name: "eject only", mutate: func(r *Ring) *Ring { return r }, eject: "w1"},
-	}
-	// sameGroups compares a grouping against the brute-force expectation.
-	sameGroups := func(label string, got map[string][]string, want map[string]map[string]bool) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d successors named, brute force says %d", label, len(got), len(want))
-		}
-		for succ, ks := range got {
-			if len(ks) != len(want[succ]) {
-				t.Errorf("%s: successor %s got %d keys, want %d", label, succ, len(ks), len(want[succ]))
-			}
-			for _, k := range ks {
-				if !want[succ][k] {
-					t.Errorf("%s: key %s re-homed to %s, but brute force disagrees", label, k, succ)
-				}
-			}
-		}
-	}
-	add := func(want map[string]map[string]bool, succ, k string) {
-		if want[succ] == nil {
-			want[succ] = map[string]bool{}
-		}
-		want[succ][k] = true
-	}
-	for _, n := range []int{2, 3, 5, 8} {
-		oldRing := NewRing(fleetNames(n), DefaultVnodes)
-		for _, tr := range transitions {
-			newRing := tr.mutate(oldRing)
-			label := fmt.Sprintf("n=%d %s", n, tr.name)
+// TestMovesMatchRoutingDelta is the property test behind warm handoff:
+// over random joins, removals, ejections and readmissions, from states
+// with ejected ring owners, moves must name exactly the keys whose first
+// routable ring successor changed, each under its (before, after) pair of
+// servers: no key missing, none invented, none misrouted. The brute force
+// walks each key's successor chain by name.
+func TestMovesMatchRoutingDelta(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 48))
+	keys := sampleKeys(400)
+	pool := testBackends(fleetNames(8)...)
+	members := []string{"w0", "w1", "w2", "w3"}
+	up := map[string]bool{"w1": true, "w2": true, "w3": true} // w0 starts ejected
+	ring := NewRing(members, DefaultVnodes)
 
-			// Brute force the expected delta, deduplicating like RehomedKeys.
-			want := map[string]map[string]bool{}
-			var uniq []string
-			seen := map[string]bool{}
-			for _, k := range keys {
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				uniq = append(uniq, k)
-				oldOwner, newOwner := oldRing.Owner(k), newRing.Owner(k)
-				if newOwner == "" || newOwner == oldOwner {
-					continue
-				}
-				add(want, newOwner, k)
+	viewOf := func(ring *Ring, up map[string]bool) view {
+		v := view{ring: ring}
+		for _, b := range pool {
+			if up[b.Name] {
+				v.routable = append(v.routable, b)
 			}
-			sameGroups(label, RehomedKeys(oldRing, newRing, keys), want)
+		}
+		return v
+	}
+	firstUp := func(ring *Ring, up map[string]bool, k string) string {
+		for _, name := range ring.Successors(k, ring.Len()) {
+			if up[name] {
+				return name
+			}
+		}
+		return ""
+	}
+	pick := func(names []string, ok func(string) bool) string {
+		names = slices.DeleteFunc(slices.Clone(names), func(n string) bool { return !ok(n) })
+		if len(names) == 0 {
+			return ""
+		}
+		return names[rng.IntN(len(names))]
+	}
+	kinds := []string{"add", "remove", "eject", "readmit"}
+	counts := map[string]int{}
+	for step := 0; step < 300; step++ {
+		nextRing, nextUp := ring, maps.Clone(up)
+		var name string
+		kind := rng.IntN(len(kinds))
+		switch kinds[kind] {
+		case "add": // the joiner counts as routable after the join
+			name = pick(fleetNames(len(pool)), func(n string) bool { return !slices.Contains(members, n) })
+			if name == "" {
+				continue
+			}
+			nextRing, nextUp[name], members = ring.With(name), true, append(members, name)
+		case "remove":
+			if len(members) == 1 {
+				continue
+			}
+			name = members[rng.IntN(len(members))]
+			members = slices.DeleteFunc(members, func(m string) bool { return m == name })
+			nextRing = ring.Without(name)
+			delete(nextUp, name)
+		case "eject":
+			if name = pick(members, func(n string) bool { return up[n] }); name == "" {
+				continue
+			}
+			delete(nextUp, name)
+		case "readmit":
+			if name = pick(members, func(n string) bool { return !up[n] }); name == "" {
+				continue
+			}
+			nextUp[name] = true
+		}
+		counts[kinds[kind]]++
+		what := kinds[kind] + " " + name
 
-			// Ejection on the resulting ring: a key is on the work list iff
-			// the first member of its chain that is live or the ejected one
-			// is the ejected one, and it goes to the next live member.
-			var dead *Backend
-			var live []*Backend
-			liveName := map[string]bool{}
-			for _, b := range testBackends(newRing.Backends()...) {
-				switch {
-				case b.Name == tr.eject:
-					dead = b
-				case !slices.Contains(tr.down, b.Name):
-					live = append(live, b)
-					liveName[b.Name] = true
-				}
+		want := map[[2]string][]string{}
+		for _, k := range keys {
+			from, to := firstUp(ring, up, k), firstUp(nextRing, nextUp, k)
+			if from != "" && to != "" && from != to {
+				want[[2]string{from, to}] = append(want[[2]string{from, to}], k)
 			}
-			if dead == nil {
-				continue // the transition's victim is not a member at this n
+		}
+		got := map[[2]string][]string{}
+		for _, m := range moves(viewOf(ring, up), viewOf(nextRing, nextUp), keys) {
+			id := [2]string{m.from.Name, m.to.Name}
+			if _, dup := got[id]; dup {
+				t.Fatalf("step %d (%s): two groups for %s -> %s", step, what, id[0], id[1])
 			}
-			want = map[string]map[string]bool{}
-			for _, k := range uniq {
-				chain := newRing.Successors(k, newRing.Len())
-				first := slices.IndexFunc(chain, func(m string) bool { return m == dead.Name || liveName[m] })
-				if chain[first] != dead.Name {
-					continue
-				}
-				if next := slices.IndexFunc(chain[first+1:], func(m string) bool { return liveName[m] }); next >= 0 {
-					add(want, chain[first+1+next], k)
-				}
-			}
-			sort.Strings(uniq)
-			sameGroups(label+" eject "+tr.eject, rehomeToRoutable(newRing, dead, live, uniq), want)
+			got[id] = m.keys
+		}
+		if !maps.EqualFunc(got, want, slices.Equal[[]string]) {
+			t.Fatalf("step %d (%s): moves = %v, brute force says %v", step, what, got, want)
+		}
+		ring, up = nextRing, nextUp
+	}
+	for _, kind := range kinds {
+		if counts[kind] < 20 {
+			t.Errorf("only %d %s transitions in the walk: %v", counts[kind], kind, counts)
 		}
 	}
 }

@@ -139,7 +139,8 @@ func NewRecorder() *Recorder {
 // SetSpanCap bounds the total number of buffered span events. Once full,
 // new events overwrite the oldest in each shard and the obs/spans_dropped
 // counter increments. n <= 0 removes the bound. The cap applies to future
-// appends; it does not shrink an already larger buffer.
+// appends; it does not shrink an already larger buffer. One trace's spans
+// share one shard, so a single trace keeps at most n/eventShards of them.
 func (r *Recorder) SetSpanCap(n int) {
 	if n <= 0 {
 		r.shardCap.Store(0)
@@ -220,7 +221,15 @@ func (r *Recorder) endSpan(s Span, attrs []Attr) {
 		copy(ev.Attrs, attrs)
 	}
 	bound := int(r.shardCap.Load())
-	shard := &r.shards[int(s.start)&(eventShards-1)]
+	// A traced span goes to its trace's shard, so one request's spans share
+	// one ring and leave it in the order they ended: children before their
+	// parents, so an overwrite never orphans a child. Untraced spans spread
+	// by start time.
+	stripe := int(s.start)
+	if !s.trace.IsZero() {
+		stripe = int(s.trace[len(s.trace)-1])
+	}
+	shard := &r.shards[stripe&(eventShards-1)]
 	dropped := false
 	shard.mu.Lock()
 	shard.rollup(s.name).add(Rollup{Count: 1, Total: ev.Dur, Max: ev.Dur})

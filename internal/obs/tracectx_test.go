@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -145,6 +146,36 @@ func TestSpanBufferRingBound(t *testing.T) {
 	ros := r.Rollups()
 	if len(ros) != 1 || ros[0].Name != "ring" || ros[0].Count != total {
 		t.Fatalf("Rollups = %+v, want one 'ring' rollup counting all %d spans", ros, total)
+	}
+}
+
+// TestRingOverwriteKeepsTracesConnected: once the ring overwrites, what
+// is left must still form connected request trees. 500 traced requests,
+// each a root with three children, go through a ring of 8 events a shard;
+// the written trace must pass the distributed validation, which rejects a
+// child whose parent was overwritten.
+func TestRingOverwriteKeepsTracesConnected(t *testing.T) {
+	r := NewRecorder()
+	r.SetSpanCap(eventShards * 8)
+	Enable(r)
+	defer Disable()
+
+	for i := 0; i < 500; i++ {
+		ctx, root := StartSpanCtx(context.Background(), "serve/http/recover")
+		for _, name := range []string{"serve/queue", "serve/factor", "solver/recover"} {
+			StartSpanIn(ctx, name).End()
+		}
+		root.End()
+	}
+	if dropped := r.Registry().Counter("obs/spans_dropped").Value(); dropped == 0 {
+		t.Fatal("the ring never overwrote; the test exercises nothing")
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateDistributedTrace(buf.Bytes()); err != nil {
+		t.Fatalf("overwritten ring left a broken trace: %v", err)
 	}
 }
 

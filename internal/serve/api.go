@@ -110,17 +110,15 @@ type MeasureResponse struct {
 }
 
 // PrewarmEntry is one geometry's warm state in the handoff protocol: the
-// geometry key ("RxC") and, when the source still held it, the warm-start
-// R field. A key-only entry (the previous owner crashed) is acknowledged
-// and stores nothing on the receiver.
+// geometry key ("RxC") and its warm-start R field, which is required.
 type PrewarmEntry struct {
 	Key string      `json:"key"`
 	R   [][]float64 `json:"r,omitempty"`
 }
 
-// PrewarmRequest is the POST /v1/prewarm body: the geometry keys this
-// server just inherited from a departing fleet member, as announced by
-// the router's warm handoff.
+// PrewarmRequest is the POST /v1/prewarm body: the warm state of geometry
+// keys the fleet router just moved to this server, at most MaxWarmChunk
+// bytes.
 type PrewarmRequest struct {
 	Entries []PrewarmEntry `json:"entries"`
 }
@@ -133,8 +131,8 @@ type PrewarmResponse struct {
 
 // WarmStateResponse is the GET /v1/warmstate reply: the warm-start fields
 // this server holds for the requested geometry keys, exported so a router
-// can move them to ring successors during a coordinated drain. Keys with
-// no cached warm start come back key-only.
+// can move them to the server that takes the keys over. Keys with no
+// cached warm start are left out.
 type WarmStateResponse struct {
 	Entries []PrewarmEntry `json:"entries"`
 }

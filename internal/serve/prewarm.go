@@ -11,15 +11,50 @@ import (
 	"parma/internal/obs"
 )
 
-// Warm handoff, worker side. When the fleet router re-homes geometry keys
-// — a member drained out, crashed, or a joiner inherited part of the ring
-// — it POSTs the inherited keys here. For every entry that carries the
-// previous owner's warm-start R, the server stores that field in
-// FactorCache before it replies 200. The first re-homed /v1/recover then
-// starts from it instead of paying the cold solve the consistent-hash move
-// would otherwise cost. No factorization is built: recovery reads only the
-// warm start. A key-only entry (the previous owner crashed, or never held
-// the geometry) is validated, acknowledged and counted, and stores nothing.
+// Warm handoff, worker side. When the fleet router moves geometry keys
+// from one worker to another (a member joined, left, was ejected or came
+// back), it fetches their warm-start fields from the worker that served
+// them (GET /v1/warmstate) and pushes them, chunk by chunk, to the worker
+// that will (POST /v1/prewarm). The receiver stores every field in
+// FactorCache before it replies 200, so the first moved /v1/recover starts
+// from it instead of paying a cold solve. No factorization is built:
+// recovery reads only the warm start. Both endpoints carry fields only: an
+// export leaves out the keys it holds nothing for, and a push entry
+// without r is refused.
+
+// MaxWarmChunk bounds one warm-state chunk: a /v1/warmstate reply and a
+// /v1/prewarm body alike. /v1/warmstate refuses a key list whose fields
+// could exceed it, so every chunk a router can fetch is a body /v1/prewarm
+// accepts. WarmChunks splits a router's keys to fit.
+const MaxWarmChunk = maxBodyBytes
+
+// warmBytes bounds the JSON size of one rows×cols entry: 26 bytes a value
+// (a float64's longest rendering, and its comma), two brackets a row, and
+// 64 for the key and the entry's own punctuation.
+func warmBytes(rows, cols int) int { return rows*(26*cols+2) + 64 }
+
+// WarmChunks splits keys, in order, into chunks whose fields fit one
+// MaxWarmChunk. A key that names no geometry, or whose field alone could
+// exceed the bound, travels alone, and /v1/warmstate refuses it.
+func WarmChunks(keys []string) [][]string {
+	var chunks [][]string
+	room := 0
+	for _, k := range keys {
+		n := MaxWarmChunk
+		// No side longer than the bound can fit it, so that parse limit
+		// keeps warmBytes from overflowing.
+		if rows, cols, err := parseGeomKey(k, MaxWarmChunk); err == nil {
+			n = min(warmBytes(rows, cols), MaxWarmChunk)
+		}
+		if n > room {
+			chunks = append(chunks, nil)
+			room = MaxWarmChunk
+		}
+		chunks[len(chunks)-1] = append(chunks[len(chunks)-1], k)
+		room -= n
+	}
+	return chunks
+}
 
 // parseGeomKey parses an "RxC" geometry key against the server's MaxDim.
 func parseGeomKey(key string, maxDim int) (rows, cols int, err error) {
@@ -42,11 +77,11 @@ func parseGeomKey(key string, maxDim int) (rows, cols int, err error) {
 }
 
 // handlePrewarm accepts a warm-handoff push. Every entry is validated
-// before any is stored (bad keys fail the whole request with 400 — a
-// router bug should be loud).
+// before any is stored (a bad key or a missing or invalid field fails the
+// whole request with 400 — a router bug should be loud).
 func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	var req PrewarmRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxWarmChunk)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
@@ -66,9 +101,6 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if e.R == nil {
-			continue
-		}
 		f, err := fieldFromRows(rows, cols, s.cfg.MaxDim, e.R, true)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("entry %s: invalid r field: %w", e.Key, err))
@@ -84,39 +116,34 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PrewarmResponse{Accepted: len(req.Entries)})
 }
 
-// MaxWarmStateKeys bounds one GET /v1/warmstate; a router with more keys
-// to move asks in chunks of at most this many.
-const MaxWarmStateKeys = 256
-
 // handleWarmState exports the warm-start fields for ?keys=k1,k2,... so a
-// router can carry them to ring successors during a coordinated drain.
-// Unknown or cold keys come back key-only; reads bypass the cache's
-// hit/miss accounting (peek) so exporting state does not distort the
-// stats the fleet routes on.
+// router can move them to the worker that serves the keys next. Keys with
+// no warm start are left out. Reads bypass the cache's hit/miss accounting
+// (peek) so exporting state does not distort the stats the fleet routes
+// on.
 func (s *Server) handleWarmState(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("keys")
 	if raw == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing ?keys=RxC,..."))
 		return
 	}
-	keys := strings.Split(raw, ",")
-	if len(keys) > MaxWarmStateKeys {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("too many keys (%d > %d)", len(keys), MaxWarmStateKeys))
-		return
-	}
-	resp := WarmStateResponse{Entries: make([]PrewarmEntry, 0, len(keys))}
-	for _, key := range keys {
+	resp := WarmStateResponse{Entries: []PrewarmEntry{}}
+	size := 0
+	for _, key := range strings.Split(raw, ",") {
 		key = strings.TrimSpace(key)
 		rows, cols, err := parseGeomKey(key, s.cfg.MaxDim)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		entry := PrewarmEntry{Key: key}
-		if f, ok := s.cache.PeekWarmStart(grid.New(rows, cols)); ok {
-			entry.R = rowsFromField(f)
+		if size += warmBytes(rows, cols); size > MaxWarmChunk {
+			writeErr(w, http.StatusBadRequest,
+				fmt.Errorf("the keys' warm state could exceed one %d-byte chunk", MaxWarmChunk))
+			return
 		}
-		resp.Entries = append(resp.Entries, entry)
+		if f, ok := s.cache.PeekWarmStart(grid.New(rows, cols)); ok {
+			resp.Entries = append(resp.Entries, PrewarmEntry{Key: key, R: rowsFromField(f)})
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
 	"parma/internal/grid"
@@ -47,25 +50,25 @@ func TestPrewarmThenRecoverHits(t *testing.T) {
 	}
 }
 
-// TestPrewarmKeyOnlyBuildsNothing: a key-only entry (crashed previous owner,
-// no warm R recoverable) is acknowledged and counted, and leaves the cache
-// empty — no per-geometry artifact is left to prebuild. What an entry with r
-// builds is TestPrewarmThenRecoverHits's subject.
-func TestPrewarmKeyOnlyBuildsNothing(t *testing.T) {
+// TestPrewarmRefusesKeyOnlyEntry: an entry without r has nothing to
+// store, so it is a router bug: the push answers 400, and the valid entry
+// beside it is not stored either, because every entry is validated first.
+func TestPrewarmRefusesKeyOnlyEntry(t *testing.T) {
 	obs.Enable(obs.NewRecorder())
 	defer obs.Disable()
 	s, hs := newTestServer(t, Config{Workers: 1})
+	truth, _ := workload(t, 5)
 	resp, body := postJSON(t, hs.Client(), hs.URL+"/v1/prewarm", PrewarmRequest{
-		Entries: []PrewarmEntry{{Key: "6x6"}},
+		Entries: []PrewarmEntry{{Key: "5x5", R: rowsFromField(truth)}, {Key: "6x6"}},
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prewarm: status %d: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("prewarm with a key-only entry: status %d (%s), want 400", resp.StatusCode, body)
 	}
-	if n := obs.GetCounter("serve/prewarm_keys_total").Value(); n != 1 {
-		t.Fatalf("key-only prewarm counted %d keys, want 1", n)
+	if n := obs.GetCounter("serve/prewarm_keys_total").Value(); n != 0 {
+		t.Fatalf("refused prewarm counted %d keys, want 0", n)
 	}
 	if n := s.Cache().Len(); n != 0 {
-		t.Fatalf("key-only prewarm left %d cache entries, want 0", n)
+		t.Fatalf("refused prewarm left %d cache entries, want 0", n)
 	}
 }
 
@@ -76,6 +79,7 @@ func TestPrewarmValidation(t *testing.T) {
 	for name, req := range map[string]PrewarmRequest{
 		"empty":        {},
 		"bad key":      {Entries: []PrewarmEntry{{Key: "banana"}}},
+		"no field":     {Entries: []PrewarmEntry{{Key: "2x2"}}},
 		"oversize":     {Entries: []PrewarmEntry{{Key: "9x9"}}},
 		"ragged field": {Entries: []PrewarmEntry{{Key: "2x2", R: [][]float64{{1}}}}},
 		"nonpositive":  {Entries: []PrewarmEntry{{Key: "2x2", R: [][]float64{{1, 1}, {1, 0}}}}},
@@ -111,16 +115,50 @@ func TestWarmStateExportDoesNotSkewStats(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Entries) != 2 {
-		t.Fatalf("warmstate returned %d entries, want 2", len(out.Entries))
-	}
-	if out.Entries[0].Key != "4x4" || out.Entries[0].R == nil {
-		t.Errorf("4x4 entry = %+v, want warm R attached", out.Entries[0])
-	}
-	if out.Entries[1].Key != "7x7" || out.Entries[1].R != nil {
-		t.Errorf("7x7 entry = %+v, want key-only (cold geometry)", out.Entries[1])
+	// The cold 7x7 is left out: an export carries fields only.
+	if len(out.Entries) != 1 || out.Entries[0].Key != "4x4" || out.Entries[0].R == nil {
+		t.Fatalf("warmstate entries = %+v, want one for 4x4 with its warm R", out.Entries)
 	}
 	if hits, misses := s.cache.Stats(); hits != hits0 || misses != misses0 {
 		t.Errorf("warmstate export moved cache stats: %d/%d -> %d/%d", hits0, misses0, hits, misses)
+	}
+}
+
+// TestWarmChunksFitOneRequest: WarmChunks splits a key list, in order,
+// into chunks /v1/warmstate answers, and the whole list, too large for one
+// chunk, is refused.
+func TestWarmChunksFitOneRequest(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	var keys []string
+	for rows := 33; rows <= 64; rows++ {
+		for cols := 33; cols <= 64; cols++ {
+			keys = append(keys, fmt.Sprintf("%dx%d", rows, cols))
+		}
+	}
+	get := func(keys []string) int {
+		t.Helper()
+		resp, err := hs.Client().Get(hs.URL + "/v1/warmstate?keys=" + strings.Join(keys, ","))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	chunks := WarmChunks(keys)
+	if len(chunks) < 2 {
+		t.Fatalf("%d keys up to 64x64 made %d chunk(s), want several", len(keys), len(chunks))
+	}
+	var joined []string
+	for i, c := range chunks {
+		if code := get(c); code != http.StatusOK {
+			t.Errorf("chunk %d (%d keys): status %d, want 200", i, len(c), code)
+		}
+		joined = append(joined, c...)
+	}
+	if !slices.Equal(joined, keys) {
+		t.Fatal("the chunks do not hold every key once, in order")
+	}
+	if code := get(keys); code != http.StatusBadRequest {
+		t.Errorf("all %d keys in one request: status %d, want 400", len(keys), code)
 	}
 }

@@ -222,7 +222,7 @@ func (s *Server) Drain(ctx context.Context) error {
 //	POST /v1/recover      Z field + geometry -> recovered R field
 //	POST /v1/measure      R field + geometry -> simulated Z field
 //	POST /v1/prewarm      warm-handoff push: store warm starts for re-homed keys
-//	GET  /v1/warmstate    export warm-start fields for a coordinated drain
+//	GET  /v1/warmstate    export warm-start fields for a warm handoff
 //	GET  /healthz         liveness + drain state
 //	GET  /metrics         Prometheus text (when Config.Recorder is set)
 //	GET  /debug/pprof/*   runtime profiles (when Config.EnablePprof)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"parma/internal/circuit"
 	"parma/internal/gen"
 	"parma/internal/grid"
 	"parma/internal/mat"
@@ -104,6 +105,64 @@ func TestSolveUsesUnconvergedCGStep(t *testing.T) {
 	if rel := diff.Norm2() / want.Norm2(); rel > 1e-6 {
 		t.Fatalf("unconverged step differs from the converged one by %g (relative)", rel)
 	}
+}
+
+// TestCGBreakdownClimbsDampingLadder covers solver/cg_breakdowns. At
+// λ = −2 the damped operator S − 2·diag S is indefinite, so CG meets a
+// direction with pᵀAp ≤ 0: solve must report (false, nil), which sends the
+// caller up the damping ladder, and count one breakdown. A recovery whose
+// first solve breaks down that way must retry at ten times the λ and still
+// converge.
+func TestCGBreakdownClimbsDampingLadder(t *testing.T) {
+	ctx := context.Background()
+	obs.Enable(obs.NewRecorder())
+	defer obs.Disable()
+	st, fwd, r, res := refreshFixture(t, 8)
+	st.prepare(ctx, fwd, r, res)
+	if ok, err := st.solve(ctx, mat.NewVector(st.Dim()), -2); ok || err != nil {
+		t.Fatalf("indefinite solve: ok=%v err=%v, want (false, nil)", ok, err)
+	}
+	if n := obs.GetCounter("solver/cg_breakdowns").Value(); n != 1 {
+		t.Fatalf("solver/cg_breakdowns = %d after one breakdown, want 1", n)
+	}
+
+	obs.Enable(obs.NewRecorder())
+	brk := &breakFirstSolve{}
+	truth := testField(8, 8)
+	a := grid.NewSquare(8)
+	z, err := circuit.MeasureAll(a, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Recover(ctx, a, z, RecoverOptions{wrap: func(st gnStepper) gnStepper {
+		brk.gnStepper = st
+		return brk
+	}})
+	if err != nil || out.Residual > 1e-8 {
+		t.Fatalf("recovery after a breakdown: err %v, residual %g", err, out.Residual)
+	}
+	if n := obs.GetCounter("solver/cg_breakdowns").Value(); n != 1 {
+		t.Fatalf("solver/cg_breakdowns = %d, want 1", n)
+	}
+	if len(brk.lambdas) < 2 || brk.lambdas[1] != 10*brk.lambdas[0] {
+		t.Fatalf("λ after the breakdown: %v, want the first λ times ten", brk.lambdas)
+	}
+}
+
+// breakFirstSolve runs a recovery's first solve at λ = −2, a real CG
+// breakdown, and passes every later solve through; it records the λ each
+// solve was asked for.
+type breakFirstSolve struct {
+	gnStepper
+	lambdas []float64
+}
+
+func (b *breakFirstSolve) solve(ctx context.Context, step mat.Vector, lambda float64) (bool, error) {
+	b.lambdas = append(b.lambdas, lambda)
+	if len(b.lambdas) == 1 {
+		lambda = -2
+	}
+	return b.gnStepper.solve(ctx, step, lambda)
 }
 
 // TestSquareStepConvergesOverAnomalyRange guards the square step's one

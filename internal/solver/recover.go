@@ -58,6 +58,10 @@ type RecoverOptions struct {
 	// tolerance, so it must retrace the dense backend's trajectory. Only the
 	// in-package golden test (TestRecoverSparseMatchesDenseExact) can set it.
 	exact bool
+	// wrap, when set, wraps the stepper Recover builds: the in-package seam
+	// through which a test feeds the damping ladder a fault the stepper
+	// reports (TestCGBreakdownClimbsDampingLadder).
+	wrap func(gnStepper) gnStepper
 }
 
 // RecoverResult reports a recovery run.
@@ -194,6 +198,9 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 		st = newDenseStepper(m, n)
 	} else {
 		st = newSparseStepper(m, n, opts.exact)
+	}
+	if opts.wrap != nil {
+		st = opts.wrap(st)
 	}
 	step := mat.NewVector(nUnknown)
 	trial := grid.NewField(m, n)

@@ -169,8 +169,8 @@ aff_hits=$(run_policy affinity aff)
 
 # --- Phase 5: membership churn with coordinated drain and warm handoff ----
 # Three workers c0,c1,c2; under load, c3 joins through the admin API and
-# c0 is drain-removed. Ring arithmetic (checked in TestRehomedKeysMatch-
-# OwnerDelta) moves 8x8 and 10x10 to c3 on the join and 6x6 on the
+# c0 is drain-removed. Ring arithmetic (the rule TestMovesMatchRouting-
+# Delta checks) moves 8x8 and 10x10 to c3 on the join and 6x6 on the
 # removal — all warm-handed, so the first post-churn request per geometry
 # must be a warm-start cache hit. Then SIGKILL c1 to prove the churned
 # fleet still fails over losslessly.
