@@ -61,8 +61,12 @@ type Solver struct {
 //
 //	G_vv = S⁻¹,  G_hv = D_h⁻¹·C·S⁻¹,  G_hh = D_h⁻¹ + G_hv·Cᵀ·D_h⁻¹.
 //
-// Every entry is accumulated in a fixed order, so G — and with it every
-// query — is bit-identical at any mat.Parallelism.
+// The conductances are read, and a non-positive resistance panics, on the
+// calling goroutine before anything fans out. Then the wire rows i of G_hv
+// and G_hh fan out over the shared pool (greenRows; up to 32×32 they are one
+// plain call). Every entry is accumulated in a fixed order by the one task
+// that owns it, so G — and with it every query — is bit-identical at any
+// mat.Parallelism.
 func NewSolver(a grid.Array, r *grid.Field) (*Solver, error) {
 	checkField(a, r)
 	m, n := a.Rows(), a.Cols()
@@ -100,7 +104,33 @@ func NewSolver(a grid.Array, r *grid.Field) (*Solver, error) {
 	for j := 0; j < n; j++ {
 		copy(g.Row(m + j)[m:], sInv.Row(j))
 	}
-	for i := 1; i < m; i++ {
+	// Wire rows 1..m−1 of G_hv and G_hh, one pool task per row i; the ground
+	// row 0 stays zero.
+	if grain := greenGrain(m, n); m-1 <= grain {
+		greenRows(g, sInv, cond, invDh, 1, m)
+	} else {
+		mat.ParallelFor(m-1, grain, func(lo, hi int) { greenRows(g, sInv, cond, invDh, lo+1, hi+1) })
+	}
+	return &Solver{arr: a, g: g}, nil
+}
+
+// greenChunkFlops is the arithmetic one pool chunk of NewSolver's wire rows
+// carries, at most. It keeps every square array up to 32×32 (the serving
+// layer's sizes) one plain call, and splits a 64×64 G into eight chunks.
+const greenChunkFlops = 1 << 17
+
+// greenGrain is the number of wire rows i one chunk of an m×n G covers: row
+// i costs n² multiply-adds for G_hv's row and i·n < m·n for G_hh's.
+func greenGrain(m, n int) int { return max(1, greenChunkFlops/(2*n*(m+n))) }
+
+// greenRows fills wire rows i in [lo, hi) of G_hv and G_hh, and their
+// mirror images: row i of G_hv and its column i of G_vh, and the entries
+// (i,k) and (k,i) of G_hh for 1 ≤ k ≤ i. Those sets are disjoint across i and
+// a row reads only its own entries, C, D_h⁻¹ and S⁻¹, so rows may be filled
+// concurrently, each entry summed in one fixed order.
+func greenRows(g, sInv *mat.Matrix, cond, invDh []float64, lo, hi int) {
+	m, n := len(invDh), sInv.Rows()
+	for i := lo; i < hi; i++ {
 		gi, ci := g.Row(i), cond[i*n:(i+1)*n]
 		hv := gi[m:]
 		for j, c := range ci {
@@ -122,7 +152,6 @@ func NewSolver(a grid.Array, r *grid.Field) (*Solver, error) {
 		}
 		gi[i] += invDh[i]
 	}
-	return &Solver{arr: a, g: g}, nil
 }
 
 // Green returns row u of G: the potential of every wire node (WireVertex

@@ -1,0 +1,92 @@
+package circuit
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"parma/internal/grid"
+	"parma/internal/mat"
+)
+
+// TestNewSolverInvariantUnderParallelism: the wire rows of G fan out over
+// the pool at 48×40 and 64×64, and every row of G is the same bits at any
+// pool width, since each entry is summed in one fixed order by the one task
+// that owns it. 48×40 is rectangular, so G_hv is not square.
+func TestNewSolverInvariantUnderParallelism(t *testing.T) {
+	for _, size := range [][2]int{{48, 40}, {64, 64}} {
+		m, n := size[0], size[1]
+		if chunks := (m - 1 + greenGrain(m, n) - 1) / greenGrain(m, n); chunks < 2 {
+			t.Fatalf("%dx%d: G's wire rows are %d chunk, want at least 2", m, n, chunks)
+		}
+		a := grid.New(m, n)
+		r := randomField(rand.New(rand.NewSource(3)), m, n)
+		build := func(workers int) *Solver {
+			prev := mat.Parallelism(workers)
+			defer mat.Parallelism(prev)
+			s, err := NewSolver(a, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		serial := build(1)
+		for _, workers := range []int{2, 3, 8} {
+			par := build(workers)
+			for u := 0; u < m+n; u++ {
+				for v, want := range serial.Green(u) {
+					if got := par.Green(u)[v]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%dx%d workers=%d: G[%d,%d] = %.17g, serial %.17g", m, n, workers, u, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewSolverAllocations pins what NewSolver allocates at the serving
+// layer's sizes, where G's wire rows are one plain call: its buffers and the
+// Cholesky's per-column fan-out, 10 + n, at any pool width.
+func TestNewSolverAllocations(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		prev := mat.Parallelism(workers)
+		for _, n := range []int{8, 12, 32} {
+			if greenGrain(n, n) < n-1 {
+				t.Fatalf("%dx%d: G's wire rows split into chunks, want one plain call", n, n)
+			}
+			a := grid.NewSquare(n)
+			r := randomField(rand.New(rand.NewSource(1)), n, n)
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := NewSolver(a, r); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := float64(10 + n); allocs > want {
+				t.Errorf("workers=%d %dx%d: NewSolver allocates %v times, want at most %v", workers, n, n, allocs, want)
+			}
+		}
+		mat.Parallelism(prev)
+	}
+}
+
+// TestNewSolverPanicsOnCaller: a non-positive resistance panics on the
+// calling goroutine, where the caller can recover it, even at a size whose
+// G fans out; a panic on a pool helper would end the process instead. The
+// bad resistor sits on the last wire row, which a helper would build.
+func TestNewSolverPanicsOnCaller(t *testing.T) {
+	prev := mat.Parallelism(4)
+	defer mat.Parallelism(prev)
+	a := grid.NewSquare(64)
+	for _, bad := range []float64{0, -5} {
+		r := testField(a)
+		r.Set(63, 40, bad)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("R = %g at (63,40) was accepted", bad)
+				}
+			}()
+			_, _ = NewSolver(a, r)
+		}()
+	}
+}

@@ -10,15 +10,24 @@ package solver
 //
 // with A_p[q,l] = S[(p,q),(p,l)] (m blocks of n×n), B_q[p,k] = S[(p,q),(k,q)]
 // (n blocks of m×m, zero diagonal, since (p,q) itself is counted in A_p) and
-// Π the row-major ↔ column-major shuffle. Both families are symmetric. One
-// product S·x is one O(u) transpose of x plus, per output, two contiguous
-// dot products: no column index, row pointer or gather. Both families are
-// stored in S's row order, A_p[q,:] at pq·n and B_q[p,:] at pq·m, so a
-// product reads each of them front to back as one stream. The pattern is
-// pure geometry, so the blocks are all the symbolic structure there is —
-// the CSR form on NewPlan's pattern stores the same values plus an 8-byte
-// index per value, and TestCrossBlocksMatchCSR holds the two to the same
-// bits.
+// Π the row-major ↔ column-major shuffle. Both families are symmetric. Each
+// block is stored whole and contiguous, A_p at p·n² with row q at (p·n+q)·n
+// and B_q at q·m² with row p at (q·m+p)·m, so a task that works on one block
+// reads it front to back as one stream.
+//
+// One product S·x is one O(u) transpose xᵀ of x plus m + n block tasks, which
+// the shared pool hands out by its dynamic counter: task p writes the A half
+// of grid row p's outputs, y[p·n+q] = A_p[q,:]·x[p,:], and task m+q the B half
+// of grid column q's, yb[q·m+p] = B_q[p,:]·xᵀ[q,:]. After the join one pass in
+// a fixed order adds y[pq] += yb[q·m+p]. Every output is the same two
+// contiguous dot products and the same one addition whichever worker runs
+// which task, so S·x is bit-identical at any mat.Parallelism, and one path
+// serves one worker and many. There is no column index, row pointer or
+// gather. The per-iteration refresh is the same m + n tasks, each filling its
+// own block. The pattern is pure geometry, so the blocks are all the symbolic
+// structure there is — the CSR form on NewPlan's pattern stores the same
+// values plus an 8-byte index per value, and TestCrossBlocksMatchCSR holds the
+// two to the same bits.
 
 import (
 	"parma/internal/circuit"
@@ -28,13 +37,11 @@ import (
 // stepMatrix is S in the storage one recovery uses: the cross blocks in
 // production, the whole u×u matrix in exact mode.
 type stepMatrix interface {
-	// fillRow refreshes row pq of S from fwd's inverse and returns its
-	// diagonal entry S[pq,pq]. Rows are independent: workers may fill
-	// disjoint rows concurrently.
-	fillRow(fwd *circuit.Solver, pq int) float64
-	// mulVec computes y = S·x. y never aliases x. Every output is summed by
-	// one worker in a fixed order, so the result is bit-identical at any
-	// mat.Parallelism.
+	// refresh fills S from fwd's inverse and writes its diagonal,
+	// S[pq,pq], into diag. It is deterministic at any mat.Parallelism.
+	refresh(fwd *circuit.Solver, diag mat.Vector)
+	// mulVec computes y = S·x. y never aliases x. Every output is summed in
+	// a fixed order, so the result is bit-identical at any mat.Parallelism.
 	mulVec(y, x mat.Vector)
 	// nnz is the number of entries S has structurally.
 	nnz() int
@@ -45,43 +52,43 @@ type stepMatrix interface {
 // at l = m+l'. It is summed so that swapping the pair and the resistor only
 // commutes the two additions: with G bitwise symmetric
 // (TestGreenSymmetricAndGrounded), S[pq,kl] and S[kl,pq] are the same bits.
-func dropSq(gu, gv []float64, k, l int) float64 {
-	drop := (gu[k] + gv[l]) - (gv[k] + gu[l])
+func dropSq(gu, gv []float64, k, l int) float64 { return squaredDrop(gu[k], gv[l], gv[k], gu[l]) }
+
+// squaredDrop is dropSq on the four potentials it reads, for loops that
+// hold two of them fixed.
+func squaredDrop(uk, vl, vk, ul float64) float64 {
+	drop := (uk + vl) - (vk + ul)
 	return drop * drop
 }
 
-// crossGrainFlops is the arithmetic one pool chunk of a cross product
-// carries: all of a 64×64 product, a quarter of a 100×100 one, roughly
-// 250 µs of one core's work. Each product is a fork-join, and on a shared
-// VM a helper whose vCPU the host has just descheduled holds the join until
-// it runs again, so a chunk has to carry more work than that wait costs. On
-// a 2-vCPU Xeon VM (go1.24.0) while the host stole up to 23 % of a run,
-// eight chunks per 64×64 product (131072 flops each) gave 1.54–2.19
-// recover-64 recoveries/s over eight runs, interquartile range 21 % of the
-// median; one chunk gave 1.40–1.60, 7 %, on 10 % less CPU per recovery.
-// It is a variable only so that TestRecoverInvariantUnderParallelism can
-// split a product small enough to recover in a test.
-var crossGrainFlops = 1 << 20
-
-// crossGrain is the number of row blocks p one chunk of an m×n cross product
-// covers: each block is n outputs of m+n multiply-adds.
-func crossGrain(m, n int) int {
-	return max(1, crossGrainFlops/(2*n*(m+n)))
-}
+// crossChunkFlops is the arithmetic one pool chunk of a cross product or
+// refresh carries: sixteen 64×64 blocks, six 100×100 ones, all of a 32×32
+// product. Each product is a fork-join, and on a shared VM a helper starts
+// tens of µs late, so a product under about 100 µs gains nothing from a
+// split. On a 2-vCPU Xeon VM (go1.24.0), at 64×64 eight chunks per product
+// and thirty-two (2¹⁵ flops each) read the same recover-64 latency, while
+// 32×32 recoveries on two workers ran 5.5–7.2 ms (cold start) and 8.4–10.2
+// ms (far start) with the product one chunk against 6.1–8.6 and 10.4–12.4
+// ms with it four.
+const crossChunkFlops = 1 << 17
 
 // crossBlocks holds S on the cross as its A and B blocks.
 type crossBlocks struct {
 	m, n  int
-	a     []float64  // a[pq·n+l] = A_p[q,l]: S's row pq on grid row p
-	b     []float64  // b[pq·m+k] = B_q[p,k]: S's row pq on grid column q
+	a     []float64  // a[pq·n+l] = A_p[q,l]: A_p whole at p·n², row q at pq·n
+	b     []float64  // b[(q·m+p)·m+k] = B_q[p,k]: B_q whole at q·m², row p at (q·m+p)·m
 	xt    mat.Vector // xᵀ scratch of mulVec: xt[q·m+k] = x[k·n+q]
-	grain int        // row blocks per pool chunk
+	yb    mat.Vector // the B half of mulVec: yb[q·m+p] = B_q[p,:]·xᵀ[q,:]
+	grain int        // block tasks per pool chunk
 }
 
 func newCrossBlocks(m, n int) *crossBlocks {
 	return &crossBlocks{m: m, n: n,
 		a: make([]float64, m*n*n), b: make([]float64, n*m*m),
-		xt: mat.NewVector(m * n), grain: crossGrain(m, n)}
+		xt: mat.NewVector(m * n), yb: mat.NewVector(m * n),
+		// A task is one block, 2n² flops for an A block and 2m² for a B
+		// block: 2mn on average.
+		grain: max(1, crossChunkFlops/(2*m*n))}
 }
 
 func (c *crossBlocks) nnz() int { return c.m * c.n * (c.m + c.n - 1) }
@@ -89,26 +96,48 @@ func (c *crossBlocks) nnz() int { return c.m * c.n * (c.m + c.n - 1) }
 // aRow and bRow return A_p[q,:] and B_q[p,:] for pq = p·n+q.
 func (c *crossBlocks) aRow(pq int) []float64 { return c.a[pq*c.n : (pq+1)*c.n] }
 func (c *crossBlocks) bRow(p, q int) []float64 {
-	o := (p*c.n + q) * c.m
+	o := (q*c.m + p) * c.m
 	return c.b[o : o+c.m]
 }
 
-func (c *crossBlocks) fillRow(fwd *circuit.Solver, pq int) float64 {
+// refresh runs the m + n block tasks of mulVec's split, each filling its
+// own block: task p fills A_p and the diagonal entries of grid row p, task
+// m+q fills B_q. Every value is the same dropSq of the same two rows of G
+// whoever computes it.
+func (c *crossBlocks) refresh(fwd *circuit.Solver, diag mat.Vector) {
+	mat.ParallelFor(c.m+c.n, c.grain, func(lo, hi int) { c.fillBlocks(fwd, diag, lo, hi) })
+}
+
+// fillBlocks fills the blocks of tasks [lo, hi).
+func (c *crossBlocks) fillBlocks(fwd *circuit.Solver, diag mat.Vector, lo, hi int) {
 	m, n := c.m, c.n
-	p, q := pq/n, pq%n
-	gu, gv := fwd.Green(p), fwd.Green(m+q)
-	ar := c.aRow(pq)
-	for l := range ar {
-		ar[l] = dropSq(gu, gv, p, m+l)
-	}
-	br := c.bRow(p, q)
-	for k := range br {
-		if k == p {
-			continue // B's diagonal stays zero: S[(p,q),(p,q)] is A_p[q,q]
+	for t := lo; t < hi; t++ {
+		if t < m {
+			p := t
+			gu := fwd.Green(p)
+			up, um := gu[p], gu[m:m+n]
+			for q := 0; q < n; q++ {
+				gv, ar := fwd.Green(m+q), c.aRow(p*n+q)
+				vp, vm := gv[p], gv[m:m+n]
+				for l := range ar {
+					ar[l] = squaredDrop(up, vm[l], vp, um[l]) // dropSq(gu, gv, p, m+l)
+				}
+				diag[p*n+q] = ar[q]
+			}
+			continue
 		}
-		br[k] = dropSq(gu, gv, k, m+q)
+		q := t - m
+		gv := fwd.Green(m + q)
+		vq := gv[m+q]
+		for p := 0; p < m; p++ {
+			gu, br := fwd.Green(p), c.bRow(p, q)
+			uq, uh, vh := gu[m+q], gu[:m], gv[:m]
+			for k := range br {
+				br[k] = squaredDrop(uh[k], vq, vh[k], uq) // dropSq(gu, gv, k, m+q)
+			}
+			br[p] = 0 // B's diagonal: S[(p,q),(p,q)] is A_p[q,q]
+		}
 	}
-	return ar[q]
 }
 
 func (c *crossBlocks) mulVec(y, x mat.Vector) {
@@ -118,23 +147,38 @@ func (c *crossBlocks) mulVec(y, x mat.Vector) {
 			c.xt[q*m+k] = v
 		}
 	}
-	if m <= c.grain {
+	if m+n <= c.grain {
 		// One chunk: skip the pool (and the escaping closure) entirely so
 		// small recoveries' CG loops stay allocation-free.
-		c.mulBlocks(y, x, 0, m)
-		return
+		c.mulBlocks(y, x, 0, m+n)
+	} else {
+		mat.ParallelFor(m+n, c.grain, func(lo, hi int) { c.mulBlocks(y, x, lo, hi) })
 	}
-	mat.ParallelFor(m, c.grain, func(lo, hi int) { c.mulBlocks(y, x, lo, hi) })
+	for p := 0; p < m; p++ {
+		for q := range y[p*n : (p+1)*n] {
+			y[p*n+q] += c.yb[q*m+p]
+		}
+	}
 }
 
-// mulBlocks computes y[p,q] = A_p[q,:]·x[p,:] + B_q[p,:]·xᵀ[q,:] for the
-// row blocks p in [lo, hi).
+// mulBlocks runs the product's tasks [lo, hi): task p writes
+// y[p,q] = A_p[q,:]·x[p,:] for every q, task m+q writes
+// yb[q,p] = B_q[p,:]·xᵀ[q,:] for every p.
 func (c *crossBlocks) mulBlocks(y, x mat.Vector, lo, hi int) {
 	m, n := c.m, c.n
-	for p := lo; p < hi; p++ {
-		xp := x[p*n : (p+1)*n]
-		for q := 0; q < n; q++ {
-			y[p*n+q] = dot(c.aRow(p*n+q), xp) + dot(c.bRow(p, q), c.xt[q*m:(q+1)*m])
+	for t := lo; t < hi; t++ {
+		if t < m {
+			p := t
+			xp, yp := x[p*n:(p+1)*n], y[p*n:(p+1)*n]
+			for q := range yp {
+				yp[q] = dot(c.aRow(p*n+q), xp)
+			}
+			continue
+		}
+		q := t - m
+		xq, yq := c.xt[q*m:(q+1)*m], c.yb[q*m:(q+1)*m]
+		for p := range yq {
+			yq[p] = dot(c.bRow(p, q), xq)
 		}
 	}
 }
@@ -174,13 +218,17 @@ func newFullS(m, n int) fullS { return fullS{m: m, n: n, s: mat.NewMatrix(m*n, m
 
 func (f fullS) nnz() int { return f.s.Rows() * f.s.Cols() }
 
-func (f fullS) fillRow(fwd *circuit.Solver, pq int) float64 {
-	gu, gv := fwd.Green(pq/f.n), fwd.Green(f.m+pq%f.n)
-	row := f.s.Row(pq)
-	for kl := range row {
-		row[kl] = dropSq(gu, gv, kl/f.n, f.m+kl%f.n)
-	}
-	return row[pq]
+func (f fullS) refresh(fwd *circuit.Solver, diag mat.Vector) {
+	mat.ParallelFor(f.s.Rows(), rowGrain, func(lo, hi int) {
+		for pq := lo; pq < hi; pq++ {
+			gu, gv := fwd.Green(pq/f.n), fwd.Green(f.m+pq%f.n)
+			row := f.s.Row(pq)
+			for kl := range row {
+				row[kl] = dropSq(gu, gv, kl/f.n, f.m+kl%f.n)
+			}
+			diag[pq] = row[pq]
+		}
+	})
 }
 
 func (f fullS) mulVec(y, x mat.Vector) { f.s.MulVecTo(y, x) }

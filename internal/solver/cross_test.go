@@ -102,24 +102,31 @@ func TestCrossBlocksMatchCSR(t *testing.T) {
 	}
 }
 
-// TestCrossApplyAllocatesNothing: an 8×8 cross product is one pool chunk, so
-// the CG operator runs without the pool's closure and serve's small
-// recoveries iterate allocation-free.
+// TestCrossApplyAllocatesNothing: a cross product up to 32×32 is one pool
+// chunk at any pool width, so the CG operator runs without the pool's
+// closure and small recoveries iterate allocation-free — serve's, and
+// serve-series's 32×32 ones on one-worker pools.
 func TestCrossApplyAllocatesNothing(t *testing.T) {
-	st, fwd, r, res := refreshFixture(t, 8)
-	st.prepare(context.Background(), fwd, r, res)
-	if chunks := ceilDiv(8, crossGrain(8, 8)); chunks != 1 {
-		t.Fatalf("8x8 cross product splits into %d chunks, want one", chunks)
-	}
-	dst, x := mat.NewVector(64), mat.NewVector(64)
-	x.Fill(1)
-	if allocs := testing.AllocsPerRun(20, func() { st.Apply(dst, x) }); allocs != 0 {
-		t.Fatalf("Apply allocates %v times at 8x8", allocs)
+	for _, tc := range []struct{ n, workers int }{{8, 4}, {32, 1}, {32, 4}} {
+		prev := mat.Parallelism(tc.workers)
+		st, fwd, r, res := refreshFixture(t, tc.n)
+		st.prepare(context.Background(), fwd, r, res)
+		if chunks := crossChunks(st.s.(*crossBlocks)); chunks != 1 {
+			t.Fatalf("%dx%d cross product splits into %d chunks, want one", tc.n, tc.n, chunks)
+		}
+		u := tc.n * tc.n
+		dst, x := mat.NewVector(u), mat.NewVector(u)
+		x.Fill(1)
+		allocs := testing.AllocsPerRun(20, func() { st.Apply(dst, x) })
+		mat.Parallelism(prev)
+		if allocs != 0 {
+			t.Fatalf("Apply allocates %v times at %dx%d, workers=%d", allocs, tc.n, tc.n, tc.workers)
+		}
 	}
 }
 
-// ceilDiv is the number of grain-wide chunks covering n.
-func ceilDiv(n, grain int) int { return (n + grain - 1) / grain }
+// crossChunks is the number of pool chunks one product on c hands out.
+func crossChunks(c *crossBlocks) int { return (c.m + c.n + c.grain - 1) / c.grain }
 
 // BenchmarkCrossMulVec times one S·x at n×n on the cross blocks and, as the
 // reference, on the CSR form the blocks replaced. Run it with -cpu 1,2 for
@@ -132,9 +139,7 @@ func BenchmarkCrossMulVec(b *testing.B) {
 			b.Fatal(err)
 		}
 		blocks := newCrossBlocks(n, n)
-		for pq := 0; pq < n*n; pq++ {
-			blocks.fillRow(fwd, pq)
-		}
+		blocks.refresh(fwd, mat.NewVector(n*n))
 		csr := csrOnPlan(n, n, fwd)
 		x, y := mat.NewVector(n*n), mat.NewVector(n*n)
 		for i := range x {

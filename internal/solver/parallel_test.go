@@ -58,19 +58,24 @@ func TestParallelJacobianMatchesSerial(t *testing.T) {
 // bit-stable across pool widths: every parallel write is to disjoint
 // memory and every reduction keeps its serial order, so parallelism may
 // change wall-clock only, never the iterate sequence. At 6×6 every kernel is
-// one chunk. At 48×40 the test lowers the cross product's grain to an eighth
-// of a 64×64 product, which splits it into at least three chunks, so the
-// parallel S·x is what the rectangular case pins — the recovered field bit
-// for bit, and the LM and CG iteration counts exactly.
+// one chunk. At 48×40 and at the paper's 64×64 the cross product splits into
+// several chunks of block tasks and NewSolver fans out G's rows, so the
+// parallel paths are what those cases pin: the recovered field bit for bit,
+// and the LM and CG iteration counts exactly. At 48×40 the A blocks (40×40)
+// and the B blocks (48×48) differ in size. Width 3 is odd, and width 8 has
+// more workers than the 48×40 product has chunks; the 64×64 case, most of
+// this test's time under -race, runs widths 2 and 4 only.
 func TestRecoverInvariantUnderParallelism(t *testing.T) {
-	defer func(flops int) { crossGrainFlops = flops }(crossGrainFlops)
-	for _, g := range []struct{ m, n, grainFlops, minChunks int }{
-		{6, 6, crossGrainFlops, 1},
-		{48, 40, 1 << 17, 3},
+	for _, g := range []struct {
+		m, n, minChunks int
+		widths          []int
+	}{
+		{6, 6, 1, []int{2, 3, 8}},
+		{48, 40, 3, []int{2, 3, 8}},
+		{64, 64, 2, []int{2, 4}},
 	} {
 		m, n := g.m, g.n
-		crossGrainFlops = g.grainFlops
-		if chunks := ceilDiv(m, crossGrain(m, n)); chunks < g.minChunks {
+		if chunks := crossChunks(newCrossBlocks(m, n)); chunks < g.minChunks {
 			t.Fatalf("%dx%d: the cross product splits into %d chunks, want at least %d", m, n, chunks, g.minChunks)
 		}
 		a := grid.New(m, n)
@@ -88,7 +93,7 @@ func TestRecoverInvariantUnderParallelism(t *testing.T) {
 			return res
 		}
 		serial := run(1)
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range g.widths {
 			par := run(workers)
 			if par.Iterations != serial.Iterations || par.CGIterations != serial.CGIterations {
 				t.Errorf("%dx%d workers=%d: %d LM / %d CG iterations, serial %d / %d", m, n, workers,

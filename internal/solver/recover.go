@@ -102,14 +102,15 @@ type RecoverResult struct {
 // MethodDense materializes all of S and factors the damped system by
 // Cholesky.
 //
-// The hot path runs on the parallel kernel layer in internal/mat: the m·n
-// rows of S fan out across the shared worker pool (each pair owns one
-// row, so no locks), and so do the row blocks of every product with S
-// inside CG that carries more arithmetic than a 64×64 one
-// (smaller ones are one chunk, see crossGrainFlops). mat.Parallelism
-// bounds the fan-out; a serving layer running many concurrent recoveries
-// sets it so request-level and kernel-level parallelism multiply out to
-// GOMAXPROCS, not beyond.
+// The hot path runs on the parallel kernel layer in internal/mat: the
+// wire rows of the forward model's inverse (circuit.NewSolver, above
+// 32×32), the refresh of S and every product with S inside CG fan out
+// across the shared worker pool, the last two as the m + n blocks of S,
+// each owned by one task, so no locks (cross.go: up to 32×32 a product is
+// one chunk, and on one worker any product is one plain call).
+// mat.Parallelism bounds the fan-out; a serving layer running many
+// concurrent recoveries sets it so request-level and kernel-level
+// parallelism multiply out to GOMAXPROCS, not beyond.
 // Results are bit-identical at any parallelism setting: every parallel
 // write targets disjoint memory and every reduction keeps its serial order.
 //
@@ -295,9 +296,9 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	return result, ErrDiverged
 }
 
-// rowGrain batches Jacobian rows per pool chunk: a row is m+n−1 entries on
-// the sparse cross, m·n on the dense backend's small arrays, each a handful
-// of flops, so sixteen rows make a chunk of microseconds.
+// rowGrain batches Jacobian rows per pool chunk: a row is m·n entries of
+// the dense backend's or the exact oracle's S on small arrays, each a
+// handful of flops, so sixteen rows make a chunk of microseconds.
 const rowGrain = 16
 
 // gnStepper is the Gauss-Newton linear-algebra backend behind one recovery:

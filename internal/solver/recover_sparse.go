@@ -99,15 +99,14 @@ func (st *sparseStepper) prepare(ctx context.Context, fwd *circuit.Solver, r *gr
 	sp := obs.StartSpanIn(ctx, "solver/jacobian_sparse")
 	copy(st.d, r.Values())
 	st.res = res
-	// Each pair owns one row of S and its diagonal entry. Workers write
-	// disjoint slots, so the refresh is deterministic at any pool width. The
-	// drop is jacobianRow's, read from the same two rows of the forward
-	// model's inverse. The 1e-12 floor matches the dense path's.
-	mat.ParallelFor(len(st.d), rowGrain, func(lo, hi int) {
-		for pq := lo; pq < hi; pq++ {
-			st.diag[pq] = st.s.fillRow(fwd, pq) + 1e-12
-		}
-	})
+	// One task writes each entry of S and each diagonal slot, so the
+	// refresh is deterministic at any pool width. The drop is jacobianRow's,
+	// read from the same two rows of the forward model's inverse. The 1e-12
+	// floor matches the dense path's.
+	st.s.refresh(fwd, st.diag)
+	for i := range st.diag {
+		st.diag[i] += 1e-12
+	}
 	if sp.Active() {
 		sp.End(obs.I("pairs", len(st.d)), obs.I("nnz", st.s.nnz()))
 	}

@@ -454,7 +454,7 @@ func refreshFixture(tb testing.TB, n int) (*sparseStepper, *circuit.Solver, *gri
 // TestJacobianRefreshAllocationsIndependentOfSize: the refresh reads every
 // entry out of the forward model's inverse in place, so what it allocates is
 // the pool fan-out of its two kernels and nothing per pair; and constructing
-// a stepper adds a fixed set of buffers — the two block arrays, five
+// a stepper adds a fixed set of buffers — the two block arrays, six
 // vectors — however many pairs there are. Both bounds hold
 // unchanged when the pair count grows sixteenfold.
 func TestJacobianRefreshAllocationsIndependentOfSize(t *testing.T) {
