@@ -106,22 +106,19 @@ func NewSolver(a grid.Array, r *grid.Field) (*Solver, error) {
 	}
 	// Wire rows 1..m−1 of G_hv and G_hh, one pool task per row i; the ground
 	// row 0 stays zero.
-	if grain := greenGrain(m, n); m-1 <= grain {
+	if flops := greenRowFlops(m, n); mat.Chunks(m-1, flops) <= 1 {
 		greenRows(g, sInv, cond, invDh, 1, m)
 	} else {
-		mat.ParallelFor(m-1, grain, func(lo, hi int) { greenRows(g, sInv, cond, invDh, lo+1, hi+1) })
+		mat.ParallelFor(m-1, flops, func(lo, hi int) { greenRows(g, sInv, cond, invDh, lo+1, hi+1) })
 	}
 	return &Solver{arr: a, g: g}, nil
 }
 
-// greenChunkFlops is the arithmetic one pool chunk of NewSolver's wire rows
-// carries, at most. It keeps every square array up to 32×32 (the serving
-// layer's sizes) one plain call, and splits a 64×64 G into eight chunks.
-const greenChunkFlops = 1 << 17
-
-// greenGrain is the number of wire rows i one chunk of an m×n G covers: row
-// i costs n² multiply-adds for G_hv's row and i·n < m·n for G_hh's.
-func greenGrain(m, n int) int { return max(1, greenChunkFlops/(2*n*(m+n))) }
+// greenRowFlops is what wire row i of an m×n G costs the pool, at most: n²
+// multiply-adds for G_hv's row and i·n < m·n for G_hh's. Every square array
+// up to 32×32 (the serving layer's sizes) is then one plain call, and a
+// 64×64 G eight chunks.
+func greenRowFlops(m, n int) int { return 2 * n * (m + n) }
 
 // greenRows fills wire rows i in [lo, hi) of G_hv and G_hh, and their
 // mirror images: row i of G_hv and its column i of G_vh, and the entries
@@ -230,10 +227,10 @@ func (s *Solver) SolvePair(i, j int, srcU float64) PairSolution {
 	return ps
 }
 
-// pairGrain is how many pair lookups one pool chunk carries. A lookup is
-// three loads of G — nanoseconds — so a chunk needs thousands of them to be
-// worth a handout; sweeps up to 64×64 run inline.
-const pairGrain = 4096
+// pairFlops is what one pair lookup costs the pool. A lookup is three loads
+// of G and a few flops — nanoseconds — so it counts as 32, which puts 4,096
+// lookups in a chunk: sweeps up to 64×64 run inline.
+const pairFlops = 32
 
 // MeasureInto writes Z for every pair into z, row-major and m·n long. Each
 // pair is an independent lookup in G writing its own entry, so large sweeps
@@ -241,7 +238,7 @@ const pairGrain = 4096
 // with an identical result at any parallelism.
 func (s *Solver) MeasureInto(z []float64) {
 	n := s.arr.Cols()
-	mat.ParallelFor(len(z), pairGrain, func(lo, hi int) {
+	mat.ParallelFor(len(z), pairFlops, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
 			z[pq] = s.EffectiveResistance(pq/n, pq%n)
 		}

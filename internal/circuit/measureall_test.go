@@ -10,10 +10,13 @@ import (
 
 // TestMeasureAllMatchesSerialPairs pins the pooled pair sweep to the serial
 // per-pair reference at several pool widths: parallelism must not change a
-// single Z entry.
+// single Z entry. The 5,120 pairs of an 80×64 array are two pool chunks.
 func TestMeasureAllMatchesSerialPairs(t *testing.T) {
-	a := grid.New(6, 5)
-	r := grid.UniformField(6, 5, 4000)
+	a := grid.New(80, 64)
+	if chunks := mat.Chunks(a.Rows()*a.Cols(), pairFlops); chunks < 2 {
+		t.Fatalf("the %d-pair sweep is %d chunk, want at least 2", a.Rows()*a.Cols(), chunks)
+	}
+	r := grid.UniformField(80, 64, 4000)
 	r.Set(2, 3, 12000)
 	r.Set(4, 1, 7000)
 	s, err := NewSolver(a, r)

@@ -12,12 +12,20 @@ import (
 // TestNewSolverInvariantUnderParallelism: the wire rows of G fan out over
 // the pool at 48×40 and 64×64, and every row of G is the same bits at any
 // pool width, since each entry is summed in one fixed order by the one task
-// that owns it. 48×40 is rectangular, so G_hv is not square.
+// that owns it. 48×40 is rectangular, so G_hv is not square. The chunk
+// counts are pinned: recover-64 builds G in eight chunks and sweeps its
+// 4,096 pairs as one.
 func TestNewSolverInvariantUnderParallelism(t *testing.T) {
-	for _, size := range [][2]int{{48, 40}, {64, 64}} {
-		m, n := size[0], size[1]
-		if chunks := (m - 1 + greenGrain(m, n) - 1) / greenGrain(m, n); chunks < 2 {
-			t.Fatalf("%dx%d: G's wire rows are %d chunk, want at least 2", m, n, chunks)
+	for _, g := range []struct{ m, n, greenChunks, pairChunks int }{
+		{48, 40, 3, 1},
+		{64, 64, 8, 1},
+	} {
+		m, n := g.m, g.n
+		if chunks := mat.Chunks(m-1, greenRowFlops(m, n)); chunks != g.greenChunks {
+			t.Fatalf("%dx%d: G's wire rows are %d chunks, want %d", m, n, chunks, g.greenChunks)
+		}
+		if chunks := mat.Chunks(m*n, pairFlops); chunks != g.pairChunks {
+			t.Fatalf("%dx%d: a pair sweep is %d chunks, want %d", m, n, chunks, g.pairChunks)
 		}
 		a := grid.New(m, n)
 		r := randomField(rand.New(rand.NewSource(3)), m, n)
@@ -45,14 +53,14 @@ func TestNewSolverInvariantUnderParallelism(t *testing.T) {
 }
 
 // TestNewSolverAllocations pins what NewSolver allocates at the serving
-// layer's sizes, where G's wire rows are one plain call: its buffers and the
-// Cholesky's per-column fan-out, 10 + n, at any pool width.
+// layer's sizes, where G's wire rows and every Cholesky column are one plain
+// call: its buffers only, ten, at any pool width and any size.
 func TestNewSolverAllocations(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		prev := mat.Parallelism(workers)
 		for _, n := range []int{8, 12, 32} {
-			if greenGrain(n, n) < n-1 {
-				t.Fatalf("%dx%d: G's wire rows split into chunks, want one plain call", n, n)
+			if chunks := mat.Chunks(n-1, greenRowFlops(n, n)); chunks != 1 {
+				t.Fatalf("%dx%d: G's wire rows split into %d chunks, want one plain call", n, n, chunks)
 			}
 			a := grid.NewSquare(n)
 			r := randomField(rand.New(rand.NewSource(1)), n, n)
@@ -61,7 +69,7 @@ func TestNewSolverAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if want := float64(10 + n); allocs > want {
+			if want := 10.0; allocs > want {
 				t.Errorf("workers=%d %dx%d: NewSolver allocates %v times, want at most %v", workers, n, n, allocs, want)
 			}
 		}

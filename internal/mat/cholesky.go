@@ -59,22 +59,34 @@ func CholeskyInPlace(a *Matrix) (*Cholesky, error) {
 		diag := math.Sqrt(d)
 		rj[j] = diag
 		inv := 1 / diag
-		ParallelFor(n-j-1, grainFor(2*j+2), func(lo, hi int) {
-			for i := j + 1 + lo; i < j+1+hi; i++ {
-				ri := a.Row(i)
-				var t float64
-				for k := 0; k < j; k++ {
-					t += ri[k] * rj[k]
-				}
-				ri[j] = (ri[j] - t) * inv
-			}
-		})
+		// Row i of the column costs a j-long dot product, 2j+2 flops. A
+		// column that is one chunk, as every column is up to order 512, is a
+		// plain call with no closure.
+		if Chunks(n-j-1, 2*j+2) <= 1 {
+			choleskyColumn(a, j, inv, j+1, n)
+		} else {
+			ParallelFor(n-j-1, 2*j+2, func(lo, hi int) { choleskyColumn(a, j, inv, j+1+lo, j+1+hi) })
+		}
 	}
 	if sp.Active() {
 		sp.End(obs.I("order", n))
 	}
 	obs.Add("mat/flops", int64(n)*int64(n)*int64(n)/3)
 	return &Cholesky{l: a}, nil
+}
+
+// choleskyColumn finishes rows [lo, hi) of column j of L, given the final
+// rows above them and inv = 1/L[j,j].
+func choleskyColumn(a *Matrix, j int, inv float64, lo, hi int) {
+	rj := a.Row(j)
+	for i := lo; i < hi; i++ {
+		ri := a.Row(i)
+		var t float64
+		for k := 0; k < j; k++ {
+			t += ri[k] * rj[k]
+		}
+		ri[j] = (ri[j] - t) * inv
+	}
 }
 
 // Solve returns x with A·x = b for the factorized A.

@@ -32,15 +32,16 @@ func TestParallelismOverrideRoundTrip(t *testing.T) {
 }
 
 // TestParallelForCovers asserts every index is visited exactly once, for
-// serial and parallel widths and for grains that do not divide n. The
-// per-index counters also let the race detector prove chunk disjointness.
+// serial and parallel widths and for per-index costs whose chunks (one,
+// three and a hundred indices) do not divide n. The per-index counters also
+// let the race detector prove chunk disjointness.
 func TestParallelForCovers(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
-		for _, grain := range []int{1, 3, 100} {
+		for _, flops := range []int{chunkFlops, chunkFlops / 3, chunkFlops / 100} {
 			withParallelism(t, workers, func() {
 				const n = 257
 				var visits [n]int32
-				ParallelFor(n, grain, func(lo, hi int) {
+				ParallelFor(n, flops, func(lo, hi int) {
 					if lo < 0 || hi > n || lo >= hi {
 						t.Errorf("bad chunk [%d,%d)", lo, hi)
 					}
@@ -50,7 +51,7 @@ func TestParallelForCovers(t *testing.T) {
 				})
 				for i, v := range visits {
 					if v != 1 {
-						t.Fatalf("workers=%d grain=%d: index %d visited %d times", workers, grain, i, v)
+						t.Fatalf("workers=%d flops=%d: index %d visited %d times", workers, flops, i, v)
 					}
 				}
 			})
@@ -69,7 +70,7 @@ func TestParallelForStaysSilent(t *testing.T) {
 	withParallelism(t, 2, func() {
 		var sum atomic.Int64
 		for call := 0; call < 200; call++ {
-			ParallelFor(64, 8, func(lo, hi int) { sum.Add(int64(hi - lo)) })
+			ParallelFor(64, chunkFlops/8, func(lo, hi int) { sum.Add(int64(hi - lo)) })
 		}
 		if sum.Load() != 200*64 {
 			t.Fatalf("covered %d indices, want %d", sum.Load(), 200*64)
@@ -87,9 +88,13 @@ func TestParallelForStaysSilent(t *testing.T) {
 
 // TestATAMatchesReference pins the SYRK-style kernel to the serial
 // reference Transpose()+Mul() within 1e-12, across shapes and pool widths.
+// The 120 output rows of a 40×120 A are five pool chunks.
 func TestATAMatchesReference(t *testing.T) {
+	if chunks := Chunks(120, 40*120); chunks < 2 {
+		t.Fatalf("40x120: ATA's output rows are %d chunk, want at least 2", chunks)
+	}
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {17, 4}, {25, 33}} {
+	for _, dims := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {17, 4}, {40, 120}} {
 		a := randomDense(rng, dims[0], dims[1])
 		want := a.Transpose().Mul(a)
 		for _, workers := range []int{1, 4} {
@@ -118,10 +123,15 @@ func TestATAIntoOverwritesDirtyDst(t *testing.T) {
 	}
 }
 
+// TestMulParMatchesMul: a 100×64 · 64×48 product is five pool chunks of
+// output rows, and MulPar must equal Mul bit for bit at any width.
 func TestMulParMatchesMul(t *testing.T) {
+	if chunks := Chunks(100, 2*64*48); chunks < 2 {
+		t.Fatalf("MulPar's output rows are %d chunk, want at least 2", chunks)
+	}
 	rng := rand.New(rand.NewSource(9))
-	a := randomDense(rng, 13, 21)
-	b := randomDense(rng, 21, 7)
+	a := randomDense(rng, 100, 64)
+	b := randomDense(rng, 64, 48)
 	want := a.Mul(b)
 	for _, workers := range []int{1, 3, 8} {
 		withParallelism(t, workers, func() {
@@ -174,11 +184,22 @@ func spdMatrix(rng *rand.Rand, n int) *Matrix {
 }
 
 // TestCholeskySolveMatchesLU pins the SPD fast path to the pivoted-LU
-// reference on random well-conditioned systems.
+// reference on random well-conditioned systems. At order 520 the middle
+// columns' updates are two pool chunks; that matrix is diagonally dominant,
+// SPD without the n³ cost of spdMatrix.
 func TestCholeskySolveMatchesLU(t *testing.T) {
+	const big = 520
+	if chunks := Chunks(big-big/2, big); chunks < 2 { // column big/2−1
+		t.Fatalf("order %d: Cholesky's column updates are %d chunk, want at least 2", big, chunks)
+	}
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 9, 40} {
-		s := spdMatrix(rng, n)
+	for _, n := range []int{1, 2, 9, 40, big} {
+		var s *Matrix
+		if n == big {
+			s = diagDominant(rng, n)
+		} else {
+			s = spdMatrix(rng, n)
+		}
 		b := NewVector(n)
 		for i := range b {
 			b[i] = rng.NormFloat64()
@@ -199,6 +220,21 @@ func TestCholeskySolveMatchesLU(t *testing.T) {
 			})
 		}
 	}
+}
+
+// diagDominant builds a symmetric matrix with off-diagonal entries in
+// [−1, 1) and n on the diagonal: strictly diagonally dominant, so SPD.
+func diagDominant(rng *rand.Rand, n int) *Matrix {
+	s := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		s.Set(i, i, float64(n))
+		for j := 0; j < i; j++ {
+			v := 2*rng.Float64() - 1
+			s.Set(i, j, v)
+			s.Set(j, i, v)
+		}
+	}
+	return s
 }
 
 // TestCholeskyInPlaceAliasesAndSolveTo covers the allocation-free path the

@@ -14,22 +14,6 @@ import (
 	"parma/internal/obs"
 )
 
-// mulGrainFlops targets enough arithmetic per claimed chunk that the chunk
-// handout (one atomic add) disappears in the noise.
-const mulGrainFlops = 16384
-
-// grainFor sizes a row-chunk so each carries about mulGrainFlops flops.
-func grainFor(flopsPerRow int) int {
-	if flopsPerRow <= 0 {
-		return 1
-	}
-	g := mulGrainFlops / flopsPerRow
-	if g < 1 {
-		return 1
-	}
-	return g
-}
-
 // MulVecTo computes dst = m·x into the provided dst, avoiding allocation.
 // dst must not alias x.
 func (m *Matrix) MulVecTo(dst Vector, x Vector) {
@@ -77,7 +61,7 @@ func (m *Matrix) MulPar(b *Matrix) *Matrix {
 	}
 	sp := obs.StartSpan("mat/mulpar")
 	out := NewMatrix(m.rows, b.cols)
-	ParallelFor(m.rows, grainFor(2*m.cols*b.cols), func(lo, hi int) {
+	ParallelFor(m.rows, 2*m.cols*b.cols, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mi := m.Row(i)
 			oi := out.Row(i)
@@ -119,10 +103,11 @@ func (m *Matrix) ATAInto(dst *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: ATAInto dst is %dx%d, want %dx%d", dst.rows, dst.cols, n, n))
 	}
 	sp := obs.StartSpan("mat/ata")
-	// Row j of the output needs only entries k >= j; the triangular row
-	// lengths make per-chunk work uneven, which the pool's chunk stealing
-	// absorbs. Inner loops scan m's rows contiguously from offset j.
-	ParallelFor(n, grainFor(m.rows*n), func(lo, hi int) {
+	// Row j of the output needs only entries k >= j, 2·rows·(n−j) flops,
+	// rows·n on average; the triangular row lengths make per-chunk work
+	// uneven, which the pool's chunk stealing absorbs. Inner loops scan m's
+	// rows contiguously from offset j.
+	ParallelFor(n, m.rows*n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			cj := dst.Row(j)[j:]
 			for i := range cj {
@@ -157,7 +142,7 @@ func (m *Matrix) ATAInto(dst *Matrix) *Matrix {
 	})
 	// Mirror the strict upper triangle; runs only after every row above is
 	// final because ParallelFor is a completion barrier.
-	ParallelFor(n, grainFor(n), func(lo, hi int) {
+	ParallelFor(n, n, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			for k := j + 1; k < n; k++ {
 				dst.data[k*n+j] = dst.data[j*n+k]

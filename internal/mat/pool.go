@@ -1,19 +1,25 @@
 package mat
 
-// The kernel layer's width knob. Every parallel kernel (MulPar, ATA,
-// Cholesky trailing updates) and every caller that fans work out over
-// matrix rows (solver Jacobian assembly, circuit pair sweeps) routes
-// through ParallelFor, so one knob — Parallelism — bounds the total
+// The kernel layer's width knob and its one chunk rule. Every parallel
+// kernel (MulPar, ATA, Cholesky's column updates) and every caller that fans
+// work out over independent tasks (the solver's cross blocks and Jacobian
+// rows, the forward model's wire rows and pair sweeps, the sparse kernels)
+// routes through ParallelFor, so one knob — Parallelism — bounds the total
 // goroutine fan-out of the kernel layer. That is what lets the kernels
 // compose with parmad's request-level worker pool without
 // oversubscription: the serving layer divides GOMAXPROCS between the two
 // levels instead of multiplying them (see internal/serve.NewServer).
 //
+// Callers say what one index costs in flops, never how many indices a chunk
+// holds: ParallelFor packs chunkFlops of work into each chunk, and Chunks
+// reports how many chunks that makes, so a caller whose work is one chunk
+// can call its kernel directly and skip the escaping closure.
+//
 // The workers themselves are sched.Run's, drawing from a dynamic Chunker:
 // chunks are handed out by a shared counter rather than pre-partitioned,
 // so unevenly sized work items (the triangular row lengths of ATA, the
 // shrinking columns of Cholesky) self-balance. Run is called unnamed — no
-// span, no track — because a recovery calls ParallelFor once per SpMV.
+// span, no track — because a recovery calls ParallelFor once per product.
 
 import (
 	"runtime"
@@ -46,24 +52,47 @@ func degree() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ParallelFor runs fn over disjoint chunks of [0, n), each at most grain
-// wide, across the package worker pool. It returns once every index is
-// covered. fn must be safe to call concurrently on disjoint ranges; chunks
-// are claimed from a shared counter so uneven per-index work self-balances.
-// With one worker (or n below one grain) it degrades to a direct call,
-// costing nothing over a plain loop.
-func ParallelFor(n, grain int, fn func(lo, hi int)) {
+// chunkFlops is the arithmetic one pool chunk carries. Each ParallelFor is
+// a fork-join, and on a shared VM a helper starts tens of µs late, so work
+// under about 100 µs gains nothing from a split. On a 2-vCPU Xeon VM
+// (go1.24.0), a 64×64 cross product read the same recover-64 latency at
+// eight chunks of 2¹⁷ flops and at thirty-two of 2¹⁵, while 32×32
+// recoveries on two workers ran 5.5–7.2 ms (cold start) and 8.4–10.2 ms (far
+// start) with the product one chunk against 6.1–8.6 and 10.4–12.4 ms with it
+// four.
+const chunkFlops = 1 << 17
+
+// grain is the number of indices of the given cost one chunk covers.
+func grain(flops int) int { return max(1, chunkFlops/max(1, flops)) }
+
+// Chunks is the number of chunks ParallelFor(n, flops, ·) splits [0, n)
+// into: 0 for n <= 0, 1 when the whole range fits one chunk.
+func Chunks(n, flops int) int {
 	if n <= 0 {
+		return 0
+	}
+	g := grain(flops)
+	return (n + g - 1) / g
+}
+
+// ParallelFor runs fn over disjoint chunks of [0, n) across the package
+// worker pool, where one index costs about flops floating-point operations
+// and each chunk carries about chunkFlops of them. It returns once every
+// index is covered. fn must be safe to call concurrently on disjoint ranges;
+// chunks are claimed from a shared counter so uneven per-index work
+// self-balances. With one worker (or one chunk) it degrades to a direct
+// call, costing nothing over a plain loop beyond the closure the caller
+// built: callers that want none test Chunks first.
+func ParallelFor(n, flops int, fn func(lo, hi int)) {
+	chunks := Chunks(n, flops)
+	if chunks == 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := min(degree(), (n+grain-1)/grain)
+	workers := min(degree(), chunks)
 	if workers <= 1 {
 		fn(0, n)
 		return
 	}
-	sched.Run("", workers, sched.NewChunker(n, workers, sched.Dynamic, grain),
+	sched.Run("", workers, sched.NewChunker(n, workers, sched.Dynamic, grain(flops)),
 		func(_ int, r sched.Range) { fn(r.Lo, r.Hi) })
 }

@@ -61,35 +61,25 @@ func squaredDrop(uk, vl, vk, ul float64) float64 {
 	return drop * drop
 }
 
-// crossChunkFlops is the arithmetic one pool chunk of a cross product or
-// refresh carries: sixteen 64×64 blocks, six 100×100 ones, all of a 32×32
-// product. Each product is a fork-join, and on a shared VM a helper starts
-// tens of µs late, so a product under about 100 µs gains nothing from a
-// split. On a 2-vCPU Xeon VM (go1.24.0), at 64×64 eight chunks per product
-// and thirty-two (2¹⁵ flops each) read the same recover-64 latency, while
-// 32×32 recoveries on two workers ran 5.5–7.2 ms (cold start) and 8.4–10.2
-// ms (far start) with the product one chunk against 6.1–8.6 and 10.4–12.4
-// ms with it four.
-const crossChunkFlops = 1 << 17
-
 // crossBlocks holds S on the cross as its A and B blocks.
 type crossBlocks struct {
-	m, n  int
-	a     []float64  // a[pq·n+l] = A_p[q,l]: A_p whole at p·n², row q at pq·n
-	b     []float64  // b[(q·m+p)·m+k] = B_q[p,k]: B_q whole at q·m², row p at (q·m+p)·m
-	xt    mat.Vector // xᵀ scratch of mulVec: xt[q·m+k] = x[k·n+q]
-	yb    mat.Vector // the B half of mulVec: yb[q·m+p] = B_q[p,:]·xᵀ[q,:]
-	grain int        // block tasks per pool chunk
+	m, n int
+	a    []float64  // a[pq·n+l] = A_p[q,l]: A_p whole at p·n², row q at pq·n
+	b    []float64  // b[(q·m+p)·m+k] = B_q[p,k]: B_q whole at q·m², row p at (q·m+p)·m
+	xt   mat.Vector // xᵀ scratch of mulVec: xt[q·m+k] = x[k·n+q]
+	yb   mat.Vector // the B half of mulVec: yb[q·m+p] = B_q[p,:]·xᵀ[q,:]
 }
 
 func newCrossBlocks(m, n int) *crossBlocks {
 	return &crossBlocks{m: m, n: n,
 		a: make([]float64, m*n*n), b: make([]float64, n*m*m),
-		xt: mat.NewVector(m * n), yb: mat.NewVector(m * n),
-		// A task is one block, 2n² flops for an A block and 2m² for a B
-		// block: 2mn on average.
-		grain: max(1, crossChunkFlops/(2*m*n))}
+		xt: mat.NewVector(m * n), yb: mat.NewVector(m * n)}
 }
+
+// taskFlops is what one block task costs the pool: 2n² flops for an A block
+// and 2m² for a B block, 2mn on average. A 32×32 product is then one chunk,
+// a 64×64 one eight and a 100×100 one 34.
+func (c *crossBlocks) taskFlops() int { return 2 * c.m * c.n }
 
 func (c *crossBlocks) nnz() int { return c.m * c.n * (c.m + c.n - 1) }
 
@@ -105,7 +95,7 @@ func (c *crossBlocks) bRow(p, q int) []float64 {
 // m+q fills B_q. Every value is the same dropSq of the same two rows of G
 // whoever computes it.
 func (c *crossBlocks) refresh(fwd *circuit.Solver, diag mat.Vector) {
-	mat.ParallelFor(c.m+c.n, c.grain, func(lo, hi int) { c.fillBlocks(fwd, diag, lo, hi) })
+	mat.ParallelFor(c.m+c.n, c.taskFlops(), func(lo, hi int) { c.fillBlocks(fwd, diag, lo, hi) })
 }
 
 // fillBlocks fills the blocks of tasks [lo, hi).
@@ -147,12 +137,12 @@ func (c *crossBlocks) mulVec(y, x mat.Vector) {
 			c.xt[q*m+k] = v
 		}
 	}
-	if m+n <= c.grain {
+	if mat.Chunks(m+n, c.taskFlops()) <= 1 {
 		// One chunk: skip the pool (and the escaping closure) entirely so
 		// small recoveries' CG loops stay allocation-free.
 		c.mulBlocks(y, x, 0, m+n)
 	} else {
-		mat.ParallelFor(m+n, c.grain, func(lo, hi int) { c.mulBlocks(y, x, lo, hi) })
+		mat.ParallelFor(m+n, c.taskFlops(), func(lo, hi int) { c.mulBlocks(y, x, lo, hi) })
 	}
 	for p := 0; p < m; p++ {
 		for q := range y[p*n : (p+1)*n] {
@@ -219,7 +209,8 @@ func newFullS(m, n int) fullS { return fullS{m: m, n: n, s: mat.NewMatrix(m*n, m
 func (f fullS) nnz() int { return f.s.Rows() * f.s.Cols() }
 
 func (f fullS) refresh(fwd *circuit.Solver, diag mat.Vector) {
-	mat.ParallelFor(f.s.Rows(), rowGrain, func(lo, hi int) {
+	// A row is u squared drops, four flops each.
+	mat.ParallelFor(f.s.Rows(), 4*f.s.Cols(), func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
 			gu, gv := fwd.Green(pq/f.n), fwd.Green(f.m+pq%f.n)
 			row := f.s.Row(pq)

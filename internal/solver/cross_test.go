@@ -105,8 +105,15 @@ func TestCrossBlocksMatchCSR(t *testing.T) {
 // TestCrossApplyAllocatesNothing: a cross product up to 32×32 is one pool
 // chunk at any pool width, so the CG operator runs without the pool's
 // closure and small recoveries iterate allocation-free — serve's, and
-// serve-series's 32×32 ones on one-worker pools.
+// serve-series's 32×32 ones on one-worker pools. The chunk counts of the
+// benchmarked sizes are pinned: one at 32×32, eight at recover-64's 64×64
+// and 34 at BenchmarkCrossMulVec's 100×100.
 func TestCrossApplyAllocatesNothing(t *testing.T) {
+	for n, want := range map[int]int{32: 1, 64: 8, 100: 34} {
+		if chunks := crossChunks(&crossBlocks{m: n, n: n}); chunks != want {
+			t.Errorf("%dx%d cross product splits into %d chunks, want %d", n, n, chunks, want)
+		}
+	}
 	for _, tc := range []struct{ n, workers int }{{8, 4}, {32, 1}, {32, 4}} {
 		prev := mat.Parallelism(tc.workers)
 		st, fwd, r, res := refreshFixture(t, tc.n)
@@ -126,7 +133,7 @@ func TestCrossApplyAllocatesNothing(t *testing.T) {
 }
 
 // crossChunks is the number of pool chunks one product on c hands out.
-func crossChunks(c *crossBlocks) int { return (c.m + c.n + c.grain - 1) / c.grain }
+func crossChunks(c *crossBlocks) int { return mat.Chunks(c.m+c.n, c.taskFlops()) }
 
 // BenchmarkCrossMulVec times one S·x at n×n on the cross blocks and, as the
 // reference, on the CSR form the blocks replaced. Run it with -cpu 1,2 for

@@ -22,15 +22,19 @@ func testField(m, n int) *grid.Field {
 
 // TestParallelJacobianMatchesSerial pins the fanned-out assembly to the
 // serial reference loop within 1e-12 (they are in fact bit-identical: each
-// pair writes its own row).
+// pair writes its own row). At 16×12 a row is 5·192 flops and the 192 rows
+// are two pool chunks.
 func TestParallelJacobianMatchesSerial(t *testing.T) {
-	a := grid.New(5, 4)
-	r := testField(5, 4)
+	a := grid.New(16, 12)
+	r := testField(16, 12)
 	fwd, err := circuit.NewSolver(a, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, n := a.Rows(), a.Cols()
+	if chunks := mat.Chunks(m*n, 5*m*n); chunks < 2 {
+		t.Fatalf("%dx%d: the Jacobian's rows are %d chunk, want at least 2", m, n, chunks)
+	}
 	want := mat.NewMatrix(m*n, m*n)
 	for p := 0; p < m; p++ {
 		for q := 0; q < n; q++ {
@@ -64,19 +68,20 @@ func TestParallelJacobianMatchesSerial(t *testing.T) {
 // and the LM and CG iteration counts exactly. At 48×40 the A blocks (40×40)
 // and the B blocks (48×48) differ in size. Width 3 is odd, and width 8 has
 // more workers than the 48×40 product has chunks; the 64×64 case, most of
-// this test's time under -race, runs widths 2 and 4 only.
+// this test's time under -race, runs widths 2 and 4 only. The chunk counts
+// are pinned exactly: 64×64 is recover-64's eight.
 func TestRecoverInvariantUnderParallelism(t *testing.T) {
 	for _, g := range []struct {
-		m, n, minChunks int
-		widths          []int
+		m, n, chunks int
+		widths       []int
 	}{
 		{6, 6, 1, []int{2, 3, 8}},
 		{48, 40, 3, []int{2, 3, 8}},
-		{64, 64, 2, []int{2, 4}},
+		{64, 64, 8, []int{2, 4}},
 	} {
 		m, n := g.m, g.n
-		if chunks := crossChunks(newCrossBlocks(m, n)); chunks < g.minChunks {
-			t.Fatalf("%dx%d: the cross product splits into %d chunks, want at least %d", m, n, chunks, g.minChunks)
+		if chunks := crossChunks(&crossBlocks{m: m, n: n}); chunks != g.chunks {
+			t.Fatalf("%dx%d: the cross product splits into %d chunks, want %d", m, n, chunks, g.chunks)
 		}
 		a := grid.New(m, n)
 		z, err := circuit.MeasureAll(a, testField(m, n))
@@ -117,8 +122,9 @@ func TestRecoverInvariantUnderParallelism(t *testing.T) {
 // solver's immutable-after-construction contract plus the disjoint-row
 // writes mean no synchronization beyond the pool barrier is needed.
 func TestConcurrentRecoverSharedSolver(t *testing.T) {
-	a := grid.New(5, 5)
-	r := testField(5, 5)
+	const m, n = 16, 12 // the Jacobian's rows are two pool chunks
+	a := grid.New(m, n)
+	r := testField(m, n)
 	z, err := circuit.MeasureAll(a, r)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +169,7 @@ func TestConcurrentRecoverSharedSolver(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		jac := mat.NewMatrix(25, 25)
+		jac := mat.NewMatrix(m*n, m*n)
 		for rep := 0; rep < 3; rep++ {
 			assembleJacobian(context.Background(), jac, shared, r)
 		}

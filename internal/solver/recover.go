@@ -296,11 +296,6 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	return result, ErrDiverged
 }
 
-// rowGrain batches Jacobian rows per pool chunk: a row is m·n entries of
-// the dense backend's or the exact oracle's S on small arrays, each a
-// handful of flops, so sixteen rows make a chunk of microseconds.
-const rowGrain = 16
-
 // gnStepper is the Gauss-Newton linear-algebra backend behind one recovery:
 // prepare linearizes at the accepted iterate (S, its diagonal, R and the
 // residual, which stays the right-hand side until the next prepare) and
@@ -396,7 +391,8 @@ func assembleJacobian(ctx context.Context, jac *mat.Matrix, fwd *circuit.Solver,
 	m, n := r.Rows(), r.Cols()
 	sp := obs.StartSpanIn(ctx, "solver/jacobian")
 	rv := r.Values()
-	mat.ParallelFor(m*n, rowGrain, func(lo, hi int) {
+	// A row is m·n entries, five flops each: two differences and jacEntry.
+	mat.ParallelFor(m*n, 5*m*n, func(lo, hi int) {
 		for pq := lo; pq < hi; pq++ {
 			jacobianRow(jac.Row(pq), fwd, m, n, pq, rv)
 		}

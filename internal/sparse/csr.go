@@ -112,24 +112,6 @@ func (m *CSR) MulVec(x mat.Vector) mat.Vector {
 	return y
 }
 
-// spmvGrainFlops targets enough arithmetic per claimed chunk that the
-// chunk handout (one atomic add) disappears in the noise — the same budget
-// the dense kernels use (mat/kernels.go).
-const spmvGrainFlops = 16384
-
-// spmvGrain sizes a row-chunk so each carries about spmvGrainFlops flops
-// for a matrix with the given average row population.
-func spmvGrain(rows, nnz int) int {
-	if rows <= 0 || nnz <= 0 {
-		return 1
-	}
-	g := spmvGrainFlops * rows / (2 * nnz)
-	if g < 1 {
-		return 1
-	}
-	return g
-}
-
 // MulVecTo computes y = M·x into the provided y, avoiding allocation. Rows
 // fan out across the shared kernel pool (mat.ParallelFor) when the matrix
 // is big enough to amortize the handout; each output row is accumulated in
@@ -139,14 +121,14 @@ func (m *CSR) MulVecTo(y, x mat.Vector) {
 	if len(x) != m.cols || len(y) != m.rows {
 		panic(fmt.Sprintf("sparse: MulVec shapes y[%d] = M(%dx%d)·x[%d]", len(y), m.rows, m.cols, len(x)))
 	}
-	grain := spmvGrain(m.rows, len(m.vals))
-	if m.rows <= grain {
+	flops := 2 * len(m.vals) / max(1, m.rows) // an average row
+	if mat.Chunks(m.rows, flops) <= 1 {
 		// One chunk: skip the pool (and the escaping closure) entirely so
 		// allocation-free CG loops stay allocation-free.
 		m.mulRows(y, x, 0, m.rows)
 		return
 	}
-	mat.ParallelFor(m.rows, grain, func(lo, hi int) { m.mulRows(y, x, lo, hi) })
+	mat.ParallelFor(m.rows, flops, func(lo, hi int) { m.mulRows(y, x, lo, hi) })
 }
 
 // mulRows is the serial SpMV kernel over a row range.

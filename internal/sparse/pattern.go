@@ -112,7 +112,7 @@ func Gather(dst, src []float64, perm []int) {
 	if len(dst) != len(perm) {
 		panic(fmt.Sprintf("sparse: Gather dst length %d, perm length %d", len(dst), len(perm)))
 	}
-	mat.ParallelFor(len(perm), spmvGrainFlops, func(lo, hi int) {
+	mat.ParallelFor(len(perm), 1, func(lo, hi int) { // a copied entry counts as one flop
 		for k := lo; k < hi; k++ {
 			dst[k] = src[perm[k]]
 		}
@@ -141,11 +141,7 @@ func NormalInto(dst, jt *CSR) {
 		avg := len(jt.vals) / jt.rows
 		flopsPerRow = 2 * avg * (dst.NNZ()/dst.rows + 1)
 	}
-	grain := 1
-	if flopsPerRow > 0 && spmvGrainFlops/flopsPerRow > 1 {
-		grain = spmvGrainFlops / flopsPerRow
-	}
-	mat.ParallelFor(dst.rows, grain, func(lo, hi int) {
+	mat.ParallelFor(dst.rows, flopsPerRow, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci, vi := dst.colIdx[dst.rowPtr[i]:dst.rowPtr[i+1]], dst.vals[dst.rowPtr[i]:dst.rowPtr[i+1]]
 			ai, xi := jt.RowVals(i)

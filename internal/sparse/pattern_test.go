@@ -118,8 +118,12 @@ func TestNormalInto(t *testing.T) {
 }
 
 func TestGatherParallelMatches(t *testing.T) {
-	src := make([]float64, 10000)
-	perm := rand.New(rand.NewSource(3)).Perm(10000)
+	const n = 300000 // three pool chunks of one-flop copies
+	if chunks := mat.Chunks(n, 1); chunks < 2 {
+		t.Fatalf("a %d-entry gather is %d chunk, want at least 2", n, chunks)
+	}
+	src := make([]float64, n)
+	perm := rand.New(rand.NewSource(3)).Perm(n)
 	for i := range src {
 		src[i] = float64(i)
 	}
