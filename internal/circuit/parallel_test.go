@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"parma/internal/grid"
@@ -54,7 +55,10 @@ func TestNewSolverInvariantUnderParallelism(t *testing.T) {
 
 // TestNewSolverAllocations pins what NewSolver allocates at the serving
 // layer's sizes, where G's wire rows and every Cholesky column are one plain
-// call: its buffers only, ten, at any pool width and any size.
+// call: its buffers only, ten, at any pool width and any size. At 64×64,
+// where G's wire rows fan out, two workers allocate what one does: the
+// buffers and the fan-out's closure, eleven, since the pool's helpers and
+// job are reused.
 func TestNewSolverAllocations(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		prev := mat.Parallelism(workers)
@@ -74,6 +78,32 @@ func TestNewSolverAllocations(t *testing.T) {
 			}
 		}
 		mat.Parallelism(prev)
+	}
+	// testing.AllocsPerRun runs at GOMAXPROCS 1, where the pool keeps no
+	// helper between fan-outs, so the 64×64 case counts every goroutine's
+	// allocations itself, at GOMAXPROCS 2.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	a := grid.NewSquare(64)
+	r := randomField(rand.New(rand.NewSource(1)), 64, 64)
+	var allocs [3]uint64
+	for _, workers := range []int{1, 2} {
+		prev := mat.Parallelism(workers)
+		if _, err := NewSolver(a, r); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			if _, err := NewSolver(a, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs[workers] = (after.Mallocs - before.Mallocs) / 10
+		mat.Parallelism(prev)
+	}
+	if allocs[1] > 11 || allocs[2] != allocs[1] {
+		t.Errorf("64x64: NewSolver allocates %d times on one worker and %d on two, want the same, at most 11", allocs[1], allocs[2])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -83,6 +84,36 @@ func TestParallelForStaysSilent(t *testing.T) {
 		if ev.Name == "sched/worker" {
 			t.Fatalf("ParallelFor recorded a %s span", ev.Name)
 		}
+	}
+}
+
+// TestParallelForAllocatesNothing: a warm pool hands a fan-out to helpers
+// that are already running and reuses its chunker and wrapper, so a
+// ParallelFor over eight chunks allocates nothing on two workers, as on one.
+// Counted by hand over every goroutine's allocations, since
+// testing.AllocsPerRun runs at GOMAXPROCS 1, where no helper stays between
+// calls; the bound, under one per call, leaves room for a stray runtime
+// allocation.
+func TestParallelForAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var sum atomic.Int64
+	fn := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	for _, workers := range []int{1, 2} {
+		withParallelism(t, workers, func() {
+			ParallelFor(64, chunkFlops/8, fn)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for call := 0; call < 100; call++ {
+				ParallelFor(64, chunkFlops/8, fn)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n >= 100 {
+				t.Errorf("workers=%d: 100 fan-outs allocated %d times", workers, n)
+			}
+		})
+	}
+	if sum.Load() != 202*64 {
+		t.Fatalf("covered %d indices, want %d", sum.Load(), 202*64)
 	}
 }
 

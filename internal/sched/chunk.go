@@ -115,19 +115,29 @@ type Chunker struct {
 // NewChunker builds a chunker over [0, n) for w workers. chunk is the
 // dynamic chunk size / guided minimum; values < 1 become 1.
 func NewChunker(n, w int, policy Policy, chunk int) *Chunker {
+	c := &Chunker{}
+	c.Reset(n, w, policy, chunk)
+	return c
+}
+
+// Reset makes c what NewChunker(n, w, policy, chunk) returns, so a caller
+// that fans out on every product can keep one Chunker instead of
+// allocating one per Run. c must not be in use.
+func (c *Chunker) Reset(n, w int, policy Policy, chunk int) {
 	if w < 1 {
 		w = 1
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
-	c := &Chunker{n: n, workers: w, policy: policy, chunk: chunk,
-		handouts: obs.GetCounter("sched/chunks_handed_out")}
+	c.n, c.workers, c.policy, c.chunk = n, w, policy, chunk
+	c.next.Store(0)
+	c.handouts = obs.GetCounter("sched/chunks_handed_out")
+	c.staticRanges, c.staticTaken = nil, nil
 	if policy == Static {
 		c.staticRanges = StaticRanges(n, w)
 		c.staticTaken = make([]atomic.Bool, w)
 	}
-	return c
 }
 
 // Next returns the next chunk for the given worker, or ok=false when the

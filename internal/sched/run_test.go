@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parma/internal/obs"
 )
@@ -107,4 +109,138 @@ func TestRunSpansOnlyWhenNamed(t *testing.T) {
 			t.Fatalf("no span on track %q (have %v)", name, tracks)
 		}
 	}
+}
+
+// covered runs Run over n indices at width w on a dynamic chunker and
+// reports whether every index was visited exactly once.
+func covered(w, n int, inner func()) bool {
+	seen := make([]atomic.Int32, n)
+	Run("", w, NewChunker(n, w, Dynamic, 3), Each(func(_, i int) {
+		seen[i].Add(1)
+		if inner != nil {
+			inner()
+		}
+	}))
+	for i := range seen {
+		if seen[i].Load() != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRunConcurrentAndNested: Runs from several goroutines at once, each of
+// whose bodies runs a Run of its own, share the one helper pool and each
+// still gets all its workers and covers its indices once. Run with -race.
+func TestRunConcurrentAndNested(t *testing.T) {
+	var wg sync.WaitGroup
+	var bad atomic.Int32
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				inner := func() {
+					if !covered(2, 9, nil) {
+						bad.Add(1)
+					}
+				}
+				if !covered(3, 30, inner) {
+					bad.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d runs missed or repeated an index", n)
+	}
+}
+
+// TestRunAssignedPastGOMAXPROCS: an Assigned source needs every one of its
+// w workers, so Run spawns what the idle pool lacks even at w = 4 on two
+// Ps, and every bin is consumed.
+func TestRunAssignedPastGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for rep := 0; rep < 10; rep++ {
+		bins := Assigned(BalanceLPT(40, 4, func(i int) float64 { return float64(i%3 + 1) }))
+		var visited atomic.Int32
+		Run("", 4, bins, func(worker int, r Range) { visited.Add(int32(r.Hi - r.Lo)) })
+		for b, bin := range bins {
+			if len(bin) != 0 {
+				t.Fatalf("rep %d: bin %d kept %d tasks", rep, b, len(bin))
+			}
+		}
+		if v := visited.Load(); v != 40 {
+			t.Fatalf("rep %d: %d of 40 tasks ran", rep, v)
+		}
+	}
+}
+
+// waitFor polls cond, yielding between polls, and fails the test if it
+// does not hold within ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: still false after 10 s", what)
+		}
+	}
+}
+
+// idleStates reports how many helpers are on the free list and how many of
+// them are parked.
+func idleStates() (idle, parkedN int) {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for _, h := range pool.idle {
+		if h.state.Load() == parked {
+			parkedN++
+		}
+	}
+	return len(pool.idle), parkedN
+}
+
+// TestRunExtraHelpersExit: a Run wider than GOMAXPROCS spawns helpers for
+// the difference, and once it returns all but GOMAXPROCS−1 of them exit
+// rather than stay parked. The body holds every worker until all eight are
+// in, so seven helpers are live at once.
+func TestRunExtraHelpersExit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const w = 8
+	var in atomic.Int32
+	Run("", w, NewChunker(w, w, Static, 1), func(int, Range) {
+		in.Add(1)
+		for in.Load() < w {
+			runtime.Gosched()
+		}
+	})
+	waitFor(t, "helpers beyond GOMAXPROCS−1 exit", func() bool { return live.Load() <= 1 })
+	if idle, _ := idleStates(); idle > 1 {
+		t.Fatalf("%d helpers idle at GOMAXPROCS 2, want at most one", idle)
+	}
+}
+
+// TestRunHelpersPark: after a Run, the helper it leaves idle spins only for
+// spinWindow and then parks, so an idle process burns no CPU; the next Run
+// wakes it and still covers every index. With GOMAXPROCS 1 no helper stays
+// at all.
+func TestRunHelpersPark(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	for rep := 0; rep < 3; rep++ {
+		if !covered(2, 50, nil) {
+			t.Fatalf("rep %d: a run missed or repeated an index", rep)
+		}
+		waitFor(t, "the idle helper parks", func() bool {
+			idle, parkedN := idleStates()
+			return idle >= 1 && parkedN == idle
+		})
+	}
+	runtime.GOMAXPROCS(1)
+	idle, _ := idleStates()
+	if !covered(idle+2, 50, nil) { // every idle helper and one spawned
+		t.Fatal("a run at GOMAXPROCS 1 missed or repeated an index")
+	}
+	waitFor(t, "no helper stays at GOMAXPROCS 1", func() bool { return live.Load() == 0 })
 }

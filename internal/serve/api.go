@@ -170,10 +170,10 @@ type HealthResponse struct {
 }
 
 // fieldFromRows validates a row-major JSON matrix and converts it to a
-// grid.Field. maxDim bounds both dimensions against oversized allocations;
-// requirePositive additionally rejects non-positive entries (resistance
-// fields must be strictly positive, measurements merely finite).
-func fieldFromRows(rows, cols, maxDim int, vals [][]float64, requirePositive bool) (*grid.Field, error) {
+// grid.Field. maxDim bounds both dimensions against oversized allocations.
+// Every entry must be positive: resistances and measured effective
+// resistances alike (JSON carries no NaN or infinity).
+func fieldFromRows(rows, cols, maxDim int, vals [][]float64) (*grid.Field, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("invalid geometry %dx%d", rows, cols)
 	}
@@ -192,7 +192,7 @@ func fieldFromRows(rows, cols, maxDim int, vals [][]float64, requirePositive boo
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("entry (%d,%d) is not finite", i, j)
 			}
-			if requirePositive && v <= 0 {
+			if v <= 0 {
 				return nil, fmt.Errorf("entry (%d,%d) = %g must be positive", i, j, v)
 			}
 			f.Set(i, j, v)

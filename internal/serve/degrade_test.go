@@ -116,7 +116,7 @@ func TestStaleFallbackUnderSaturation(t *testing.T) {
 	if !rout.Degraded || rout.Cache != "stale" {
 		t.Errorf("recover degraded=%v cache=%q, want degraded stale answer", rout.Degraded, rout.Cache)
 	}
-	got, err := fieldFromRows(4, 4, 64, rout.R, true)
+	got, err := fieldFromRows(4, 4, 64, rout.R)
 	if err != nil {
 		t.Fatal(err)
 	}

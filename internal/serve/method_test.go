@@ -37,7 +37,7 @@ func TestRecoverMethodSelection(t *testing.T) {
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := fieldFromRows(6, 6, 64, out.R, true)
+		rec, err := fieldFromRows(6, 6, 64, out.R)
 		if err != nil {
 			t.Fatalf("method %v: response field invalid: %v", method, err)
 		}

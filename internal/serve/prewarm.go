@@ -101,7 +101,7 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		f, err := fieldFromRows(rows, cols, s.cfg.MaxDim, e.R, true)
+		f, err := fieldFromRows(rows, cols, s.cfg.MaxDim, e.R)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("entry %s: invalid r field: %w", e.Key, err))
 			return

@@ -117,7 +117,7 @@ func TestRecoverEndToEnd(t *testing.T) {
 	if out.Cache != "miss" {
 		t.Errorf("first recover cache = %q, want miss", out.Cache)
 	}
-	rec, err := fieldFromRows(5, 5, 64, out.R, true)
+	rec, err := fieldFromRows(5, 5, 64, out.R)
 	if err != nil {
 		t.Fatalf("response field invalid: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestMeasureFactorizationReuse(t *testing.T) {
 		if out.Cache != wantCache {
 			t.Errorf("measure %d cache = %q, want %q", i, out.Cache, wantCache)
 		}
-		got, err := fieldFromRows(6, 6, 64, out.Z, false)
+		got, err := fieldFromRows(6, 6, 64, out.Z)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +190,8 @@ func TestValidation(t *testing.T) {
 		{"oversized", `{"rows":1000,"cols":1000,"z":[]}`},
 		{"ragged", `{"rows":2,"cols":2,"z":[[1,2],[3]]}`},
 		{"non-positive", `{"rows":1,"cols":1,"z":[[0]]}`},
+		{"zero z entry", `{"rows":2,"cols":2,"z":[[1,2],[0,3]]}`},
+		{"negative z entry", `{"rows":2,"cols":2,"z":[[1,2],[3,-4]]}`},
 		{"non-finite", `{"rows":1,"cols":1,"z":[[1e999]]}`},
 		{"negative tol", `{"rows":1,"cols":1,"z":[[5]],"tol":-1}`},
 		{"negative max_iter", `{"rows":1,"cols":1,"z":[[5]],"max_iter":-5}`},

@@ -388,7 +388,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("tol %g and max_iter %d must not be negative", req.Tol, req.MaxIter))
 		return
 	}
-	z, err := fieldFromRows(req.Rows, req.Cols, s.cfg.MaxDim, req.Z, true)
+	z, err := fieldFromRows(req.Rows, req.Cols, s.cfg.MaxDim, req.Z)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid z field: %w", err))
 		return
@@ -430,7 +430,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	rf, err := fieldFromRows(req.Rows, req.Cols, s.cfg.MaxDim, req.R, true)
+	rf, err := fieldFromRows(req.Rows, req.Cols, s.cfg.MaxDim, req.R)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid r field: %w", err))
 		return

@@ -15,11 +15,13 @@ package solver
 // and B_q at q·m² with row p at (q·m+p)·m, so a task that works on one block
 // reads it front to back as one stream.
 //
-// One product S·x is one O(u) transpose xᵀ of x plus m + n block tasks, which
-// the shared pool hands out by its dynamic counter: task p writes the A half
-// of grid row p's outputs, y[p·n+q] = A_p[q,:]·x[p,:], and task m+q the B half
-// of grid column q's, yb[q·m+p] = B_q[p,:]·xᵀ[q,:]. After the join one pass in
-// a fixed order adds y[pq] += yb[q·m+p]. Every output is the same two
+// One product S·x is m + n block tasks, which the shared pool hands out by its
+// dynamic counter: task p writes the A half of grid row p's outputs,
+// y[p·n+q] = A_p[q,:]·x[p,:], and task m+q gathers column q of x into xᵀ[q,:]
+// and writes the B half of grid column q's, yb[q·m+p] = B_q[p,:]·xᵀ[q,:].
+// After the join one pass in a fixed order adds y[pq] += yb[q·m+p]. The
+// gather runs inside the tasks so that nothing but that pass sits between
+// two products' fan-outs on the caller. Every output is the same two
 // contiguous dot products and the same one addition whichever worker runs
 // which task, so S·x is bit-identical at any mat.Parallelism, and one path
 // serves one worker and many. There is no column index, row pointer or
@@ -132,11 +134,6 @@ func (c *crossBlocks) fillBlocks(fwd *circuit.Solver, diag mat.Vector, lo, hi in
 
 func (c *crossBlocks) mulVec(y, x mat.Vector) {
 	m, n := c.m, c.n
-	for k := 0; k < m; k++ {
-		for q, v := range x[k*n : (k+1)*n] {
-			c.xt[q*m+k] = v
-		}
-	}
 	if mat.Chunks(m+n, c.taskFlops()) <= 1 {
 		// One chunk: skip the pool (and the escaping closure) entirely so
 		// small recoveries' CG loops stay allocation-free.
@@ -152,7 +149,7 @@ func (c *crossBlocks) mulVec(y, x mat.Vector) {
 }
 
 // mulBlocks runs the product's tasks [lo, hi): task p writes
-// y[p,q] = A_p[q,:]·x[p,:] for every q, task m+q writes
+// y[p,q] = A_p[q,:]·x[p,:] for every q, task m+q fills xᵀ[q,:] and writes
 // yb[q,p] = B_q[p,:]·xᵀ[q,:] for every p.
 func (c *crossBlocks) mulBlocks(y, x mat.Vector, lo, hi int) {
 	m, n := c.m, c.n
@@ -167,6 +164,9 @@ func (c *crossBlocks) mulBlocks(y, x mat.Vector, lo, hi int) {
 		}
 		q := t - m
 		xq, yq := c.xt[q*m:(q+1)*m], c.yb[q*m:(q+1)*m]
+		for k := range xq {
+			xq[k] = x[k*n+q]
+		}
 		for p := range yq {
 			yq[p] = dot(c.bRow(p, q), xq)
 		}

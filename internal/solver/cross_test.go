@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"parma/internal/circuit"
@@ -107,7 +108,9 @@ func TestCrossBlocksMatchCSR(t *testing.T) {
 // closure and small recoveries iterate allocation-free — serve's, and
 // serve-series's 32×32 ones on one-worker pools. The chunk counts of the
 // benchmarked sizes are pinned: one at 32×32, eight at recover-64's 64×64
-// and 34 at BenchmarkCrossMulVec's 100×100.
+// and 34 at BenchmarkCrossMulVec's 100×100. A 64×64 product, which fans
+// out, allocates the same on two workers as on one: the pool's helpers and
+// its job are reused, so only the product's own closure is new.
 func TestCrossApplyAllocatesNothing(t *testing.T) {
 	for n, want := range map[int]int{32: 1, 64: 8, 100: 34} {
 		if chunks := crossChunks(&crossBlocks{m: n, n: n}); chunks != want {
@@ -130,6 +133,35 @@ func TestCrossApplyAllocatesNothing(t *testing.T) {
 			t.Fatalf("Apply allocates %v times at %dx%d, workers=%d", allocs, tc.n, tc.n, tc.workers)
 		}
 	}
+	// The pool keeps helpers between fan-outs only while GOMAXPROCS > 1.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	st, fwd, r, res := refreshFixture(t, 64)
+	st.prepare(context.Background(), fwd, r, res)
+	dst, x := mat.NewVector(64*64), mat.NewVector(64*64)
+	x.Fill(1)
+	var allocs [3]uint64
+	for _, workers := range []int{1, 2} {
+		prev := mat.Parallelism(workers)
+		allocs[workers] = mallocsPerRun(20, func() { st.Apply(dst, x) })
+		mat.Parallelism(prev)
+	}
+	if allocs[2] != allocs[1] || allocs[1] > 1 {
+		t.Fatalf("a 64x64 Apply allocates %d times on one worker and %d on two, want the same, at most one", allocs[1], allocs[2])
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1), under
+// which the pool keeps no helper between fan-outs: the heap allocations of
+// every goroutine per call of f, after one warm-up call.
+func mallocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // crossChunks is the number of pool chunks one product on c hands out.

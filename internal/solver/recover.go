@@ -114,6 +114,10 @@ type RecoverResult struct {
 // Results are bit-identical at any parallelism setting: every parallel
 // write targets disjoint memory and every reduction keeps its serial order.
 //
+// Every entry of z must be a finite positive resistance; a NaN, infinite,
+// zero or negative one is rejected, naming its (i, j), before any forward
+// solve, as are a negative, NaN or infinite Tol and a negative MaxIter.
+//
 // Cancelling ctx aborts the iteration at the next checkpoint (once per
 // outer iteration and once per damping retry) with an error wrapping
 // ErrCanceled; the best iterate so far is still returned in the result, so
@@ -123,6 +127,12 @@ func Recover(ctx context.Context, a grid.Array, z *grid.Field, opts RecoverOptio
 	if z.Rows() != a.Rows() || z.Cols() != a.Cols() {
 		return RecoverResult{}, fmt.Errorf("solver: Z is %dx%d but array is %dx%d",
 			z.Rows(), z.Cols(), a.Rows(), a.Cols())
+	}
+	for pq, v := range z.Values() {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return RecoverResult{}, fmt.Errorf("solver: Z(%d,%d) = %g is not a finite positive resistance",
+				pq/z.Cols(), pq%z.Cols(), v)
+		}
 	}
 	if t := opts.Tol; t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 		return RecoverResult{}, fmt.Errorf("solver: Tol %g is not a finite non-negative number", t)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"parma/internal/circuit"
@@ -136,6 +137,30 @@ func TestRecoverRejectsBadOptions(t *testing.T) {
 		if res.Iterations != 0 || res.CGIterations != 0 {
 			t.Errorf("Tol %g MaxIter %d: ran %d LM / %d CG iterations before rejecting",
 				opts.Tol, opts.MaxIter, res.Iterations, res.CGIterations)
+		}
+	}
+}
+
+// TestRecoverRejectsMalformedZ: a NaN, infinite, zero or negative
+// measurement is a caller error naming its (i, j), reported before any
+// forward solve, not a singular Laplacian or an ErrDiverged after tens of
+// LM steps.
+func TestRecoverRejectsMalformedZ(t *testing.T) {
+	_, z, err := gen.Measurements(gen.Config{Rows: 8, Cols: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := grid.NewSquare(8)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -z.At(3, 5)} {
+		zb := z.Clone()
+		zb.Set(3, 5, bad)
+		res, err := Recover(context.Background(), a, zb, RecoverOptions{})
+		if err == nil || errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "Z(3,5)") {
+			t.Errorf("Z(3,5) = %g: err = %v, want a validation error naming (3,5)", bad, err)
+		}
+		if res.Iterations != 0 || res.CGIterations != 0 || res.FactorTime != 0 {
+			t.Errorf("Z(3,5) = %g: ran %d LM / %d CG iterations and %v of forward solves before rejecting",
+				bad, res.Iterations, res.CGIterations, res.FactorTime)
 		}
 	}
 }
